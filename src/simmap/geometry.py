@@ -1,8 +1,9 @@
 """Additively weighted power-diagram kernel on convex boundaries.
 
 Cells are computed by sequential half-plane clipping against radical-axis
-bisectors, which are straight lines for additive weights. Diagrams here are
-small (dozens of cells), so O(n^2) clipping per diagram is fine and robust.
+bisectors, which are straight lines for additive weights: O(n^2) clips per
+diagram of n cells. Neighbors are found by testing only the edge pairs whose
+bounding boxes overlap, found by a sort-and-sweep, not all E x E edge pairs.
 """
 from __future__ import annotations
 
@@ -331,18 +332,27 @@ def power_diagram(
     return recompute(diagram)
 
 
-def cell_neighbors(level_diagrams: list[Diagram], tol: float | None = None) -> dict:
+def cell_neighbors(level_diagrams: list[Diagram]) -> dict:
     """Neighbor map over all cells of one level, across parent diagrams.
 
-    Two cells are neighbors iff they own collinear edge segments whose overlap
-    exceeds `tol` (default 1e-6 * scale). Returns {(id_a, id_b): [(p0, p1, length), ...]}
-    with id_a < id_b.
+    Two cells are neighbors iff they own edges i < j such that both endpoints
+    of j lie within tol = 1e-6 * scale of i's supporting line and the part of
+    j projected onto i is longer than tol. Returns
+    {(id_a, id_b): [(p0, p1, length), ...]} with id_a < id_b, the segment
+    p0 -> p1 lying on edge i; pairs appear in (i, j) order.
+
+    Only edge pairs whose bounding boxes, each grown by tol, overlap are
+    tested; they are found by a sort-and-sweep over x, then filtered on y.
+    This loses no pair: |cross| is affine along j, so every point of j that
+    projects inside i lies within tol of i, and an accepted pair has such a
+    point. Cost is O(E log E + C) time and O(E + C) memory for E edges and
+    C candidate pairs, instead of E x E.
     """
     scale = max(d.scale for d in level_diagrams)
-    tol_len = 1e-6 * scale if tol is None else tol
-    tol_line = 1e-6 * scale
+    tol = 1e-6 * scale
 
     starts, ends, owners = [], [], []
+    owner_index: dict[str, int] = {}
     for d in level_diagrams:
         for c in d.cells:
             if c.polygon is None:
@@ -350,41 +360,57 @@ def cell_neighbors(level_diagrams: list[Diagram], tol: float | None = None) -> d
             v = c.polygon.vertices
             starts.append(v)
             ends.append(np.roll(v, -1, axis=0))
-            owners.extend([c.node_id] * len(v))
+            index = owner_index.setdefault(str(c.node_id), len(owner_index))
+            owners.append(np.full(len(v), index))
     result: dict[tuple[str, str], list] = {}
     if not starts:
         return result
     A = np.vstack(starts)
     B = np.vstack(ends)
-    owners = np.array(owners)
-    E = len(A)
+    owner = np.concatenate(owners)
+    owner_ids = list(owner_index)
     U = B - A
     L = np.hypot(U[:, 0], U[:, 1])
     L = np.where(L == 0.0, 1e-300, L)
     Uh = U / L[:, None]
 
+    # candidate pairs: grown bounding boxes overlap, owners differ
+    box_lo = np.minimum(A, B) - tol
+    box_hi = np.maximum(A, B) + tol
+    order = np.argsort(box_lo[:, 0], kind="stable")
+    x_lo = box_lo[order, 0]
+    stop = np.searchsorted(x_lo, box_hi[order, 0], side="right")
+    count = stop - np.arange(len(order)) - 1
+    first = np.repeat(np.arange(len(order)), count)
+    offset = np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+    a = order[first]
+    b = order[first + 1 + offset]
+    keep = ((box_lo[a, 1] <= box_hi[b, 1]) & (box_lo[b, 1] <= box_hi[a, 1])
+            & (owner[a] != owner[b]))
+    a, b = a[keep], b[keep]
+    i = np.minimum(a, b)
+    j = np.maximum(a, b)
+    rank = np.lexsort((j, i))
+    i, j = i[rank], j[rank]
+
     # distances of segment j endpoints to the supporting line of segment i
-    DA = A[None, :, :] - A[:, None, :]      # (i, j, 2): A_j - A_i
-    DB = B[None, :, :] - A[:, None, :]
-    cross_a = np.abs(Uh[:, None, 0] * DA[:, :, 1] - Uh[:, None, 1] * DA[:, :, 0])
-    cross_b = np.abs(Uh[:, None, 0] * DB[:, :, 1] - Uh[:, None, 1] * DB[:, :, 0])
-    collinear = (cross_a <= tol_line) & (cross_b <= tol_line)
-
-    t0 = Uh[:, None, 0] * DA[:, :, 0] + Uh[:, None, 1] * DA[:, :, 1]
-    t1 = Uh[:, None, 0] * DB[:, :, 0] + Uh[:, None, 1] * DB[:, :, 1]
+    DA = A[j] - A[i]
+    DB = B[j] - A[i]
+    cross_a = np.abs(Uh[i, 0] * DA[:, 1] - Uh[i, 1] * DA[:, 0])
+    cross_b = np.abs(Uh[i, 0] * DB[:, 1] - Uh[i, 1] * DB[:, 0])
+    t0 = Uh[i, 0] * DA[:, 0] + Uh[i, 1] * DA[:, 1]
+    t1 = Uh[i, 0] * DB[:, 0] + Uh[i, 1] * DB[:, 1]
     lo = np.maximum(0.0, np.minimum(t0, t1))
-    hi = np.minimum(L[:, None], np.maximum(t0, t1))
+    hi = np.minimum(L[i], np.maximum(t0, t1))
     overlap = hi - lo
+    hit = (cross_a <= tol) & (cross_b <= tol) & (overlap > tol)
 
-    different = owners[:, None] != owners[None, :]
-    upper = np.triu(np.ones((E, E), dtype=bool), k=1)
-    mask = collinear & different & (overlap > tol_len) & upper
-
-    for i, j in zip(*np.nonzero(mask)):
-        key = tuple(sorted((str(owners[i]), str(owners[j]))))
-        p0 = A[i] + Uh[i] * lo[i, j]
-        p1 = A[i] + Uh[i] * hi[i, j]
-        result.setdefault(key, []).append((p0, p1, float(overlap[i, j])))
+    i, j, lo, hi, overlap = i[hit], j[hit], lo[hit], hi[hit], overlap[hit]
+    P0 = A[i] + Uh[i] * lo[:, None]
+    P1 = A[i] + Uh[i] * hi[:, None]
+    for k in range(len(i)):
+        key = tuple(sorted((owner_ids[owner[i[k]]], owner_ids[owner[j[k]]])))
+        result.setdefault(key, []).append((P0[k], P1[k], float(overlap[k])))
     return result
 
 

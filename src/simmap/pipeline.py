@@ -259,14 +259,14 @@ def run(config: RunConfig) -> RunResult:
         )
         diagrams_by_level = {1: [root_cell_diag]}
         deepest = 1
+    neighbor_maps = {level: cell_neighbors(d) for level, d in diagrams_by_level.items()}
     leaf_diagrams = diagrams_by_level[deepest]
-    neighbor_map = cell_neighbors(leaf_diagrams)
+    neighbor_map = neighbor_maps[deepest]
     leaf_constraints = constraints.get(deepest, [])
     report = metrics_mod.evaluate(leaf_diagrams, neighbor_map, leaf_constraints, deepest)
 
     per_level = {}
-    for level, diagrams in diagrams_by_level.items():
-        nm = cell_neighbors(diagrams)
+    for level, nm in neighbor_maps.items():
         count, fraction = metrics_mod.preserved_constraints(nm, constraints.get(level, []))
         per_level[str(level)] = {
             "constraints": len(constraints.get(level, [])),

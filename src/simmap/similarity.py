@@ -145,13 +145,3 @@ def extract_level_constraints(tree: Tree, kind: str = "cosine") -> dict[int, lis
         result[depth] = bin_and_filter(matrix)
     return result
 
-
-def level_matrix(tree: Tree, depth: int, kind: str = "cosine") -> SimilarityMatrix:
-    """Similarity matrix over all nodes of one depth, in BFS document order."""
-    nodes = tree.nodes_at_depth(depth)
-    ids = [n.id for n in nodes]
-    if tree.pair_mode:
-        return pair_matrix_from_lifted(ids, depth, tree.level_pairs.get(depth, {}))
-    if all(n.sim_vector is not None for n in nodes):
-        return pairwise_matrix(nodes, kind)
-    return SimilarityMatrix(level=depth, node_ids=ids, values=np.zeros((len(ids), len(ids))))

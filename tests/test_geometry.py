@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simmap.datasets import gen_synthetic
 from simmap.geometry import (
     Cell,
     ConvexPolygon,
@@ -19,6 +20,8 @@ from simmap.geometry import (
     regular_polygon,
     square,
 )
+from simmap.optimizer import OptimizerConfig
+from simmap.pipeline import RunConfig, run
 
 
 def rect(x0, y0, x1, y1):
@@ -298,6 +301,132 @@ def test_neighbors_match_bruteforce_oracle():
     assert set(fast) == set(slow)
     for key, segs in fast.items():
         assert max(s[2] for s in segs) == pytest.approx(slow[key], abs=1e-6 * scale)
+
+
+def _dense_neighbors(level_diagrams):
+    """Reference: the predicate of cell_neighbors evaluated on all E x E edge pairs."""
+    scale = max(d.scale for d in level_diagrams)
+    tol_len = 1e-6 * scale
+    tol_line = 1e-6 * scale
+
+    starts, ends, owners = [], [], []
+    for d in level_diagrams:
+        for c in d.cells:
+            if c.polygon is None:
+                continue
+            v = c.polygon.vertices
+            starts.append(v)
+            ends.append(np.roll(v, -1, axis=0))
+            owners.extend([c.node_id] * len(v))
+    result = {}
+    if not starts:
+        return result
+    A = np.vstack(starts)
+    B = np.vstack(ends)
+    owners = np.array(owners)
+    E = len(A)
+    U = B - A
+    L = np.hypot(U[:, 0], U[:, 1])
+    L = np.where(L == 0.0, 1e-300, L)
+    Uh = U / L[:, None]
+
+    DA = A[None, :, :] - A[:, None, :]      # (i, j, 2): A_j - A_i
+    DB = B[None, :, :] - A[:, None, :]
+    cross_a = np.abs(Uh[:, None, 0] * DA[:, :, 1] - Uh[:, None, 1] * DA[:, :, 0])
+    cross_b = np.abs(Uh[:, None, 0] * DB[:, :, 1] - Uh[:, None, 1] * DB[:, :, 0])
+    collinear = (cross_a <= tol_line) & (cross_b <= tol_line)
+
+    t0 = Uh[:, None, 0] * DA[:, :, 0] + Uh[:, None, 1] * DA[:, :, 1]
+    t1 = Uh[:, None, 0] * DB[:, :, 0] + Uh[:, None, 1] * DB[:, :, 1]
+    lo = np.maximum(0.0, np.minimum(t0, t1))
+    hi = np.minimum(L[:, None], np.maximum(t0, t1))
+    overlap = hi - lo
+
+    different = owners[:, None] != owners[None, :]
+    upper = np.triu(np.ones((E, E), dtype=bool), k=1)
+    mask = collinear & different & (overlap > tol_len) & upper
+
+    for i, j in zip(*np.nonzero(mask)):
+        key = tuple(sorted((str(owners[i]), str(owners[j]))))
+        p0 = A[i] + Uh[i] * lo[i, j]
+        p1 = A[i] + Uh[i] * hi[i, j]
+        result.setdefault(key, []).append((p0, p1, float(overlap[i, j])))
+    return result
+
+
+def _assert_same_neighbors(level_diagrams):
+    fast = cell_neighbors(level_diagrams)
+    dense = _dense_neighbors(level_diagrams)
+    assert list(fast) == list(dense)
+    for key, segs in dense.items():
+        assert len(fast[key]) == len(segs), key
+        for (p0, p1, ln), (q0, q1, lq) in zip(fast[key], segs):
+            assert p0.tobytes() == q0.tobytes(), key
+            assert p1.tobytes() == q1.tobytes(), key
+            assert ln == lq, key
+    return fast
+
+
+def _random_level(rng, boundary, n_parents, max_kids, weight_frac):
+    """One level of seeded child diagrams, each clipped to a parent cell.
+
+    Weights are drawn up to (weight_frac * diagonal)^2, so large fractions
+    leave dominated cells with a None polygon.
+    """
+    diag = boundary.diagonal
+    sites = [boundary.sample_point(rng) for _ in range(n_parents)]
+    weights = rng.uniform(0.0, (0.2 * diag) ** 2, size=n_parents)
+    parents = power_diagram(sites, boundary, weights=weights,
+                            node_ids=[f"p{k}" for k in range(n_parents)])
+    level = []
+    for pc in parents.cells:
+        if pc.polygon is None:
+            continue
+        kids = int(rng.integers(1, max_kids + 1))
+        level.append(power_diagram(
+            [pc.polygon.sample_point(rng) for _ in range(kids)], pc.polygon,
+            weights=rng.uniform(0.0, (weight_frac * diag) ** 2, size=kids),
+            node_ids=[f"{pc.node_id}c{k}" for k in range(kids)], scale=diag))
+    return level
+
+
+@pytest.mark.parametrize("boundary", [
+    regular_polygon(64, radius=500.0),
+    regular_polygon(6, radius=3.0, center=(2.0, -1.0)),
+    square(10.0, origin=(-3.0, 4.0)),
+], ids=["circle", "hexagon", "square"])
+def test_neighbors_equal_dense_reference(boundary):
+    rng = np.random.default_rng(2)
+    seen_empty = seen_single = False
+    for n_parents, max_kids, weight_frac in [
+        (1, 12, 0.0), (3, 1, 0.0), (5, 6, 0.05), (8, 8, 0.1), (12, 10, 0.3),
+        (6, 9, 0.6),
+    ]:
+        for _ in range(3):
+            level = _random_level(rng, boundary, n_parents, max_kids, weight_frac)
+            seen_empty |= any(c.polygon is None for d in level for c in d.cells)
+            seen_single |= any(len(d.cells) == 1 for d in level)
+            _assert_same_neighbors(level)
+    assert seen_empty and seen_single
+
+
+def test_neighbors_equal_dense_reference_after_optimizing():
+    doc = gen_synthetic("two_level", {"leaves": 40, "parents": 6}, seed=0)
+    result = run(RunConfig(input=doc, init="proj_scale", optimizer=OptimizerConfig(max_iter=10)))
+    for diagrams in result.diagrams_by_level.values():
+        _assert_same_neighbors(diagrams)
+
+
+def test_neighbors_tolerate_offset_collinear_edges():
+    # Edges a/b and a/c are collinear but 0.5e-6 * scale apart, so their
+    # axis-aligned, zero-width boxes meet only once grown by the tolerance.
+    scale = math.sqrt(2.0)
+    gap = 0.5e-6 * scale
+    a = power_diagram([(0.5, 0.5)], square(1.0), node_ids=["a"])
+    b = power_diagram([(0.5, 1.5 + gap)], square(1.0, origin=(0.0, 1.0 + gap)), node_ids=["b"])
+    c = power_diagram([(1.5 + gap, 0.5)], square(1.0, origin=(1.0 + gap, 0.0)), node_ids=["c"])
+    nm = _assert_same_neighbors([a, b, c])
+    assert set(nm) == {("a", "b"), ("a", "c")}
 
 
 # ------------------------------------------------------------------ lloyd_step
