@@ -2,13 +2,18 @@
 
 Cells are computed by sequential half-plane clipping against radical-axis
 bisectors, which are straight lines for additive weights: O(n^2) clips per
-diagram of n cells. Neighbors are found by testing only the edge pairs whose
-bounding boxes overlap, found by a sort-and-sweep, not all E x E edge pairs.
+diagram of n cells. Diagrams of BATCH_MIN_CELLS cells or more run these clips
+as one set of numpy operations per bisector over all cells at once; smaller
+diagrams clip cell by cell. Either way every polygon is bit-identical to
+clipping and snapping each cell on its own (see `recompute`). Neighbors are
+found by testing only the edge pairs whose bounding boxes overlap, found by a
+sort-and-sweep, not all E x E edge pairs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,28 +83,33 @@ def _clip_array_generic(v: np.ndarray, d: np.ndarray, inside: np.ndarray):
     return np.asarray(out)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ConvexPolygon:
-    """Counter-clockwise convex polygon."""
+    """Counter-clockwise convex polygon.
+
+    Immutable: the vertex array is a read-only copy, so the cached measures
+    below cannot go stale.
+    """
 
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = np.array(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
             raise GeometryError("polygon needs at least 3 two-dimensional vertices")
         if _signed_area(v) < 0.0:
             v = v[::-1].copy()
-        self.vertices = v
+        v.flags.writeable = False
+        object.__setattr__(self, "vertices", v)
         diag = self.diagonal
         if self.area <= 1e-12 * diag * diag:
             raise GeometryError("polygon area is degenerate")
 
-    @property
+    @cached_property
     def area(self) -> float:
         return _signed_area(self.vertices)
 
-    @property
+    @cached_property
     def centroid(self) -> np.ndarray:
         v = self.vertices
         w = np.concatenate((v[1:], v[:1]))
@@ -107,9 +117,11 @@ class ConvexPolygon:
         a = 0.5 * np.sum(cross)
         cx = np.sum((v[:, 0] + w[:, 0]) * cross) / (6.0 * a)
         cy = np.sum((v[:, 1] + w[:, 1]) * cross) / (6.0 * a)
-        return np.array([cx, cy])
+        c = np.array([cx, cy])
+        c.flags.writeable = False
+        return c
 
-    @property
+    @cached_property
     def aabb(self) -> tuple[float, float, float, float]:
         v = self.vertices
         return (
@@ -119,7 +131,7 @@ class ConvexPolygon:
             float(v[:, 1].max()),
         )
 
-    @property
+    @cached_property
     def diagonal(self) -> float:
         x0, y0, x1, y1 = self.aabb
         return math.hypot(x1 - x0, y1 - y0)
@@ -241,16 +253,29 @@ class Diagram:
         return np.array([c.site for c in self.cells])
 
 
+# Diagrams with at least this many cells clip all cells together; smaller ones
+# clip cell by cell, which costs less numpy setup. Measured per recompute on
+# Lloyd-relaxed diagrams in a 64-gon, a square and a hexagon (best of 15
+# interleaved rounds, 2-CPU x86-64 VM): batching was 2-14% slower at 8 cells,
+# 6-13% faster at 10 and 45-56% faster at 30.
+BATCH_MIN_CELLS = 10
+
+
 def _power_cell_array(i: int, sites: np.ndarray, weights: np.ndarray,
                       boundary: ConvexPolygon, sq: np.ndarray | None = None):
     if sq is None:
         # per-site p @ p; BLAS dot rounds differently from elementwise sums,
         # so cached and uncached paths must share the same kernel
         sq = np.array([p @ p for p in sites])
-    v = boundary.vertices
+    return _clip_from(boundary.vertices, i, 0, sites, weights, sq)
+
+
+def _clip_from(v: np.ndarray, i: int, first: int, sites: np.ndarray,
+               weights: np.ndarray, sq: np.ndarray):
+    """Clip cell i's ring v against its bisectors with sites first, first+1, ..."""
     pi = sites[i]
     wi = weights[i]
-    for j in range(len(sites)):
+    for j in range(first, len(sites)):
         if j == i:
             continue
         normal = 2.0 * (sites[j] - pi)
@@ -261,40 +286,145 @@ def _power_cell_array(i: int, sites: np.ndarray, weights: np.ndarray,
     return v
 
 
+def _power_cells_batched(sites: np.ndarray, weights: np.ndarray,
+                         boundary: ConvexPolygon, sq: np.ndarray) -> list:
+    """Every cell's ring, bit-identical to _power_cell_array cell by cell.
+
+    Bisector j clips all live cells at once. Rings sit in a zero-padded
+    (cells, width, 2) stack, and each step reads only the columns up to the
+    longest live ring; an emptied ring gets length 0. Vertex distances come
+    from a stacked np.matmul, which runs the same BLAS kernel per ring as
+    _clip_array's `v @ normal`; an elementwise x * n0 + y * n1 rounds
+    differently. Normals, offsets, crossing parameters and crossing points
+    use _clip_array's elementwise formulas. Cell j's own half-plane has a
+    zero normal and offset, so it keeps ring j whole, as skipping it would.
+    A ring whose inside run is not contiguous finishes on the per-cell loop
+    from bisector j on.
+    """
+    n = len(sites)
+    bv = boundary.vertices
+    capacity = len(bv) + n          # a clip adds at most one vertex
+    rings = np.zeros((n, capacity, 2))
+    rings[:, :len(bv)] = bv
+    lengths = np.full(n, len(bv))
+    cols = np.arange(capacity)
+    handed_off: dict[int, np.ndarray | None] = {}
+    # [j, i]: the half-plane of cell i against site j, as _clip_from builds it
+    normals = 2.0 * (sites[:, None, :] - sites[None, :, :])
+    offsets = (sq[:, None] - sq[None, :]) - weights[:, None] + weights[None, :]
+    for j in range(n):
+        width = int(lengths.max())
+        if width == 0:
+            break
+        v = rings[:, :width]
+        d = np.matmul(v, normals[j][:, :, None])[:, :, 0] - offsets[j][:, None]
+        inside = (d <= 0.0) & (cols[:width] < lengths[:, None])
+        count = inside.sum(axis=1)
+        lengths[count == 0] = 0
+        cut = np.flatnonzero((count > 0) & (count < lengths))
+        if len(cut) == 0:
+            continue
+        v, d, inside, m, count = v[cut], d[cut], inside[cut], lengths[cut], count[cut]
+        r = np.arange(len(cut))
+        # an inside vertex whose cyclic predecessor is outside starts a run
+        prev = np.empty_like(inside)
+        prev[:, 1:] = inside[:, :-1]
+        prev[:, 0] = inside[r, m - 1]
+        starts = inside & ~prev
+        single = starts.sum(axis=1) == 1
+        if not single.all():
+            for row in np.flatnonzero(~single):
+                i = int(cut[row])
+                handed_off[i] = _clip_from(v[row, :m[row]], i, j, sites, weights, sq)
+                lengths[i] = 0
+            cut, v, d, m, count, starts = (
+                a[single] for a in (cut, v, d, m, count, starts))
+            if len(cut) == 0:
+                continue
+            r = np.arange(len(cut))
+        start = starts.argmax(axis=1)
+        # (i_in, start, i_out, j_out): the two edges that cross the bisector
+        ends = start[:, None] + np.array([-1, 0, -1, 0])
+        ends[:, 2:] += count[:, None]
+        ends %= m[:, None]
+        de = d[r[:, None], ends]
+        ve = v[r[:, None], ends]
+        t = de[:, 0::2] / (de[:, 0::2] - de[:, 1::2])
+        crossing = ve[:, 0::2] + t[:, :, None] * (ve[:, 1::2] - ve[:, 0::2])
+        new_m = count + 2
+        new_width = max(width, int(new_m.max()))
+        k = cols[:new_width]
+        ring = v[r[:, None], (start[:, None] + k - 1) % m[:, None]]
+        ring[r, 0] = crossing[:, 0]
+        ring[r, count + 1] = crossing[:, 1]
+        ring[k >= new_m[:, None]] = 0.0
+        rings[cut, :new_width] = ring
+        lengths[cut] = new_m
+    out = [rings[i, :m] if m else None for i, m in enumerate(lengths)]
+    for i, v in handed_off.items():
+        out[i] = v
+    return out
+
+
 def _snap_to_boundary(vertices: np.ndarray, boundary: ConvexPolygon, tol: float) -> np.ndarray:
     """Project cell vertices lying within tol of a boundary edge onto it.
 
     Makes collinearity tests across sibling diagrams exact after snapping.
+    Each vertex is snapped on its own, so snapping all rings of a diagram
+    together gives the same bits as snapping them one by one. Only vertices
+    within tol of some edge's supporting line reach the (vertices, edges)
+    projection arrays; the slack covers rounding in both distances.
     """
     bv = boundary.vertices
     e = np.concatenate((bv[1:], bv[:1])) - bv
     ln2 = np.einsum("ij,ij->i", e, e)
     ln2 = np.where(ln2 == 0.0, 1.0, ln2)
-    rel = vertices[:, None, :] - bv[None, :, :]           # (V, E, 2)
+    slack = 64.0 * np.finfo(float).eps * float(np.abs(bv).max())
+    height = vertices @ np.stack((-e[:, 1], e[:, 0])) - (e[:, 0] * bv[:, 1] - e[:, 1] * bv[:, 0])
+    near = np.flatnonzero((np.abs(height) <= (tol + slack) * np.sqrt(ln2)).any(axis=1))
+    if len(near) == 0:
+        return vertices
+    p = vertices[near]
+    rel = p[:, None, :] - bv[None, :, :]                   # (V, E, 2)
     t = np.clip(np.einsum("vej,ej->ve", rel, e) / ln2, 0.0, 1.0)
     proj = bv[None, :, :] + t[:, :, None] * e[None, :, :]
-    dist = np.hypot(vertices[:, None, 0] - proj[:, :, 0],
-                    vertices[:, None, 1] - proj[:, :, 1])
+    dist = np.hypot(p[:, None, 0] - proj[:, :, 0],
+                    p[:, None, 1] - proj[:, :, 1])
     best = np.argmin(dist, axis=1)
-    rows = np.arange(len(vertices))
+    rows = np.arange(len(p))
     close = dist[rows, best] <= tol
     if not close.any():
         return vertices
     out = vertices.copy()
-    out[close] = proj[rows[close], best[close]]
+    out[near[close]] = proj[rows[close], best[close]]
     return out
 
 
 def recompute(diagram: Diagram) -> Diagram:
-    """Refresh every cell polygon from current sites and weights (in place)."""
+    """Refresh every cell polygon from current sites and weights (in place).
+
+    Diagrams of BATCH_MIN_CELLS cells or more clip all cells together
+    (_power_cells_batched); smaller ones clip cell by cell
+    (_power_cell_array). The rings of all cells are then snapped to the
+    boundary in one call. Contract: every polygon, and which cells are empty,
+    is bit-identical to running _power_cell_array and _snap_to_boundary on
+    each cell alone, so the choice of path never changes a layout.
+    """
     sites = np.array([c.site for c in diagram.cells])
     weights = np.array([c.weight for c in diagram.cells])
     sq = np.array([p @ p for p in sites])
-    snap_tol = 1e-9 * diagram.scale
-    for i, cell in enumerate(diagram.cells):
-        v = _power_cell_array(i, sites, weights, diagram.boundary, sq)
-        if v is not None:
-            v = _snap_to_boundary(v, diagram.boundary, snap_tol)
+    if len(sites) < BATCH_MIN_CELLS:
+        rings = [_power_cell_array(i, sites, weights, diagram.boundary, sq)
+                 for i in range(len(sites))]
+    else:
+        rings = _power_cells_batched(sites, weights, diagram.boundary, sq)
+    kept = [v for v in rings if v is not None]
+    if kept:
+        snapped = _snap_to_boundary(np.concatenate(kept), diagram.boundary,
+                                    1e-9 * diagram.scale)
+        parts = iter(np.split(snapped, np.cumsum([len(v) for v in kept[:-1]])))
+        rings = [None if v is None else next(parts) for v in rings]
+    for cell, v in zip(diagram.cells, rings):
         cell.polygon = _polygon_or_none(v, diagram.scale)
     return diagram
 

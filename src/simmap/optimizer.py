@@ -1,8 +1,8 @@
 """Level-wise round-robin neighborhood-preserving optimization loop.
 
-Each iteration recomputes the cross-diagram neighbor map, runs one
-constraint-driven movement step per cell, and in the last stretch of the
-budget grows cells toward their target areas.
+Each iteration runs one constraint-driven movement step per cell on the
+current cross-diagram neighbor map, in the last stretch of the budget grows
+cells toward their target areas, and then refreshes the map.
 """
 from __future__ import annotations
 
@@ -82,6 +82,7 @@ class LevelState:
             state.constraint_pairs.add(tuple(sorted((con.a, con.b))))
             state.constraints_by_node.setdefault(con.a, []).append(con)
             state.constraints_by_node.setdefault(con.b, []).append(con)
+        state.neighbor_map = cell_neighbors(diagrams)
         return state
 
     def inset_for(self, diagram: Diagram) -> ConvexPolygon:
@@ -224,11 +225,15 @@ def optimize_level(
     rng: np.random.Generator | None = None,
     trace_cb=None,
 ) -> LevelState:
-    """Run the full iteration budget of the round-robin level optimization."""
+    """Run the full iteration budget of the round-robin level optimization.
+
+    Each iteration moves cells on state.neighbor_map, which LevelState.create
+    builds, and refreshes it after trace_cb; the trace therefore sees the map
+    the iteration moved on, and the state ends with the final map.
+    """
     if rng is None:
         rng = np.random.default_rng(0)
     for it in range(cfg.max_iter):
-        state.neighbor_map = cell_neighbors(state.diagrams)
         adjacency = state.adjacency()
         f = cfg.step_at(it)
         for diagram in state.diagrams:
@@ -241,7 +246,7 @@ def optimize_level(
         state.iter = it + 1
         if trace_cb is not None:
             trace_cb(state, it)
-    state.neighbor_map = cell_neighbors(state.diagrams)
+        state.neighbor_map = cell_neighbors(state.diagrams)
     return state
 
 

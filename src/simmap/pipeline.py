@@ -197,16 +197,13 @@ def build_treemap(
                 tree, parent, children, boundary, strategy, level_cons,
                 kind, _derived_seed(seed, level, gi), level, scale,
             ))
-        if init_preserved is not None:
-            nm = cell_neighbors(diagrams)
-            count, _ = metrics_mod.preserved_constraints(nm, level_cons)
-            init_preserved[level] = count
         state = LevelState.create(level, diagrams, level_cons, cfg)
+        if init_preserved is not None:
+            count, _ = metrics_mod.preserved_constraints(state.neighbor_map, level_cons)
+            init_preserved[level] = count
         if optimize:
             rng = np.random.default_rng([seed, level])
             optimize_level(state, cfg, rng, trace_cb)
-        else:
-            state.neighbor_map = cell_neighbors(diagrams)
         diagrams_by_level[level] = diagrams
         for d in diagrams:
             for c in d.cells:

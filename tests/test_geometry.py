@@ -1,4 +1,5 @@
 """Power-diagram kernel: clipping, measures, neighbors, Lloyd, weight growth."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simmap import geometry
 from simmap.datasets import gen_synthetic
 from simmap.geometry import (
+    BATCH_MIN_CELLS,
     Cell,
     ConvexPolygon,
     GeometryError,
+    _clip_array,
+    _polygon_or_none,
+    _power_cell_array,
+    _snap_to_boundary,
     adapt_weights,
     cell_neighbors,
     lloyd_step,
@@ -54,6 +61,23 @@ def test_polygon_rejects_degenerate():
         ConvexPolygon(np.array([[0, 0], [1, 0]]))
 
 
+def test_polygon_is_immutable_with_cached_measures():
+    ring = np.array([[0.0, 0.0], [0.0, 1.0], [2.0, 1.0], [2.0, 0.0]])  # clockwise
+    poly = ConvexPolygon(ring)
+    assert ring.flags.writeable  # the caller's array is copied, not frozen
+    assert not poly.vertices.flags.writeable
+    with pytest.raises(ValueError):
+        poly.vertices[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        poly.centroid[0] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        poly.vertices = ring
+    assert poly.centroid is poly.centroid
+    assert poly.aabb is poly.aabb
+    assert poly.area == pytest.approx(2.0)
+    assert poly.diagonal == pytest.approx(math.sqrt(5.0))
+
+
 def test_contains_with_tolerance():
     sq = square(1.0)
     assert sq.contains(np.array([0.5, 0.5]))
@@ -75,6 +99,28 @@ def test_clip_halfplane_half():
     half = sq.clip_halfplane(np.array([1.0, 0.0]), 0.5)  # x <= 0.5
     assert half.area == pytest.approx(0.5)
     assert half.vertices[:, 0].max() == pytest.approx(0.5)
+
+
+def test_clip_array_non_contiguous_run_uses_generic_fallback(monkeypatch):
+    # the top vertex dents inward by 2^-30, so the line y = 1 - 2^-31 leaves
+    # two separate inside runs: a ring made slightly reflex by rounding
+    dent = 1.0 - 2.0 ** -30
+    ring = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, dent], [0.0, 1.0]])
+    calls = []
+    generic = geometry._clip_array_generic
+
+    def spy(*args):
+        calls.append(args)
+        return generic(*args)
+
+    monkeypatch.setattr(geometry, "_clip_array_generic", spy)
+    y = 1.0 - 2.0 ** -31
+    out = _clip_array(ring, np.array([0.0, 1.0]), y)
+    assert len(calls) == 1
+    # Sutherland-Hodgman keeps both runs and adds one point per crossing
+    expected = [[0.0, 0.0], [1.0, 0.0], [1.0, y], [0.75, y], [0.5, dent],
+                [0.25, y], [0.0, y]]
+    assert np.array_equal(out, np.array(expected))
 
 
 def test_inset_square():
@@ -554,6 +600,162 @@ def test_recompute_in_place_identity():
     recompute(d)
     for c, v in zip(d.cells, v_before):
         assert np.allclose(c.polygon.vertices, v)
+
+
+# ---------------------------------------------------------- batched recompute
+
+def _per_cell_polygons(diagram):
+    """Reference: clip cell by cell and snap each ring on its own."""
+    sites = np.array([c.site for c in diagram.cells])
+    weights = np.array([c.weight for c in diagram.cells])
+    sq = np.array([p @ p for p in sites])
+    out = []
+    for i in range(len(sites)):
+        v = _power_cell_array(i, sites, weights, diagram.boundary, sq)
+        if v is not None:
+            v = _snap_to_boundary(v, diagram.boundary, 1e-9 * diagram.scale)
+        out.append(_polygon_or_none(v, diagram.scale))
+    return out
+
+
+def _assert_recompute_matches_per_cell(diagram):
+    """recompute(diagram) equals the per-cell reference bit for bit."""
+    reference = _per_cell_polygons(diagram)
+    recompute(diagram)
+    for cell, ref in zip(diagram.cells, reference):
+        assert (cell.polygon is None) == (ref is None), cell.node_id
+        if ref is not None:
+            assert cell.polygon.vertices.tobytes() == ref.vertices.tobytes(), cell.node_id
+    return sum(ref is None for ref in reference)
+
+
+def _snap_all_edges(vertices, boundary, tol):
+    """Reference: _snap_to_boundary projecting every vertex onto every edge."""
+    bv = boundary.vertices
+    e = np.concatenate((bv[1:], bv[:1])) - bv
+    ln2 = np.einsum("ij,ij->i", e, e)
+    ln2 = np.where(ln2 == 0.0, 1.0, ln2)
+    rel = vertices[:, None, :] - bv[None, :, :]
+    t = np.clip(np.einsum("vej,ej->ve", rel, e) / ln2, 0.0, 1.0)
+    proj = bv[None, :, :] + t[:, :, None] * e[None, :, :]
+    dist = np.hypot(vertices[:, None, 0] - proj[:, :, 0],
+                    vertices[:, None, 1] - proj[:, :, 1])
+    best = np.argmin(dist, axis=1)
+    rows = np.arange(len(vertices))
+    close = dist[rows, best] <= tol
+    out = vertices.copy()
+    out[close] = proj[rows[close], best[close]]
+    return out
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6], ids=["origin", "far"])
+def test_snap_to_boundary_equals_all_edges_reference(offset):
+    rng = np.random.default_rng(8)
+    snapped = 0
+    for boundary in (regular_polygon(64, radius=500.0, center=(offset, offset)),
+                     square(10.0, origin=(offset, -offset)),
+                     regular_polygon(6, radius=3.0, center=(offset, 0.0))):
+        bv = boundary.vertices
+        tol = 1e-9 * boundary.diagonal
+        for _ in range(40):
+            # points scattered around edges at 1e-16 .. 1e-7 diagonals, plus
+            # interior points; rings of one vertex included
+            m = int(rng.integers(1, 40))
+            k = rng.integers(0, len(bv), size=m)
+            s = rng.uniform(-0.01, 1.01, size=(m, 1))
+            along = bv[k] + s * (bv[(k + 1) % len(bv)] - bv[k])
+            jitter = rng.normal(size=(m, 2)) * 10.0 ** rng.uniform(-16, -7, size=(m, 1))
+            center = bv.mean(axis=0)
+            interior = center + rng.uniform(0.0, 0.99, size=(m, 1)) * (along - center)
+            pts = np.where(rng.uniform(size=(m, 1)) < 0.6,
+                           along + jitter * boundary.diagonal, interior)
+            expected = _snap_all_edges(pts, boundary, tol)
+            assert _snap_to_boundary(pts, boundary, tol).tobytes() == expected.tobytes()
+            snapped += int(np.sum(np.any(expected != pts, axis=1)))
+    assert snapped > 0
+
+
+@pytest.fixture
+def batched_calls(monkeypatch):
+    """Count recompute calls that take the batched path."""
+    calls = []
+    batched = geometry._power_cells_batched
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return batched(*args)
+
+    monkeypatch.setattr(geometry, "_power_cells_batched", spy)
+    return calls
+
+
+@pytest.mark.parametrize("boundary", [
+    regular_polygon(64, radius=500.0, center=(500.0, 500.0)),
+    regular_polygon(6, radius=3.0, center=(2.0, -1.0)),
+    square(10.0, origin=(-3.0, 4.0)),
+], ids=["circle", "hexagon", "square"])
+def test_batched_recompute_equals_per_cell(boundary, batched_calls):
+    rng = np.random.default_rng(17)
+    diag = boundary.diagonal
+    sizes = [2, 5, BATCH_MIN_CELLS - 1, BATCH_MIN_CELLS, BATCH_MIN_CELLS + 1, 30, 60]
+    empty = 0
+    for n in sizes:
+        for weight_frac in (0.0, 0.05, 0.2, 0.6):
+            sites = [boundary.sample_point(rng) for _ in range(n)]
+            weights = rng.uniform(0.0, (weight_frac * diag) ** 2, size=n)
+            d = power_diagram(sites, boundary, weights=weights)
+            empty += _assert_recompute_matches_per_cell(d)
+    assert empty > 0
+    batched_sizes = [n for n in sizes if n >= BATCH_MIN_CELLS]
+    assert sorted(set(batched_calls)) == batched_sizes
+
+
+def test_batched_recompute_equals_per_cell_under_lloyd_and_growth():
+    # near-regular CVT cells and growing weights: many near-degenerate clips
+    rng = np.random.default_rng(4)
+    boundary = regular_polygon(64, radius=500.0, center=(500.0, 500.0))
+    sites = [boundary.sample_point(rng) for _ in range(40)]
+    targets = rng.uniform(0.2, 1.0, size=40)
+    d = power_diagram(sites, boundary, targets=targets / targets.sum())
+    for step in range(30):
+        if step < 15:
+            lloyd_step(d, rng)
+        else:
+            adapt_weights(d, rate=0.7, rng=rng)
+        _assert_recompute_matches_per_cell(d)
+
+
+def test_batched_recompute_hands_non_contiguous_rows_to_per_cell_loop(
+        monkeypatch, batched_calls):
+    # a square whose top edge dents inward at one vertex; the radical axis of
+    # sites 1 and 2 runs between the dent and the top corners, so cell 1's
+    # inside run against bisector 2 is not contiguous
+    dent = 1e-3
+    boundary = ConvexPolygon(np.array([
+        [0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [5.0, 10.0 - dent], [0.0, 10.0],
+    ]))
+    n = BATCH_MIN_CELLS + 2
+    sites = [(1.0, 1.0), (5.0, 5.0), (5.0, 9.0)]
+    sites += [(1.0 + 8.0 * k / (n - 4), 0.5) for k in range(n - 3)]
+    weights = np.zeros(n)
+    weights[1] = 24.0 - 4.0 * dent   # puts the radical axis at y = 10 - dent / 2
+    d = power_diagram(sites, boundary, weights=weights)
+    batched_calls.clear()
+
+    handed = []
+    clip_from = geometry._clip_from
+
+    def spy(v, i, first, *args):
+        if first > 0:
+            handed.append((i, first))
+        return clip_from(v, i, first, *args)
+
+    monkeypatch.setattr(geometry, "_clip_from", spy)
+    _assert_recompute_matches_per_cell(d)
+    assert batched_calls == [n]
+    assert (1, 2) in handed
+    ys = d.cells[1].polygon.vertices[:, 1]
+    assert np.isclose(ys, 10.0 - dent / 2, rtol=0.0, atol=1e-12).sum() == 4
 
 
 def test_cell_equiv_radius():

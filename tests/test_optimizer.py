@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from simmap import optimizer, pipeline
+from simmap.datasets import gen_synthetic
 from simmap.geometry import cell_neighbors, power_diagram, regular_polygon, square
 from simmap.optimizer import (
     LevelState,
@@ -16,7 +18,8 @@ from simmap.optimizer import (
     optimize_level,
     pure_lloyd_growth,
 )
-from simmap.similarity import Constraint
+from simmap.pipeline import build_treemap, make_boundary
+from simmap.similarity import Constraint, extract_level_constraints
 from simmap.tree_model import parse_tree, propagate_attributes, uniform_depth
 
 
@@ -31,9 +34,7 @@ def constraint(a, b, s=0.9, level=1):
 def make_state(diagram_or_list, constraints, cfg=None):
     diagrams = diagram_or_list if isinstance(diagram_or_list, list) else [diagram_or_list]
     cfg = cfg or OptimizerConfig()
-    state = LevelState.create(1, diagrams, constraints, cfg)
-    state.neighbor_map = cell_neighbors(diagrams)
-    return state
+    return LevelState.create(1, diagrams, constraints, cfg)
 
 
 # ---------------------------------------------------------------- OptimizerConfig
@@ -292,3 +293,63 @@ def test_constraint_becomes_realized_during_optimization():
     state = make_state(d, [constraint("a", "b")], cfg)
     optimize_level(state, cfg, np.random.default_rng(1))
     assert ("a", "b") in state.neighbor_map
+
+
+# ------------------------------------------------------------------ neighbor maps
+
+def _same_map(a, b):
+    assert list(a) == list(b)
+    for key in a:
+        assert [(p0.tobytes(), p1.tobytes(), ln) for p0, p1, ln in a[key]] == \
+            [(p0.tobytes(), p1.tobytes(), ln) for p0, p1, ln in b[key]]
+
+
+def test_level_state_create_builds_neighbor_map():
+    rng = np.random.default_rng(3)
+    boundary = regular_polygon(8, radius=50.0)
+    d = power_diagram([boundary.sample_point(rng) for _ in range(7)], boundary,
+                      node_ids=[f"n{i}" for i in range(7)])
+    state = LevelState.create(1, [d], [], OptimizerConfig())
+    assert state.neighbor_map
+    _same_map(state.neighbor_map, cell_neighbors([d]))
+
+
+@pytest.fixture
+def neighbor_calls(monkeypatch):
+    """Count cell_neighbors calls made through the optimizer module."""
+    calls = []
+    real = optimizer.cell_neighbors
+
+    def counting(diagrams):
+        calls.append(len(diagrams))
+        return real(diagrams)
+
+    monkeypatch.setattr(optimizer, "cell_neighbors", counting)
+    return calls
+
+
+def test_optimize_level_refreshes_map_after_each_trace(neighbor_calls):
+    d = power_diagram([(20.0, 30.0), (60.0, 70.0), (80.0, 20.0)], square(100.0),
+                      node_ids=["a", "b", "c"])
+    cfg = OptimizerConfig(max_iter=5)
+    state = make_state(d, [constraint("a", "b")], cfg)
+    assert len(neighbor_calls) == 1          # built once by LevelState.create
+    seen = []
+    optimize_level(state, cfg, np.random.default_rng(0),
+                   lambda s, it: seen.append(len(neighbor_calls)))
+    # iteration it is traced on the map built before it, then refreshed
+    assert seen == list(range(1, cfg.max_iter + 1))
+    assert len(neighbor_calls) == cfg.max_iter + 1
+    _same_map(state.neighbor_map, cell_neighbors([d]))
+
+
+def test_build_treemap_builds_one_map_per_level_and_iteration(monkeypatch, neighbor_calls):
+    monkeypatch.setattr(pipeline, "cell_neighbors", None)   # build_treemap must not call it
+    tree = prepared(gen_synthetic("two_level", {"leaves": 8, "parents": 2}, seed=0))
+    constraints = extract_level_constraints(tree, "cosine")
+    cfg = OptimizerConfig(max_iter=3)
+    init_preserved = {}
+    levels = build_treemap(tree, constraints, make_boundary("circle", 100.0), "match_swap",
+                           "cosine", 0, cfg, init_preserved=init_preserved)
+    assert sorted(init_preserved) == sorted(levels) == [1, 2]
+    assert len(neighbor_calls) == len(levels) * (cfg.max_iter + 1)
