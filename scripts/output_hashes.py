@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Print sha256 prefixes of the CLI's outputs on a fixed set of inputs.
+
+Runs `simmap --seed 0` on the four shipped datasets at default settings, and
+on two generated two_level documents (120 leaves, 12 parents, gen seeds 0 and
+1) with `--init proj_scale --iters 40`. Prints one line per output file,
+`<name>.metrics.json <prefix>` and `<name>.svg <prefix>`, 12 lines in all.
+Two commits whose lines are equal produced byte-identical layouts, which is
+how a change that must not alter any output is checked.
+
+    python3 scripts/output_hashes.py [--out-dir DIR]
+"""
+import argparse
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SHIPPED = ["borders", "dense", "m_n", "two_level"]
+GEN_SEEDS = [0, 1]
+PREFIX_LEN = 16
+
+
+def _cli(args: list[str]) -> None:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-m", "simmap.cli", *args], env=env,
+                   check=True, stdout=subprocess.DEVNULL)
+
+
+def _prefix(path: pathlib.Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:PREFIX_LEN]
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out-dir", help="keep the outputs here (default: a temporary directory)")
+    args = ap.parse_args()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(args.out_dir or tmp)
+        out.mkdir(parents=True, exist_ok=True)
+        runs = [(name, ["--input", str(ROOT / "datasets" / f"{name}.json")])
+                for name in SHIPPED]
+        for gen_seed in GEN_SEEDS:
+            name = f"gen{gen_seed}"
+            _cli(["--gen", "two_level", "--leaves", "120", "--parents", "12",
+                  "--seed", str(gen_seed), "--out", str(out / name)])
+            runs.append((name, ["--input", str(out / f"{name}.json"),
+                                "--init", "proj_scale", "--iters", "40"]))
+        for name, run_args in runs:
+            _cli([*run_args, "--seed", "0", "--out", str(out / name)])
+            for suffix in (".metrics.json", ".svg"):
+                print(f"{name}{suffix} {_prefix(out / f'{name}{suffix}')}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

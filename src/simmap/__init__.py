@@ -8,7 +8,6 @@ from .geometry import (
     adapt_weights,
     cell_neighbors,
     lloyd_step,
-    polygon_measures,
     power_diagram,
 )
 from .layout_init import (

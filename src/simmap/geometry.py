@@ -4,10 +4,14 @@ Cells are computed by sequential half-plane clipping against radical-axis
 bisectors, which are straight lines for additive weights: O(n^2) clips per
 diagram of n cells. Diagrams of BATCH_MIN_CELLS cells or more run these clips
 as one set of numpy operations per bisector over all cells at once; smaller
-diagrams clip cell by cell. Either way every polygon is bit-identical to
-clipping and snapping each cell on its own (see `recompute`). Neighbors are
-found by testing only the edge pairs whose bounding boxes overlap, found by a
-sort-and-sweep, not all E x E edge pairs.
+diagrams clip cell by cell. A diagram's rings then travel as one flat vertex
+array with per-cell lengths through the boundary snap to `_finish_rings`,
+which builds every polygon and its cached measures in one set of numpy
+operations per ring length. Either way every polygon is bit-identical to
+clipping, snapping and constructing each cell on its own (see `recompute`).
+`_finish_rings` is the one ring-to-polygon path; `clip_halfplane` uses it
+too. Neighbors are found by testing only the edge pairs whose bounding boxes
+overlap, found by a sort-and-sweep, not all E x E edge pairs.
 """
 from __future__ import annotations
 
@@ -105,6 +109,16 @@ class ConvexPolygon:
         if self.area <= 1e-12 * diag * diag:
             raise GeometryError("polygon area is degenerate")
 
+    @classmethod
+    def _measured(cls, vertices: np.ndarray, area: float, centroid: np.ndarray,
+                  aabb: tuple[float, float, float, float], diagonal: float):
+        """Polygon from a read-only CCW ring and its measures, as _finish_rings
+        computes them; skips __post_init__, whose checks it has made."""
+        poly = object.__new__(cls)
+        poly.__dict__.update(vertices=vertices, area=area, centroid=centroid,
+                             aabb=aabb, diagonal=diagonal)
+        return poly
+
     @cached_property
     def area(self) -> float:
         return _signed_area(self.vertices)
@@ -136,6 +150,27 @@ class ConvexPolygon:
         x0, y0, x1, y1 = self.aabb
         return math.hypot(x1 - x0, y1 - y0)
 
+    @cached_property
+    def _edge_frame(self):
+        """Read-only (e, ln2, normals, offsets, slack, root) for _snap_to_boundary.
+
+        Edge vectors e, their squared lengths ln2 (0 replaced by 1), the
+        (2, edges) stacked left normals and offsets whose difference is a
+        point's height over each edge times its length, the rounding slack
+        64 eps max |vertex coordinate|, and sqrt(ln2).
+        """
+        v = self.vertices
+        e = np.concatenate((v[1:], v[:1])) - v
+        ln2 = np.einsum("ij,ij->i", e, e)
+        ln2 = np.where(ln2 == 0.0, 1.0, ln2)
+        normals = np.stack((-e[:, 1], e[:, 0]))
+        offsets = e[:, 0] * v[:, 1] - e[:, 1] * v[:, 0]
+        root = np.sqrt(ln2)
+        for a in (e, ln2, normals, offsets, root):
+            a.flags.writeable = False
+        slack = 64.0 * np.finfo(float).eps * float(np.abs(v).max())
+        return e, ln2, normals, offsets, slack, root
+
     def contains(self, point: np.ndarray, tol: float = 0.0) -> bool:
         """True if point is inside, with `tol` slack in signed edge distance.
 
@@ -157,7 +192,9 @@ class ConvexPolygon:
         clipped = _clip_array(self.vertices, normal, offset)
         if clipped is self.vertices:
             return self
-        return _polygon_or_none(clipped, self.diagonal)
+        if clipped is None:
+            return None
+        return _finish_rings(clipped, np.array([len(clipped)]), self.diagonal)[0]
 
     def inset(self, margin: float):
         """Shrink by moving each edge inward by `margin`; None if it vanishes."""
@@ -185,32 +222,100 @@ class ConvexPolygon:
                 return p
 
 
-def _dedupe_ring(pts: np.ndarray, ref_diag: float):
-    """Drop consecutive near-duplicate vertices introduced by clipping."""
-    eps = 1e-12 * max(ref_diag, 1e-300)
-    nxt = np.concatenate((pts[1:], pts[:1]))
-    gap = np.hypot(pts[:, 0] - nxt[:, 0], pts[:, 1] - nxt[:, 1])
-    keep = gap > eps
-    if keep.all():
-        return pts
-    pts = pts[keep]
-    return pts if len(pts) >= 3 else None
+def _flatten(rings: list) -> tuple[np.ndarray, np.ndarray]:
+    """(vertices, lengths): rings stacked in order; a None ring has length 0."""
+    lengths = np.array([0 if v is None else len(v) for v in rings], dtype=np.intp)
+    kept = [v for v in rings if v is not None]
+    return (np.concatenate(kept) if kept else np.empty((0, 2))), lengths
 
 
-def _polygon_or_none(points, ref_diag: float):
-    if points is None or len(points) < 3:
-        return None
-    pts = _dedupe_ring(np.asarray(points, dtype=float), ref_diag)
-    if pts is None:
-        return None
-    if abs(_signed_area(pts)) <= 1e-14 * ref_diag * ref_diag:
-        return None
-    return ConvexPolygon(pts)
+def _cyclic_next(lengths: np.ndarray):
+    """(starts, nxt): each ring's first index, each vertex's successor in its ring."""
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    live = lengths > 0
+    nxt = np.arange(1, lengths.sum() + 1)
+    nxt[ends[live] - 1] = starts[live]
+    return starts, nxt
 
 
-def polygon_measures(polygon: ConvexPolygon):
-    """(area, centroid, aabb) of a convex polygon."""
-    return polygon.area, polygon.centroid, polygon.aabb
+def _finish_rings(flat: np.ndarray, lengths: np.ndarray, ref_diag: float) -> list:
+    """Polygons (or None) from rings stacked in `flat`, ring k of lengths[k].
+
+    Each vertex within 1e-12 ref_diag of its cyclic successor is dropped; a
+    ring left with fewer than 3 vertices, or with |signed area| <=
+    1e-14 ref_diag^2, is None; a CCW ring with area <= 1e-12 diagonal^2
+    raises GeometryError (before any polygon is returned); a clockwise ring
+    goes through ConvexPolygon. The cached area, centroid, aabb and diagonal
+    are those ConvexPolygon computes, bit for bit.
+
+    Elementwise terms are computed once over all vertices. Sums run once per
+    ring length over a (rings, m) stack: the stacked np.matmul of a (1, m)
+    row by an (m, 1) column runs the same BLAS ddot as _signed_area's np.dot,
+    and a row-wise np.sum the same pairwise sum as the centroid's np.sum over
+    one ring. Rings are grouped by length rather than zero-padded to one
+    width, because appended zeros change how both sums block their terms.
+    """
+    n = len(lengths)
+    starts, nxt = _cyclic_next(lengths)
+    gap = np.hypot(flat[:, 0] - flat[nxt, 0], flat[:, 1] - flat[nxt, 1])
+    keep = gap > 1e-12 * max(ref_diag, 1e-300)
+    if not keep.all():
+        flat = flat[keep]
+        lengths = np.bincount(np.repeat(np.arange(n), lengths)[keep], minlength=n)
+        starts, nxt = _cyclic_next(lengths)
+
+    polys: list = [None] * n
+    valid = np.flatnonzero(lengths >= 3)
+    if len(valid) == 0:
+        return polys
+    x, y = flat[:, 0], flat[:, 1]
+    w = flat[nxt]
+    cross = x * w[:, 1] - w[:, 0] * y
+    terms = np.stack((cross, (x + w[:, 0]) * cross, (y + w[:, 1]) * cross))
+    core = np.zeros(n)
+    sums = np.zeros((3, n))
+    lo = np.zeros((n, 2))
+    hi = np.zeros((n, 2))
+    groups = []
+    for m in np.unique(lengths[valid]).tolist():
+        rows = np.flatnonzero(lengths == m)
+        idx = starts[rows, None] + np.arange(m)
+        r = flat[idx]                                     # (rings, m, 2)
+        rx, ry = r[:, None, :, 0], r[:, :, 1, None]
+        core[rows] = (np.matmul(rx[:, :, :-1], ry[:, 1:])
+                      - np.matmul(rx[:, :, 1:], ry[:, :-1]))[:, 0, 0]
+        sums[:, rows] = terms.take(idx, axis=1).sum(axis=2)
+        lo[rows] = r.min(axis=1)
+        hi[rows] = r.max(axis=1)
+        groups.append((rows.tolist(), r))
+    first, last = flat[starts[valid]], flat[starts[valid] + lengths[valid] - 1]
+    area = np.zeros(n)
+    area[valid] = 0.5 * (core[valid] + (last[:, 0] * first[:, 1] - first[:, 0] * last[:, 1]))
+    sized = np.zeros(n, dtype=bool)
+    sized[valid] = ~(np.abs(area[valid]) <= 1e-14 * ref_diag * ref_diag)
+    ccw = sized & ~(area < 0.0)
+
+    rows = np.flatnonzero(ccw)
+    aabbs = [(x0, y0, x1, y1) for (x0, y0), (x1, y1) in zip(lo[rows].tolist(), hi[rows].tolist())]
+    diags = [math.hypot(x1 - x0, y1 - y0) for x0, y0, x1, y1 in aabbs]
+    areas = area[rows].tolist()
+    for a, diag in zip(areas, diags):
+        if a <= 1e-12 * diag * diag:
+            raise GeometryError("polygon area is degenerate")
+    centroids = np.zeros((n, 2))
+    centroids[rows] = (sums[1:, rows] / (6.0 * (0.5 * sums[0, rows]))).T
+    centroids.flags.writeable = False
+    measures = dict(zip(rows.tolist(), zip(areas, aabbs, diags)))
+    for group_rows, r in groups:
+        r.flags.writeable = False
+        for k, row in enumerate(group_rows):
+            if row in measures:
+                a, aabb, diag = measures[row]
+                polys[row] = ConvexPolygon._measured(r[k], a, centroids[row], aabb, diag)
+            elif sized[row]:
+                polys[row] = ConvexPolygon(r[k])
+    return polys
 
 
 @dataclass(eq=False)
@@ -287,15 +392,17 @@ def _clip_from(v: np.ndarray, i: int, first: int, sites: np.ndarray,
 
 
 def _power_cells_batched(sites: np.ndarray, weights: np.ndarray,
-                         boundary: ConvexPolygon, sq: np.ndarray) -> list:
-    """Every cell's ring, bit-identical to _power_cell_array cell by cell.
+                         boundary: ConvexPolygon, sq: np.ndarray):
+    """Every cell's ring as _flatten's (vertices, lengths), bit-identical to
+    _power_cell_array cell by cell.
 
-    Bisector j clips all live cells at once. Rings sit in a zero-padded
+    Bisector j clips all live cells at once. Rings sit in a padded
     (cells, width, 2) stack, and each step reads only the columns up to the
-    longest live ring; an emptied ring gets length 0. Vertex distances come
-    from a stacked np.matmul, which runs the same BLAS kernel per ring as
-    _clip_array's `v @ normal`; an elementwise x * n0 + y * n1 rounds
-    differently. Normals, offsets, crossing parameters and crossing points
+    longest live ring; an emptied ring gets length 0. Padding columns hold
+    zeros or copies of ring vertices, so they stay finite, and are masked
+    out, never cleared. Vertex distances come from a stacked np.matmul,
+    which runs the same BLAS kernel per ring as _clip_array's `v @ normal`;
+    an elementwise x * n0 + y * n1 rounds differently. Normals, offsets, crossing parameters and crossing points
     use _clip_array's elementwise formulas. Cell j's own half-plane has a
     zero normal and offset, so it keeps ring j whole, as skipping it would.
     A ring whose inside run is not contiguous finishes on the per-cell loop
@@ -357,31 +464,29 @@ def _power_cells_batched(sites: np.ndarray, weights: np.ndarray,
         ring = v[r[:, None], (start[:, None] + k - 1) % m[:, None]]
         ring[r, 0] = crossing[:, 0]
         ring[r, count + 1] = crossing[:, 1]
-        ring[k >= new_m[:, None]] = 0.0
         rings[cut, :new_width] = ring
         lengths[cut] = new_m
-    out = [rings[i, :m] if m else None for i, m in enumerate(lengths)]
-    for i, v in handed_off.items():
-        out[i] = v
-    return out
+    if handed_off:
+        return _flatten([handed_off[i] if i in handed_off else rings[i, :m] if m else None
+                         for i, m in enumerate(lengths.tolist())])
+    return rings[cols < lengths[:, None]], lengths
 
 
 def _snap_to_boundary(vertices: np.ndarray, boundary: ConvexPolygon, tol: float) -> np.ndarray:
     """Project cell vertices lying within tol of a boundary edge onto it.
 
     Makes collinearity tests across sibling diagrams exact after snapping.
-    Each vertex is snapped on its own, so snapping all rings of a diagram
-    together gives the same bits as snapping them one by one. Only vertices
-    within tol of some edge's supporting line reach the (vertices, edges)
-    projection arrays; the slack covers rounding in both distances.
+    Each vertex is snapped on its own, so snapping a diagram's flat vertex
+    array (all rings stacked) gives the same bits as snapping ring by ring.
+    Only vertices within tol of some edge's supporting line reach the
+    (vertices, edges) projection arrays; the slack covers rounding in both
+    distances. The boundary's edge frame is computed once per polygon and
+    cached (ConvexPolygon._edge_frame).
     """
     bv = boundary.vertices
-    e = np.concatenate((bv[1:], bv[:1])) - bv
-    ln2 = np.einsum("ij,ij->i", e, e)
-    ln2 = np.where(ln2 == 0.0, 1.0, ln2)
-    slack = 64.0 * np.finfo(float).eps * float(np.abs(bv).max())
-    height = vertices @ np.stack((-e[:, 1], e[:, 0])) - (e[:, 0] * bv[:, 1] - e[:, 1] * bv[:, 0])
-    near = np.flatnonzero((np.abs(height) <= (tol + slack) * np.sqrt(ln2)).any(axis=1))
+    e, ln2, normals, offsets, slack, root = boundary._edge_frame
+    height = vertices @ normals - offsets
+    near = np.flatnonzero((np.abs(height) <= (tol + slack) * root).any(axis=1))
     if len(near) == 0:
         return vertices
     p = vertices[near]
@@ -403,29 +508,28 @@ def _snap_to_boundary(vertices: np.ndarray, boundary: ConvexPolygon, tol: float)
 def recompute(diagram: Diagram) -> Diagram:
     """Refresh every cell polygon from current sites and weights (in place).
 
-    Diagrams of BATCH_MIN_CELLS cells or more clip all cells together
-    (_power_cells_batched); smaller ones clip cell by cell
-    (_power_cell_array). The rings of all cells are then snapped to the
-    boundary in one call. Contract: every polygon, and which cells are empty,
-    is bit-identical to running _power_cell_array and _snap_to_boundary on
-    each cell alone, so the choice of path never changes a layout.
+    The diagram's rings travel as one flat (vertices, 2) array with per-cell
+    lengths (0 for an empty cell). Diagrams of BATCH_MIN_CELLS cells or more
+    clip all cells together (_power_cells_batched); smaller ones clip cell by
+    cell (_power_cell_array). All vertices are then snapped to the boundary
+    in one call, and _finish_rings turns the rings into polygons with their
+    measures in one pass per ring length. Contract: every polygon, each of
+    its cached measures, and which cells are empty, is bit-identical to
+    clipping, snapping and constructing each cell's polygon alone, so the
+    choice of path never changes a layout. If a ring is degenerate enough to
+    raise GeometryError, no cell is updated.
     """
     sites = np.array([c.site for c in diagram.cells])
     weights = np.array([c.weight for c in diagram.cells])
     sq = np.array([p @ p for p in sites])
     if len(sites) < BATCH_MIN_CELLS:
-        rings = [_power_cell_array(i, sites, weights, diagram.boundary, sq)
-                 for i in range(len(sites))]
+        flat, lengths = _flatten([_power_cell_array(i, sites, weights, diagram.boundary, sq)
+                                  for i in range(len(sites))])
     else:
-        rings = _power_cells_batched(sites, weights, diagram.boundary, sq)
-    kept = [v for v in rings if v is not None]
-    if kept:
-        snapped = _snap_to_boundary(np.concatenate(kept), diagram.boundary,
-                                    1e-9 * diagram.scale)
-        parts = iter(np.split(snapped, np.cumsum([len(v) for v in kept[:-1]])))
-        rings = [None if v is None else next(parts) for v in rings]
-    for cell, v in zip(diagram.cells, rings):
-        cell.polygon = _polygon_or_none(v, diagram.scale)
+        flat, lengths = _power_cells_batched(sites, weights, diagram.boundary, sq)
+    flat = _snap_to_boundary(flat, diagram.boundary, 1e-9 * diagram.scale)
+    for cell, polygon in zip(diagram.cells, _finish_rings(flat, lengths, diagram.scale)):
+        cell.polygon = polygon
     return diagram
 
 

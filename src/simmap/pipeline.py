@@ -181,8 +181,13 @@ def build_treemap(
     trace_cb=None,
     init_preserved: dict[int, int] | None = None,
     optimize: bool = True,
+    neighbor_maps: dict[int, dict] | None = None,
 ):
-    """Create and jointly optimize all diagrams, level by level, top down."""
+    """Create and jointly optimize all diagrams, level by level, top down.
+
+    If given, init_preserved receives each level's preserved-constraint count
+    before optimization, and neighbor_maps each level's final neighbor map.
+    """
     boundaries: dict[str, ConvexPolygon] = {tree.root: root_boundary}
     scale = root_boundary.diagonal
     diagrams_by_level: dict[int, list[Diagram]] = {}
@@ -204,6 +209,8 @@ def build_treemap(
         if optimize:
             rng = np.random.default_rng([seed, level])
             optimize_level(state, cfg, rng, trace_cb)
+        if neighbor_maps is not None:
+            neighbor_maps[level] = state.neighbor_map
         diagrams_by_level[level] = diagrams
         for d in diagrams:
             for c in d.cells:
@@ -243,9 +250,11 @@ def run(config: RunConfig) -> RunResult:
         trace_lines.append(json.dumps(record, sort_keys=True))
 
     init_preserved: dict[int, int] = {}
+    neighbor_maps: dict[int, dict] = {}
     diagrams_by_level = build_treemap(
         tree, constraints, boundary, config.init, config.sim, config.seed,
         config.optimizer, trace_cb=trace_cb, init_preserved=init_preserved,
+        neighbor_maps=neighbor_maps,
     )
 
     deepest = max(diagrams_by_level) if diagrams_by_level else 0
@@ -255,8 +264,8 @@ def run(config: RunConfig) -> RunResult:
             [boundary.centroid], boundary, node_ids=[tree.root], scale=boundary.diagonal,
         )
         diagrams_by_level = {1: [root_cell_diag]}
+        neighbor_maps = {1: cell_neighbors([root_cell_diag])}
         deepest = 1
-    neighbor_maps = {level: cell_neighbors(d) for level, d in diagrams_by_level.items()}
     leaf_diagrams = diagrams_by_level[deepest]
     neighbor_map = neighbor_maps[deepest]
     leaf_constraints = constraints.get(deepest, [])

@@ -15,13 +15,13 @@ from simmap.geometry import (
     ConvexPolygon,
     GeometryError,
     _clip_array,
-    _polygon_or_none,
+    _finish_rings,
     _power_cell_array,
+    _signed_area,
     _snap_to_boundary,
     adapt_weights,
     cell_neighbors,
     lloyd_step,
-    polygon_measures,
     power_diagram,
     recompute,
     regular_polygon,
@@ -130,20 +130,19 @@ def test_inset_square():
     assert sq.inset(0.6) is None  # margin swallows the polygon
 
 
-# ----------------------------------------------------------- polygon_measures
+# ------------------------------------------------------------------- measures
 
 def test_measures_unit_square():
-    area, centroid, aabb = polygon_measures(square(1.0))
-    assert area == pytest.approx(1.0)
-    assert centroid == pytest.approx([0.5, 0.5])
-    assert aabb == pytest.approx((0.0, 0.0, 1.0, 1.0))
+    sq = square(1.0)
+    assert sq.area == pytest.approx(1.0)
+    assert sq.centroid == pytest.approx([0.5, 0.5])
+    assert sq.aabb == pytest.approx((0.0, 0.0, 1.0, 1.0))
 
 
 def test_measures_triangle():
     tri = ConvexPolygon(np.array([[0, 0], [2, 0], [0, 2]]))
-    area, centroid, _ = polygon_measures(tri)
-    assert area == pytest.approx(2.0)
-    assert centroid == pytest.approx([2 / 3, 2 / 3])
+    assert tri.area == pytest.approx(2.0)
+    assert tri.centroid == pytest.approx([2 / 3, 2 / 3])
 
 
 def test_measures_montecarlo_oracle():
@@ -604,6 +603,36 @@ def test_recompute_in_place_identity():
 
 # ---------------------------------------------------------- batched recompute
 
+def _dedupe_ring(pts, ref_diag):
+    """Reference: drop consecutive near-duplicate vertices of one ring."""
+    eps = 1e-12 * max(ref_diag, 1e-300)
+    nxt = np.concatenate((pts[1:], pts[:1]))
+    gap = np.hypot(pts[:, 0] - nxt[:, 0], pts[:, 1] - nxt[:, 1])
+    keep = gap > eps
+    if keep.all():
+        return pts
+    pts = pts[keep]
+    return pts if len(pts) >= 3 else None
+
+
+def _polygon_or_none(points, ref_diag):
+    """Reference: one ring to a polygon, or None, as _finish_rings does it."""
+    if points is None or len(points) < 3:
+        return None
+    pts = _dedupe_ring(np.asarray(points, dtype=float), ref_diag)
+    if pts is None:
+        return None
+    if abs(_signed_area(pts)) <= 1e-14 * ref_diag * ref_diag:
+        return None
+    return ConvexPolygon(pts)
+
+
+def _measure_bytes(poly):
+    """Vertices, area, centroid, aabb and diagonal of poly, as bytes."""
+    scalars = np.array([poly.area, *poly.aabb, poly.diagonal])
+    return poly.vertices.tobytes() + scalars.tobytes() + poly.centroid.tobytes()
+
+
 def _per_cell_polygons(diagram):
     """Reference: clip cell by cell and snap each ring on its own."""
     sites = np.array([c.site for c in diagram.cells])
@@ -619,13 +648,18 @@ def _per_cell_polygons(diagram):
 
 
 def _assert_recompute_matches_per_cell(diagram):
-    """recompute(diagram) equals the per-cell reference bit for bit."""
+    """recompute(diagram) equals the per-cell reference bit for bit.
+
+    The reference polygons are fresh ConvexPolygons whose measures are
+    computed on first use, so this also checks the measures recompute
+    caches.
+    """
     reference = _per_cell_polygons(diagram)
     recompute(diagram)
     for cell, ref in zip(diagram.cells, reference):
         assert (cell.polygon is None) == (ref is None), cell.node_id
         if ref is not None:
-            assert cell.polygon.vertices.tobytes() == ref.vertices.tobytes(), cell.node_id
+            assert _measure_bytes(cell.polygon) == _measure_bytes(ref), cell.node_id
     return sum(ref is None for ref in reference)
 
 
@@ -756,6 +790,77 @@ def test_batched_recompute_hands_non_contiguous_rows_to_per_cell_loop(
     assert (1, 2) in handed
     ys = d.cells[1].polygon.vertices[:, 1]
     assert np.isclose(ys, 10.0 - dent / 2, rtol=0.0, atol=1e-12).sum() == 4
+
+
+def test_finish_rings_equals_per_ring_reference():
+    scale = 10.0
+    near = 1e-14 * scale                      # below the 1e-12 * scale dedupe gap
+    rings = [
+        np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [0.0, 3.0]]),
+        np.array([[1.0, 1.0], [2.0, 1.0], [2.0, 1.0 + near], [2.0, 2.0], [1.0, 2.0]]),
+        None,
+        np.array([[0.0, 0.0], [0.0, 3.0], [4.0, 3.0], [4.0, 0.0]]),        # clockwise
+        np.array([[5.0, 5.0], [6.0, 5.0], [6.0, 5.0 + near]]),              # 2 after dedupe
+        np.array([[0.0, 0.0], [8.0, 0.0], [4.0, 1e-15]]),                   # |area| <= 1e-14 s^2
+        np.array([[3.0, 3.0], [4.0, 3.0], [4.0, 4.0], [3.0, 4.0]]),
+        np.array([[0.0, 0.0], [near, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]),
+        np.array([[0.0, 0.0], [1.0, -1.0], [3.0, 0.5], [2.0, 2.5], [-0.5, 1.5]]),
+    ]
+    expected = [_polygon_or_none(v, scale) for v in rings]
+    assert [p is None for p in expected] == [False, False, True, False, True, True,
+                                             False, False, False]
+    got = _finish_rings(*geometry._flatten(rings), scale)
+    for k, (p, ref) in enumerate(zip(got, expected)):
+        assert (p is None) == (ref is None), k
+        if ref is not None:
+            assert _measure_bytes(p) == _measure_bytes(ref), k
+    assert len(got[1].vertices) == 4 and len(got[7].vertices) == 4
+    assert got[3].vertices.tobytes() == rings[3][::-1].tobytes()
+
+
+def test_finish_rings_raises_on_sliver_above_none_threshold():
+    # area 5e-14 is above 1e-14 * scale^2 (not None) but below 1e-12 * diag^2
+    sliver = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-13]])
+    with pytest.raises(GeometryError):
+        _polygon_or_none(sliver, 1.0)
+    fine = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(GeometryError):
+        _finish_rings(*geometry._flatten([fine, sliver]), 1.0)
+
+
+def test_clip_halfplane_equals_per_ring_reference():
+    rng = np.random.default_rng(12)
+    clipped = 0
+    for _ in range(200):
+        poly = random_convex_boundary(rng)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        normal = np.array([math.cos(angle), math.sin(angle)])
+        heights = poly.vertices @ normal
+        offset = rng.uniform(heights.min() - 0.1, heights.max() + 0.1)
+        got = poly.clip_halfplane(normal, offset)
+        ring = _clip_array(poly.vertices, normal, offset)
+        ref = None if ring is None else _polygon_or_none(ring, poly.diagonal)
+        if ring is poly.vertices:
+            assert got is poly
+            continue
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert _measure_bytes(got) == _measure_bytes(ref)
+            clipped += 1
+    assert clipped > 100
+
+
+def test_boundary_edge_frame_is_cached_and_read_only():
+    boundary = regular_polygon(6, radius=3.0, center=(2.0, -1.0))
+    frame = boundary._edge_frame
+    assert boundary._edge_frame is frame
+    e, ln2, normals, offsets, slack, root = frame
+    assert slack > 0.0
+    assert root.tobytes() == np.sqrt(ln2).tobytes()
+    for a in (e, ln2, normals, offsets, root):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_cell_equiv_radius():
