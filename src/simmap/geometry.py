@@ -1,17 +1,23 @@
 """Additively weighted power-diagram kernel on convex boundaries.
 
 Cells are computed by sequential half-plane clipping against radical-axis
-bisectors, which are straight lines for additive weights: O(n^2) clips per
-diagram of n cells. Diagrams of BATCH_MIN_CELLS cells or more run these clips
-as one set of numpy operations per bisector over all cells at once; smaller
-diagrams clip cell by cell. A diagram's rings then travel as one flat vertex
-array with per-cell lengths through the boundary snap to `_finish_rings`,
-which builds every polygon and its cached measures in one set of numpy
-operations per ring length. Either way every polygon is bit-identical to
-clipping, snapping and constructing each cell on its own (see `recompute`).
-`_finish_rings` is the one ring-to-polygon path; `clip_halfplane` uses it
-too. Neighbors are found by testing only the edge pairs whose bounding boxes
-overlap, found by a sort-and-sweep, not all E x E edge pairs.
+bisectors, which are straight lines for additive weights. A diagram of
+BATCH_MIN_CELLS cells or more clips each cell only against its candidates,
+the sites it shares an edge with in the regular triangulation: the lower
+convex hull of the sites lifted to (x, y, x^2 + y^2 - w) (Aurenhammer,
+"Power diagrams: properties, algorithms and applications", SIAM J. Comput.
+1987). All cells are clipped together in rounds, round r clipping every
+cell against its own r-th candidate, so a diagram costs as many numpy steps
+as the longest candidate list, not one per site. Smaller diagrams clip each
+cell against all other sites, one cell at a time. A diagram's rings then
+travel as one flat vertex array with per-cell lengths through the boundary
+snap to `_finish_rings`, which builds every polygon and its cached measures
+in one set of numpy operations per ring length. Every polygon is
+bit-identical to clipping, snapping and constructing its cell alone against
+the same candidates (see `recompute`). `_finish_rings` is the one
+ring-to-polygon path; `clip_halfplane` uses it too. Neighbors are found by
+testing only the edge pairs whose bounding boxes overlap, found by a
+sort-and-sweep, not all E x E edge pairs.
 """
 from __future__ import annotations
 
@@ -20,6 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 
 class GeometryError(ValueError):
@@ -358,11 +365,13 @@ class Diagram:
         return np.array([c.site for c in self.cells])
 
 
-# Diagrams with at least this many cells clip all cells together; smaller ones
-# clip cell by cell, which costs less numpy setup. Measured per recompute on
-# Lloyd-relaxed diagrams in a 64-gon, a square and a hexagon (best of 15
-# interleaved rounds, 2-CPU x86-64 VM): batching was 2-14% slower at 8 cells,
-# 6-13% faster at 10 and 45-56% faster at 30.
+# Diagrams with at least this many cells clip all cells together against their
+# candidate lists; smaller ones clip cell by cell against all other sites,
+# which costs less numpy setup. Measured per recompute on Lloyd-relaxed
+# diagrams in a 64-gon, a square and a hexagon (best of 15 interleaved rounds,
+# 2-CPU x86-64 VM), for batching over all sites: 2-14% slower at 8 cells, 6-13%
+# faster at 10 and 45-56% faster at 30. Candidate lists cut the batched
+# path's rounds from n - 1 to the longest list.
 BATCH_MIN_CELLS = 10
 
 
@@ -372,15 +381,16 @@ def _power_cell_array(i: int, sites: np.ndarray, weights: np.ndarray,
         # per-site p @ p; BLAS dot rounds differently from elementwise sums,
         # so cached and uncached paths must share the same kernel
         sq = np.array([p @ p for p in sites])
-    return _clip_from(boundary.vertices, i, 0, sites, weights, sq)
+    return _clip_from(boundary.vertices, i, range(len(sites)), sites, weights, sq)
 
 
-def _clip_from(v: np.ndarray, i: int, first: int, sites: np.ndarray,
+def _clip_from(v: np.ndarray, i: int, candidates, sites: np.ndarray,
                weights: np.ndarray, sq: np.ndarray):
-    """Clip cell i's ring v against its bisectors with sites first, first+1, ..."""
+    """Clip cell i's ring v against its bisectors with the sites in `candidates`,
+    in order; i itself is skipped."""
     pi = sites[i]
     wi = weights[i]
-    for j in range(first, len(sites)):
+    for j in candidates:
         if j == i:
             continue
         normal = 2.0 * (sites[j] - pi)
@@ -391,40 +401,78 @@ def _clip_from(v: np.ndarray, i: int, first: int, sites: np.ndarray,
     return v
 
 
-def _power_cells_batched(sites: np.ndarray, weights: np.ndarray,
-                         boundary: ConvexPolygon, sq: np.ndarray):
-    """Every cell's ring as _flatten's (vertices, lengths), bit-identical to
-    _power_cell_array cell by cell.
+def _power_neighbours(sites: np.ndarray, weights: np.ndarray):
+    """Each site's candidate list, as (candidates, degree): the lists of all
+    sites, each ascending, concatenated in site order, and their lengths.
 
-    Bisector j clips all live cells at once. Rings sit in a padded
-    (cells, width, 2) stack, and each step reads only the columns up to the
-    longest live ring; an emptied ring gets length 0. Padding columns hold
-    zeros or copies of ring vertices, so they stay finite, and are masked
-    out, never cleared. Vertex distances come from a stacked np.matmul,
-    which runs the same BLAS kernel per ring as _clip_array's `v @ normal`;
-    an elementwise x * n0 + y * n1 rounds differently. Normals, offsets, crossing parameters and crossing points
-    use _clip_array's elementwise formulas. Cell j's own half-plane has a
-    zero normal and offset, so it keeps ring j whole, as skipping it would.
-    A ring whose inside run is not contiguous finishes on the per-cell loop
-    from bisector j on.
+    A site's candidates are its regular-triangulation neighbours. The sites,
+    centred and scaled, are lifted to (x, y, |x, y|^2 - w); centring and
+    scaling add an affine function to the lift, which keeps its lower hull.
+    Two sites are candidates of each other iff they share an edge of a lower
+    facet (outward normal pointing down) of the lift's convex hull. A site on
+    no lower facet is hidden: its cell is empty, and its list is empty. If
+    Qhull fails, as on collinear sites, whose lift is coplanar, every list
+    holds all other sites.
     """
     n = len(sites)
+    c = sites - sites.mean(axis=0)
+    size = float(np.abs(c).max()) or 1.0
+    c = c / size
+    lift = np.einsum("ij,ij->i", c, c) - weights / (size * size)
+    try:
+        hull = ConvexHull(np.column_stack((c, lift)))
+    except QhullError:
+        return np.nonzero(~np.eye(n, dtype=bool))[1], np.full(n, n - 1)
+    facets = hull.simplices[hull.equations[:, 2] < 0.0]
+    edges = facets[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys = np.unique(np.concatenate((edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0])))
+    owner, other = np.divmod(keys, n)
+    return other, np.bincount(owner, minlength=n)
+
+
+def _power_cells(sites: np.ndarray, weights: np.ndarray, boundary: ConvexPolygon,
+                 sq: np.ndarray, candidates: np.ndarray, degree: np.ndarray):
+    """Every cell's ring as _flatten's (vertices, lengths); ring i is clipped
+    against the bisectors of its candidate list in order, bit-identical to
+    _clip_from cell by cell. The lists are given as _power_neighbours gives
+    them; an empty list gives an empty cell.
+
+    In round r, every live ring is clipped against its own r-th candidate,
+    so there are as many rounds as the longest list. Rings sit in a padded
+    (cells, width, 2) stack, and each round reads only the columns up to the
+    longest live ring; an emptied ring gets length 0. Padding columns hold
+    zeros or copies of ring vertices, so they stay finite, and are masked
+    out, never cleared. A shorter list is padded with the cell's own index,
+    whose half-plane has a zero normal and offset and keeps the ring whole.
+    Vertex distances come from a stacked np.matmul, which runs the same BLAS
+    kernel per ring as _clip_array's `v @ normal`; an elementwise
+    x * n0 + y * n1 rounds differently. Normals, offsets, crossing
+    parameters and crossing points use _clip_array's elementwise formulas.
+    A ring whose inside run is not contiguous finishes on _clip_from over
+    the rest of its list.
+    """
+    n = len(sites)
+    rounds = int(degree.max())
+    # [r, i]: cell i's r-th candidate, or i itself past the end of its list
+    cand = np.tile(np.arange(n), (rounds, 1))
+    cand[np.arange(len(candidates)) - np.repeat(np.cumsum(degree) - degree, degree),
+         np.repeat(np.arange(n), degree)] = candidates
+    # the half-plane of cell i against site cand[r, i], as _clip_from builds it
+    normals = 2.0 * (sites[cand] - sites)
+    offsets = (sq[cand] - sq) - weights[cand] + weights
     bv = boundary.vertices
-    capacity = len(bv) + n          # a clip adds at most one vertex
+    capacity = len(bv) + rounds     # a clip adds at most one vertex
     rings = np.zeros((n, capacity, 2))
     rings[:, :len(bv)] = bv
-    lengths = np.full(n, len(bv))
+    lengths = np.where(degree > 0, len(bv), 0)
     cols = np.arange(capacity)
     handed_off: dict[int, np.ndarray | None] = {}
-    # [j, i]: the half-plane of cell i against site j, as _clip_from builds it
-    normals = 2.0 * (sites[:, None, :] - sites[None, :, :])
-    offsets = (sq[:, None] - sq[None, :]) - weights[:, None] + weights[None, :]
-    for j in range(n):
+    for r in range(rounds):
         width = int(lengths.max())
         if width == 0:
             break
         v = rings[:, :width]
-        d = np.matmul(v, normals[j][:, :, None])[:, :, 0] - offsets[j][:, None]
+        d = np.matmul(v, normals[r][:, :, None])[:, :, 0] - offsets[r][:, None]
         inside = (d <= 0.0) & (cols[:width] < lengths[:, None])
         count = inside.sum(axis=1)
         lengths[count == 0] = 0
@@ -432,38 +480,38 @@ def _power_cells_batched(sites: np.ndarray, weights: np.ndarray,
         if len(cut) == 0:
             continue
         v, d, inside, m, count = v[cut], d[cut], inside[cut], lengths[cut], count[cut]
-        r = np.arange(len(cut))
+        k = np.arange(len(cut))
         # an inside vertex whose cyclic predecessor is outside starts a run
         prev = np.empty_like(inside)
         prev[:, 1:] = inside[:, :-1]
-        prev[:, 0] = inside[r, m - 1]
+        prev[:, 0] = inside[k, m - 1]
         starts = inside & ~prev
         single = starts.sum(axis=1) == 1
         if not single.all():
             for row in np.flatnonzero(~single):
                 i = int(cut[row])
-                handed_off[i] = _clip_from(v[row, :m[row]], i, j, sites, weights, sq)
+                handed_off[i] = _clip_from(v[row, :m[row]], i, cand[r:, i].tolist(),
+                                           sites, weights, sq)
                 lengths[i] = 0
             cut, v, d, m, count, starts = (
                 a[single] for a in (cut, v, d, m, count, starts))
             if len(cut) == 0:
                 continue
-            r = np.arange(len(cut))
+            k = np.arange(len(cut))
         start = starts.argmax(axis=1)
         # (i_in, start, i_out, j_out): the two edges that cross the bisector
         ends = start[:, None] + np.array([-1, 0, -1, 0])
         ends[:, 2:] += count[:, None]
         ends %= m[:, None]
-        de = d[r[:, None], ends]
-        ve = v[r[:, None], ends]
+        de = d[k[:, None], ends]
+        ve = v[k[:, None], ends]
         t = de[:, 0::2] / (de[:, 0::2] - de[:, 1::2])
         crossing = ve[:, 0::2] + t[:, :, None] * (ve[:, 1::2] - ve[:, 0::2])
         new_m = count + 2
         new_width = max(width, int(new_m.max()))
-        k = cols[:new_width]
-        ring = v[r[:, None], (start[:, None] + k - 1) % m[:, None]]
-        ring[r, 0] = crossing[:, 0]
-        ring[r, count + 1] = crossing[:, 1]
+        ring = v[k[:, None], (start[:, None] + cols[:new_width] - 1) % m[:, None]]
+        ring[k, 0] = crossing[:, 0]
+        ring[k, count + 1] = crossing[:, 1]
         rings[cut, :new_width] = ring
         lengths[cut] = new_m
     if handed_off:
@@ -478,30 +526,35 @@ def _snap_to_boundary(vertices: np.ndarray, boundary: ConvexPolygon, tol: float)
     Makes collinearity tests across sibling diagrams exact after snapping.
     Each vertex is snapped on its own, so snapping a diagram's flat vertex
     array (all rings stacked) gives the same bits as snapping ring by ring.
-    Only vertices within tol of some edge's supporting line reach the
-    (vertices, edges) projection arrays; the slack covers rounding in both
-    distances. The boundary's edge frame is computed once per polygon and
-    cached (ConvexPolygon._edge_frame).
+    A vertex goes to the nearest edge within tol, the first such edge on a
+    tie. Only the (vertex, edge) pairs within tol of the edge's supporting
+    line are projected, because no other edge can be within tol; the slack
+    covers rounding in both distances. The boundary's edge frame is
+    computed once per polygon and cached (ConvexPolygon._edge_frame).
     """
     bv = boundary.vertices
     e, ln2, normals, offsets, slack, root = boundary._edge_frame
-    height = vertices @ normals - offsets
-    near = np.flatnonzero((np.abs(height) <= (tol + slack) * root).any(axis=1))
+    pairs = np.abs(vertices @ normals - offsets) <= (tol + slack) * root
+    near = np.flatnonzero(pairs.any(axis=1))
     if len(near) == 0:
         return vertices
-    p = vertices[near]
-    rel = p[:, None, :] - bv[None, :, :]                   # (V, E, 2)
-    t = np.clip(np.einsum("vej,ej->ve", rel, e) / ln2, 0.0, 1.0)
-    proj = bv[None, :, :] + t[:, :, None] * e[None, :, :]
-    dist = np.hypot(p[:, None, 0] - proj[:, :, 0],
-                    p[:, None, 1] - proj[:, :, 1])
+    pairs = pairs[near]
+    row, edge = np.nonzero(pairs)                           # edges ascending per vertex
+    p = vertices[near[row]]
+    rel = p - bv[edge]
+    t = np.clip(np.einsum("pj,pj->p", rel, e[edge]) / ln2[edge], 0.0, 1.0)
+    proj = bv[edge] + t[:, None] * e[edge]
+    dist = np.full(pairs.shape, np.inf)
+    dist[row, edge] = np.hypot(p[:, 0] - proj[:, 0], p[:, 1] - proj[:, 1])
+    rows = np.arange(len(near))
     best = np.argmin(dist, axis=1)
-    rows = np.arange(len(p))
     close = dist[rows, best] <= tol
     if not close.any():
         return vertices
+    pair = np.zeros(pairs.shape, dtype=np.intp)
+    pair[row, edge] = np.arange(len(row))
     out = vertices.copy()
-    out[near[close]] = proj[rows[close], best[close]]
+    out[near[close]] = proj[pair[rows[close], best[close]]]
     return out
 
 
@@ -509,15 +562,23 @@ def recompute(diagram: Diagram) -> Diagram:
     """Refresh every cell polygon from current sites and weights (in place).
 
     The diagram's rings travel as one flat (vertices, 2) array with per-cell
-    lengths (0 for an empty cell). Diagrams of BATCH_MIN_CELLS cells or more
-    clip all cells together (_power_cells_batched); smaller ones clip cell by
-    cell (_power_cell_array). All vertices are then snapped to the boundary
-    in one call, and _finish_rings turns the rings into polygons with their
-    measures in one pass per ring length. Contract: every polygon, each of
-    its cached measures, and which cells are empty, is bit-identical to
-    clipping, snapping and constructing each cell's polygon alone, so the
-    choice of path never changes a layout. If a ring is degenerate enough to
+    lengths (0 for an empty cell). A diagram of BATCH_MIN_CELLS cells or more
+    clips each cell against its candidate list from _power_neighbours, all
+    cells together (_power_cells); a site hidden from the lifted lower hull
+    gets an empty cell, and if Qhull fails the lists hold all other sites.
+    Smaller diagrams clip cell by cell against all other sites
+    (_power_cell_array). All vertices are then snapped to the boundary in
+    one call, and _finish_rings turns the rings into polygons with their
+    measures in one pass per ring length. If a ring is degenerate enough to
     raise GeometryError, no cell is updated.
+
+    Contract: every polygon, each of its cached measures, and which cells
+    are empty, is bit-identical to clipping the cell's ring alone against
+    its candidate half-planes in ascending j, then snapping it and
+    constructing its polygon. Geometrically it matches clipping against all
+    other sites: a site's regular-triangulation neighbours bound its cell.
+    The bits can differ from the all-pairs clip's, because a half-plane that
+    only touches a cell may still move a vertex in its last bits.
     """
     sites = np.array([c.site for c in diagram.cells])
     weights = np.array([c.weight for c in diagram.cells])
@@ -526,7 +587,8 @@ def recompute(diagram: Diagram) -> Diagram:
         flat, lengths = _flatten([_power_cell_array(i, sites, weights, diagram.boundary, sq)
                                   for i in range(len(sites))])
     else:
-        flat, lengths = _power_cells_batched(sites, weights, diagram.boundary, sq)
+        flat, lengths = _power_cells(sites, weights, diagram.boundary, sq,
+                                     *_power_neighbours(sites, weights))
     flat = _snap_to_boundary(flat, diagram.boundary, 1e-9 * diagram.scale)
     for cell, polygon in zip(diagram.cells, _finish_rings(flat, lengths, diagram.scale)):
         cell.polygon = polygon

@@ -82,17 +82,27 @@ def _neighbor_graph(leaf_diagrams: list[Diagram], neighbor_map: dict):
     return adj, centroids
 
 
-def astar_hops(adj: dict[str, list[str]], centroids: dict, start: str, goal: str) -> float:
-    """Unit-weight A* hop count; heuristic is Euclidean centroid distance
-    scaled by the max single-hop centroid distance, hence admissible."""
-    if start == goal:
-        return 0.0
+def _max_hop(adj: dict[str, list[str]], centroids: dict) -> float:
+    """Longest centroid distance over the graph's edges, or 1.0 if it is 0."""
     max_hop = 0.0
     for u, nbrs in adj.items():
         for v in nbrs:
             max_hop = max(max_hop, math.hypot(*(centroids[u] - centroids[v])))
-    if max_hop == 0.0:
-        max_hop = 1.0
+    return max_hop if max_hop != 0.0 else 1.0
+
+
+def astar_hops(adj: dict[str, list[str]], centroids: dict, start: str, goal: str,
+               max_hop: float | None = None) -> float:
+    """Unit-weight A* hop count; heuristic is Euclidean centroid distance
+    scaled by the max single-hop centroid distance, hence admissible.
+
+    `max_hop` is the longest centroid distance over the edges of `adj`
+    (1.0 if that is 0); constraint_path_stats computes it once per graph.
+    """
+    if start == goal:
+        return 0.0
+    if max_hop is None:
+        max_hop = _max_hop(adj, centroids)
 
     def h(n: str) -> float:
         return math.hypot(*(centroids[n] - centroids[goal])) / max_hop
@@ -121,12 +131,13 @@ def constraint_path_stats(
     """Median and max shortest-hop distance over all constraints; unreachable
     pairs contribute infinity and are reported per constraint."""
     adj, centroids = _neighbor_graph(leaf_diagrams, neighbor_map)
+    max_hop = _max_hop(adj, centroids)
     details = []
     lengths = []
     for c in constraints:
         if c.a not in centroids or c.b not in centroids:
             raise KeyError(f"constraint endpoint missing from diagrams: {c.a}-{c.b}")
-        hops = astar_hops(adj, centroids, c.a, c.b)
+        hops = astar_hops(adj, centroids, c.a, c.b, max_hop)
         lengths.append(hops)
         details.append({
             "a": c.a,

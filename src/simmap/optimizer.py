@@ -60,24 +60,19 @@ class LevelState:
     diagram_of: dict[str, Diagram] = field(default_factory=dict)
     constraints_by_node: dict[str, list[Constraint]] = field(default_factory=dict)
     constraint_pairs: set = field(default_factory=set)
+    margin: float = 0.0
     insets: dict[int, ConvexPolygon] = field(default_factory=dict)
 
     @classmethod
     def create(cls, level: int, diagrams: list[Diagram], constraints: list[Constraint],
                cfg: OptimizerConfig) -> "LevelState":
-        state = cls(level=level, diagrams=diagrams, constraints=list(constraints),
-                    max_iter=cfg.max_iter)
         scale = max(d.scale for d in diagrams)
-        margin = cfg.boundary_margin_fraction * scale
-        for idx, d in enumerate(diagrams):
+        state = cls(level=level, diagrams=diagrams, constraints=list(constraints),
+                    max_iter=cfg.max_iter, margin=cfg.boundary_margin_fraction * scale)
+        for d in diagrams:
             for c in d.cells:
                 state.cells_by_id[c.node_id] = c
                 state.diagram_of[c.node_id] = d
-            inset = d.boundary.inset(margin)
-            if inset is None:
-                center = d.boundary.centroid
-                inset = ConvexPolygon(center + 0.99 * (d.boundary.vertices - center))
-            state.insets[id(d)] = inset
         for con in state.constraints:
             state.constraint_pairs.add(tuple(sorted((con.a, con.b))))
             state.constraints_by_node.setdefault(con.a, []).append(con)
@@ -86,7 +81,15 @@ class LevelState:
         return state
 
     def inset_for(self, diagram: Diagram) -> ConvexPolygon:
-        return self.insets[id(diagram)]
+        """The diagram's boundary moved inward by the margin, built on first use."""
+        inset = self.insets.get(id(diagram))
+        if inset is None:
+            inset = diagram.boundary.inset(self.margin)
+            if inset is None:
+                center = diagram.boundary.centroid
+                inset = ConvexPolygon(center + 0.99 * (diagram.boundary.vertices - center))
+            self.insets[id(diagram)] = inset
+        return inset
 
     def adjacency(self) -> dict[str, set[str]]:
         adj: dict[str, set[str]] = {}

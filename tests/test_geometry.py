@@ -15,8 +15,10 @@ from simmap.geometry import (
     ConvexPolygon,
     GeometryError,
     _clip_array,
+    _clip_from,
     _finish_rings,
     _power_cell_array,
+    _power_neighbours,
     _signed_area,
     _snap_to_boundary,
     adapt_weights,
@@ -633,14 +635,33 @@ def _measure_bytes(poly):
     return poly.vertices.tobytes() + scalars.tobytes() + poly.centroid.tobytes()
 
 
-def _per_cell_polygons(diagram):
-    """Reference: clip cell by cell and snap each ring on its own."""
+def _candidate_lists(sites, weights):
+    """_power_neighbours' candidate lists, one array per site."""
+    candidates, degree = _power_neighbours(sites, weights)
+    return np.split(candidates, np.cumsum(degree)[:-1])
+
+
+def _per_cell_polygons(diagram, all_pairs=False):
+    """Reference: clip each cell alone against its candidate half-planes in
+    ascending j, and snap each ring on its own.
+
+    The candidates are all other sites below BATCH_MIN_CELLS cells (or with
+    all_pairs), else the cell's regular-triangulation neighbours, and none
+    for a hidden site, whose cell is empty.
+    """
     sites = np.array([c.site for c in diagram.cells])
     weights = np.array([c.weight for c in diagram.cells])
     sq = np.array([p @ p for p in sites])
+    n = len(sites)
+    if all_pairs or n < BATCH_MIN_CELLS:
+        candidates = [range(n)] * n
+    else:
+        candidates = _candidate_lists(sites, weights)
     out = []
-    for i in range(len(sites)):
-        v = _power_cell_array(i, sites, weights, diagram.boundary, sq)
+    for i in range(n):
+        v = None
+        if len(candidates[i]):
+            v = _clip_from(diagram.boundary.vertices, i, candidates[i], sites, weights, sq)
         if v is not None:
             v = _snap_to_boundary(v, diagram.boundary, 1e-9 * diagram.scale)
         out.append(_polygon_or_none(v, diagram.scale))
@@ -713,13 +734,13 @@ def test_snap_to_boundary_equals_all_edges_reference(offset):
 def batched_calls(monkeypatch):
     """Count recompute calls that take the batched path."""
     calls = []
-    batched = geometry._power_cells_batched
+    batched = geometry._power_cells
 
     def spy(*args):
         calls.append(len(args[0]))
         return batched(*args)
 
-    monkeypatch.setattr(geometry, "_power_cells_batched", spy)
+    monkeypatch.setattr(geometry, "_power_cells", spy)
     return calls
 
 
@@ -779,17 +800,135 @@ def test_batched_recompute_hands_non_contiguous_rows_to_per_cell_loop(
     handed = []
     clip_from = geometry._clip_from
 
-    def spy(v, i, first, *args):
-        if first > 0:
-            handed.append((i, first))
-        return clip_from(v, i, first, *args)
+    def spy(v, i, candidates, *args):
+        # the reference clips from the boundary; a hand-off, from a ring
+        # part-way through its candidate list
+        candidates = list(candidates)
+        if v is not boundary.vertices:
+            handed.append((i, [j for j in candidates if j != i]))
+        return clip_from(v, i, candidates, *args)
 
     monkeypatch.setattr(geometry, "_clip_from", spy)
     _assert_recompute_matches_per_cell(d)
     assert batched_calls == [n]
-    assert (1, 2) in handed
+    neighbours_of_1 = _candidate_lists(np.array(sites), weights)[1].tolist()
+    assert 2 in neighbours_of_1
+    assert (1, neighbours_of_1[neighbours_of_1.index(2):]) in handed
     ys = d.cells[1].polygon.vertices[:, 1]
     assert np.isclose(ys, 10.0 - dent / 2, rtol=0.0, atol=1e-12).sum() == 4
+
+
+def _hausdorff(p, q):
+    """Hausdorff distance between two convex polygons as filled regions.
+
+    The distance to a convex region is convex, so each direction's maximum
+    is at a vertex.
+    """
+    def directed(a, b):
+        bv = b.vertices
+        e = np.concatenate((bv[1:], bv[:1])) - bv
+        rel = a.vertices[:, None, :] - bv[None, :, :]               # (V, E, 2)
+        t = np.clip(np.einsum("vej,ej->ve", rel, e) / np.einsum("ej,ej->e", e, e), 0.0, 1.0)
+        gap = rel - t[:, :, None] * e[None, :, :]
+        dist = np.hypot(gap[:, :, 0], gap[:, :, 1]).min(axis=1)
+        inside = (e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0] >= 0.0).all(axis=1)
+        return float(np.where(inside, 0.0, dist).max())
+
+    return max(directed(p, q), directed(q, p))
+
+
+def _assert_matches_all_pairs(diagram):
+    """recompute(diagram) has the all-pairs clipper's empty cells, and each
+    other polygon lies within 1e-9 scale of it (Hausdorff)."""
+    reference = _per_cell_polygons(diagram, all_pairs=True)
+    recompute(diagram)
+    for cell, ref in zip(diagram.cells, reference):
+        assert (cell.polygon is None) == (ref is None), cell.node_id
+        if ref is not None:
+            assert _hausdorff(cell.polygon, ref) <= 1e-9 * diagram.scale, cell.node_id
+    return sum(ref is None for ref in reference)
+
+
+@pytest.mark.parametrize("boundary", [
+    regular_polygon(64, radius=500.0, center=(500.0, 500.0)),
+    regular_polygon(6, radius=3.0, center=(2.0, -1.0)),
+    square(10.0, origin=(-3.0, 4.0)),
+    square(10.0, origin=(1e6, -1e6)),
+], ids=["circle", "hexagon", "square", "far"])
+def test_recompute_matches_all_pairs_clipper(boundary, batched_calls):
+    rng = np.random.default_rng(23)
+    diag = boundary.diagonal
+    empty = 0
+    for n in (BATCH_MIN_CELLS, 11, 20, 30, 60, 200):
+        for weight_frac in ((0.0, 0.2) if n == 200 else (0.0, 0.05, 0.2, 0.6)):
+            sites = [boundary.sample_point(rng) for _ in range(n)]
+            weights = rng.uniform(0.0, (weight_frac * diag) ** 2, size=n)
+            d = power_diagram(sites, boundary, weights=weights)
+            empty += _assert_matches_all_pairs(d)
+    assert empty > 0
+    assert min(batched_calls) == BATCH_MIN_CELLS
+
+
+def test_power_neighbours_falls_back_to_all_pairs_on_collinear_sites(batched_calls):
+    # collinear sites lift to a plane, where Qhull finds no hull
+    boundary = square(10.0)
+    n = BATCH_MIN_CELLS + 3
+    sites = np.stack((np.linspace(0.5, 9.5, n), np.full(n, 5.0)), axis=1)
+    weights = np.random.default_rng(5).uniform(0.0, 0.5, size=n)
+    everyone = list(range(n))
+    assert [c.tolist() for c in _candidate_lists(sites, weights)] == [
+        everyone[:i] + everyone[i + 1:] for i in range(n)]
+    d = power_diagram(sites, boundary, weights=weights)
+    reference = _per_cell_polygons(d, all_pairs=True)
+    recompute(d)
+    assert batched_calls[-1] == n
+    for cell, ref in zip(d.cells, reference):
+        assert (cell.polygon is None) == (ref is None), cell.node_id
+        if ref is not None:
+            assert _measure_bytes(cell.polygon) == _measure_bytes(ref), cell.node_id
+
+
+def test_recompute_on_cocircular_grid(batched_calls):
+    # equal weights on a grid: every 2 x 2 block of sites is cocircular, so
+    # the lifted points of a block are coplanar
+    boundary = square(4.0)
+    grid = np.array([(x + 0.5, y + 0.5) for y in range(4) for x in range(4)])
+    d = power_diagram(grid, boundary)
+    _assert_recompute_matches_per_cell(d)
+    _assert_matches_all_pairs(d)
+    for cell, site in zip(d.cells, grid):
+        assert cell.area == pytest.approx(1.0, rel=1e-12)
+        assert np.allclose(cell.polygon.centroid, site, rtol=0.0, atol=1e-12)
+    assert batched_calls and set(batched_calls) == {len(grid)}
+    neighbours = _candidate_lists(grid, np.zeros(len(grid)))
+    assert max(len(c) for c in neighbours) < len(grid) - 1     # no fallback
+    for i, (x, y) in enumerate(grid):
+        # the four edge neighbours are candidates; a diagonal one may be
+        edge = [j for j, (u, w) in enumerate(grid) if abs(u - x) + abs(w - y) == 1.0]
+        assert set(edge) <= set(neighbours[i].tolist())
+
+
+def test_hidden_site_has_no_candidates_and_an_empty_cell(batched_calls):
+    # site 0 sits among four heavy sites whose power cells cover it
+    boundary = square(10.0)
+    ring = [(5.0 + dx, 5.0 + dy) for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+    rng = np.random.default_rng(9)
+    outer = []
+    while len(outer) < BATCH_MIN_CELLS:
+        p = boundary.sample_point(rng)
+        if math.hypot(p[0] - 5.0, p[1] - 5.0) > 3.0:
+            outer.append(p)
+    sites = np.array([(5.0, 5.0)] + ring + outer)
+    weights = np.zeros(len(sites))
+    weights[1:5] = 4.0
+    neighbours = _candidate_lists(sites, weights)
+    assert len(neighbours[0]) == 0
+    assert all(0 not in c.tolist() for c in neighbours)
+    d = power_diagram(sites, boundary, weights=weights)
+    assert d.cells[0].polygon is None
+    _assert_recompute_matches_per_cell(d)
+    _assert_matches_all_pairs(d)
+    assert set(batched_calls) == {len(sites)}
 
 
 def test_finish_rings_equals_per_ring_reference():

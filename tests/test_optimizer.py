@@ -6,7 +6,7 @@ import pytest
 
 from simmap import optimizer, pipeline
 from simmap.datasets import gen_synthetic
-from simmap.geometry import cell_neighbors, power_diagram, regular_polygon, square
+from simmap.geometry import ConvexPolygon, cell_neighbors, power_diagram, regular_polygon, square
 from simmap.optimizer import (
     LevelState,
     OptimizerConfig,
@@ -312,6 +312,38 @@ def test_level_state_create_builds_neighbor_map():
     state = LevelState.create(1, [d], [], OptimizerConfig())
     assert state.neighbor_map
     _same_map(state.neighbor_map, cell_neighbors([d]))
+
+
+def test_insets_are_built_on_first_use(monkeypatch):
+    left = power_diagram([(50.0, 50.0)], square(100.0), node_ids=["a"])
+    right = power_diagram([(150.0, 50.0)], square(10.0, origin=(145.0, 45.0)), node_ids=["b"])
+    cfg = OptimizerConfig(boundary_margin_fraction=0.05)
+    built = []
+    real = ConvexPolygon.inset
+
+    def counting(self, margin):
+        built.append(margin)
+        return real(self, margin)
+
+    monkeypatch.setattr(ConvexPolygon, "inset", counting)
+    state = make_state([left, right], [], cfg)
+    assert built == [] and state.insets == {}
+    margin = 0.05 * left.scale
+    inset = state.inset_for(left)
+    assert state.inset_for(left) is inset
+    assert built == [margin]
+    assert inset.vertices.tobytes() == real(left.boundary, margin).vertices.tobytes()
+    # the margin swallows the small boundary: 0.99 of it about its centroid
+    assert real(right.boundary, margin) is None
+    center = right.boundary.centroid
+    expected = center + 0.99 * (right.boundary.vertices - center)
+    assert state.inset_for(right).vertices.tobytes() == ConvexPolygon(expected).vertices.tobytes()
+
+    monkeypatch.setattr(ConvexPolygon, "inset", None)    # optimize=False needs no inset
+    tree = prepared(gen_synthetic("two_level", {"leaves": 8, "parents": 2}, seed=0))
+    constraints = extract_level_constraints(tree, "cosine")
+    build_treemap(tree, constraints, make_boundary("circle", 100.0), "match_swap",
+                  "cosine", 0, cfg, init_preserved={}, optimize=False)
 
 
 @pytest.fixture
