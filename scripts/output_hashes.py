@@ -8,7 +8,13 @@ on two generated two_level documents (120 leaves, 12 parents, gen seeds 0 and
 Two commits whose lines are equal produced byte-identical layouts, which is
 how a change that must not alter any output is checked.
 
-    python3 scripts/output_hashes.py [--out-dir DIR]
+The lines of the current code are committed in scripts/output_hashes.txt. With
+--check, the script also compares its lines with that file, lists each file
+whose prefix differs, and exits 1 if any does. A change that alters outputs
+on purpose rewrites the file:
+
+    python3 scripts/output_hashes.py [--out-dir DIR] [--check]
+    python3 scripts/output_hashes.py > scripts/output_hashes.txt
 """
 import argparse
 import hashlib
@@ -19,6 +25,7 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+RECORDED = ROOT / "scripts" / "output_hashes.txt"
 SHIPPED = ["borders", "dense", "m_n", "two_level"]
 GEN_SEEDS = [0, 1]
 PREFIX_LEN = 16
@@ -36,10 +43,13 @@ def _prefix(path: pathlib.Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:PREFIX_LEN]
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", help="keep the outputs here (default: a temporary directory)")
+    ap.add_argument("--check", action="store_true",
+                    help=f"exit 1 if a prefix differs from {RECORDED.relative_to(ROOT)}")
     args = ap.parse_args()
+    prefixes = {}
 
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(args.out_dir or tmp)
@@ -55,8 +65,17 @@ def main() -> None:
         for name, run_args in runs:
             _cli([*run_args, "--seed", "0", "--out", str(out / name)])
             for suffix in (".metrics.json", ".svg"):
-                print(f"{name}{suffix} {_prefix(out / f'{name}{suffix}')}", flush=True)
+                prefixes[name + suffix] = _prefix(out / f"{name}{suffix}")
+                print(f"{name}{suffix} {prefixes[name + suffix]}", flush=True)
+    if not args.check:
+        return 0
+    recorded = dict(line.split() for line in RECORDED.read_text().splitlines() if line.strip())
+    differ = [f for f in sorted(prefixes.keys() | recorded.keys())
+              if prefixes.get(f) != recorded.get(f)]
+    for f in differ:
+        print(f"differs: {f} recorded {recorded.get(f)} now {prefixes.get(f)}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

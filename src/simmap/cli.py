@@ -94,6 +94,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if min(args.iters, args.max_neighbors) < 0:
+            parser.error("--iters and --max-neighbors must be >= 0")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 

@@ -99,7 +99,7 @@ class ConvexPolygon:
     """Counter-clockwise convex polygon.
 
     Immutable: the vertex array is a read-only copy, so the cached measures
-    below cannot go stale.
+    below cannot go stale. `ray_exit` finds in closed form where a ray leaves.
     """
 
     vertices: np.ndarray
@@ -159,7 +159,7 @@ class ConvexPolygon:
 
     @cached_property
     def _edge_frame(self):
-        """Read-only (e, ln2, normals, offsets, slack, root) for _snap_to_boundary.
+        """Read-only (e, ln2, normals, offsets, slack, root) for snaps and ray_exit.
 
         Edge vectors e, their squared lengths ln2 (0 replaced by 1), the
         (2, edges) stacked left normals and offsets whose difference is a
@@ -189,6 +189,22 @@ class ConvexPolygon:
         d = point - v
         cross = e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0]
         return bool(np.all(cross >= -tol * lengths))
+
+    def ray_exit(self, origin: np.ndarray, direction: np.ndarray, tol: float = 0.0) -> float:
+        """Largest t >= 0 for which origin + t * direction passes contains(., tol).
+
+        The origin must pass too. t is the least, over the edges the ray leaves,
+        of one division per edge; inf if it leaves none. Heights are lowered by
+        the edge frame's rounding slack first: contains may reject the exact
+        exit point but accepts the returned one, within the slack of the edge.
+        """
+        _, _, normals, offsets, slack, root = self._edge_frame
+        rate = direction @ normals
+        leaving = rate < 0.0
+        if not leaving.any():
+            return math.inf
+        room = origin @ normals - offsets + (tol - slack) * root
+        return max(0.0, float(np.min(room[leaving] / -rate[leaving])))
 
     def clip_halfplane(self, normal: np.ndarray, offset: float):
         """Intersect with the half-plane {x : normal . x <= offset}.
@@ -353,12 +369,6 @@ class Diagram:
     def __post_init__(self):
         if self.scale <= 0.0:
             self.scale = self.boundary.diagonal
-
-    def cell_by_id(self, node_id: str) -> Cell:
-        for c in self.cells:
-            if c.node_id == node_id:
-                return c
-        raise KeyError(node_id)
 
     @property
     def sites(self) -> np.ndarray:
@@ -595,6 +605,15 @@ def recompute(diagram: Diagram) -> Diagram:
     return diagram
 
 
+def close_pair(points: np.ndarray, tol: float) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j in row-major order, of points at most tol
+    apart, or None."""
+    diff = points[:, None, :] - points[None, :, :]
+    close = np.triu(np.hypot(diff[:, :, 0], diff[:, :, 1]) <= tol, k=1)
+    hits = np.argwhere(close)
+    return (int(hits[0, 0]), int(hits[0, 1])) if len(hits) else None
+
+
 def power_diagram(
     sites,
     boundary: ConvexPolygon,
@@ -617,9 +636,9 @@ def power_diagram(
     for i in range(n):
         if not boundary.contains(pts[i], tol=-1e-12 * ref):
             raise GeometryError(f"site {ids[i]} lies outside the boundary")
-        for j in range(i + 1, n):
-            if math.hypot(*(pts[i] - pts[j])) <= 1e-12 * ref:
-                raise GeometryError(f"sites {ids[i]} and {ids[j]} coincide")
+    pair = close_pair(pts, 1e-12 * ref)
+    if pair is not None:
+        raise GeometryError(f"sites {ids[pair[0]]} and {ids[pair[1]]} coincide")
     cells = [
         Cell(node_id=ids[i], site=pts[i].copy(), weight=float(w[i]), target_area_fraction=float(t[i]))
         for i in range(n)

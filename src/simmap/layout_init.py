@@ -71,47 +71,28 @@ def build_cvt(boundary: ConvexPolygon, n: int, seed: int = 0, max_iter: int = 50
     return diagram
 
 
-def fit_points_in_polygon(points: np.ndarray, boundary: ConvexPolygon, margin: float = 0.9) -> np.ndarray:
+FIT_MARGIN = 0.9
+
+
+def fit_points_in_polygon(points: np.ndarray, boundary: ConvexPolygon) -> np.ndarray:
     """Uniformly scale + translate points so they fit inside the boundary.
 
-    The point cloud is centered on the boundary centroid and scaled to the
-    largest factor whose bounding box stays inside, times `margin`. Any point
-    still outside (numerically) is pulled inward along the ray to the centroid.
+    The cloud's bounding box is centered on the boundary centroid and scaled
+    by FIT_MARGIN times the least ray exit, at -1e-9 diagonal, toward its four
+    corners. Every point lies in the box the corners span, so inside too.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     center = boundary.centroid
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    mid = 0.5 * (lo + hi)
-    spread = pts - mid
-    max_ext = np.abs(spread).max()
-    if max_ext == 0.0:
+    spread = pts - 0.5 * (lo + hi)
+    if not spread.any():
         return np.tile(center, (len(pts), 1))
-    # largest scale whose scaled bbox corners stay inside the convex boundary
     half = 0.5 * (hi - lo)
     corners = np.array([[sx, sy] for sx in (-1, 1) for sy in (-1, 1)]) * half
-    s_lo, s_hi = 0.0, boundary.diagonal / max_ext
-    for _ in range(60):
-        s = 0.5 * (s_lo + s_hi)
-        if all(boundary.contains(center + s * c, tol=-1e-9 * boundary.diagonal) for c in corners):
-            s_lo = s
-        else:
-            s_hi = s
-    scale = margin * s_lo
-    out = center + scale * spread
     tol = -1e-9 * boundary.diagonal
-    for i, p in enumerate(out):
-        if not boundary.contains(p, tol=tol):
-            d = p - center
-            t_lo, t_hi = 0.0, 1.0
-            for _ in range(60):
-                t = 0.5 * (t_lo + t_hi)
-                if boundary.contains(center + t * d, tol=tol):
-                    t_lo = t
-                else:
-                    t_hi = t
-            out[i] = center + 0.95 * t_lo * d
-    return out
+    scale = FIT_MARGIN * min(boundary.ray_exit(center, c, tol) for c in corners)
+    return center + scale * spread
 
 
 def match_assignment(positions: ProjectedPositions, cvt: Diagram) -> Assignment:
@@ -187,8 +168,9 @@ def swap_improve(
 
 
 def proj_scale_init(positions: ProjectedPositions, boundary: ConvexPolygon) -> np.ndarray:
-    """Baseline: MDS positions scaled into the parent at 90% margin, no matching."""
-    return fit_points_in_polygon(positions.points, boundary, margin=0.9)
+    """Baseline: MDS positions scaled into the parent (fit_points_in_polygon),
+    no matching."""
+    return fit_points_in_polygon(positions.points, boundary)
 
 
 def random_assignment(node_ids: list[str], cvt: Diagram, seed: int = 0) -> Assignment:

@@ -122,20 +122,14 @@ def _centroid_move(cell: Cell, f: float) -> None:
 
 
 def _clamp_into(old: np.ndarray, new: np.ndarray, inset: ConvexPolygon) -> np.ndarray:
-    """Stop a move at the margin-inset boundary along the movement ray."""
+    """Stop a move at the margin-inset boundary along the movement ray, at a
+    point inset.contains accepts; a start outside the inset does not move."""
     if inset.contains(new):
         return new
     if not inset.contains(old):
         return old
-    t_lo, t_hi = 0.0, 1.0
     d = new - old
-    for _ in range(60):
-        t = 0.5 * (t_lo + t_hi)
-        if inset.contains(old + t * d):
-            t_lo = t
-        else:
-            t_hi = t
-    return old + t_lo * d
+    return old + inset.ray_exit(old, d) * d
 
 
 def move_toward(cell: Cell, target: Cell, cfg: OptimizerConfig, f: float, inset: ConvexPolygon) -> None:

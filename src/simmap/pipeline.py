@@ -14,6 +14,7 @@ from .geometry import (
     Diagram,
     GeometryError,
     cell_neighbors,
+    close_pair,
     power_diagram,
     regular_polygon,
     square,
@@ -73,6 +74,8 @@ class RunResult:
 
 
 def make_boundary(spec: str, size: float) -> ConvexPolygon:
+    if not (math.isfinite(size) and size > 0.0):
+        raise ValueError(f"boundary size must be finite and positive, not {size!r}")
     if spec == "square":
         return square(size)
     if spec == "circle":
@@ -113,13 +116,10 @@ def _distinct_sites(sites: np.ndarray, boundary: ConvexPolygon, rng: np.random.G
     sites = np.array(sites, dtype=float)
     eps = 1e-9 * boundary.diagonal
     for _ in range(100):
-        diff = sites[:, None, :] - sites[None, :, :]
-        d = np.hypot(diff[:, :, 0], diff[:, :, 1])
-        np.fill_diagonal(d, np.inf)
-        bad = np.argwhere(d < eps)
-        if len(bad) == 0:
+        pair = close_pair(sites, eps)
+        if pair is None:
             return sites
-        i = int(bad[0][0])
+        i = pair[0]
         sites[i] = sites[i] + rng.normal(scale=1e-5 * boundary.diagonal, size=2)
         tol = -1e-9 * boundary.diagonal
         if not boundary.contains(sites[i], tol=tol):

@@ -127,6 +127,16 @@ def test_bad_compare_strategy_is_usage_error(three_node, capsys):
     assert cli.main(["--input", three_node, "--compare", "match_swap,bogus"]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--iters", "--max-neighbors"])
+def test_negative_count_is_usage_error(three_node, flag, capsys):
+    assert cli.main(["--input", three_node, flag, "-1"]) == 1
+
+
+@pytest.mark.parametrize("size", ["-5", "0", "nan", "inf"])
+def test_bad_boundary_size_is_validation_error(three_node, size, capsys):
+    assert cli.main(["--input", three_node, "--boundary-size", size]) == 2
+
+
 def test_malformed_json_is_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -90,6 +90,55 @@ def test_contains_with_tolerance():
     assert sq.contains(np.array([0.001, 0.5]), tol=-1e-6)
 
 
+def _rotated_ngon(sides, radius, center, phase):
+    angles = phase + np.linspace(0.0, 2.0 * math.pi, sides, endpoint=False)
+    return ConvexPolygon(np.stack([np.cos(angles), np.sin(angles)], axis=1) * radius
+                         + np.asarray(center))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["square", *range(3, 65)]), st.booleans(),
+       st.booleans(), st.booleans())
+def test_ray_exit_point_is_inside_and_on_the_boundary(seed, sides, far, inset, fit_tol):
+    """contains accepts the exit point, which lies within 1e-9 diagonal of the
+    (tol-offset) boundary. The exit is backed off by 64 eps max |vertex|,
+    under 1e-9 diagonal for these sizes: at 1e6 the polygons span 100 or more."""
+    rng = np.random.default_rng(seed)
+    if far:
+        radius = 10 ** rng.uniform(2, 4)
+        center = 1e6 * np.array([math.cos(seed), math.sin(seed)])
+    else:
+        radius = 10 ** rng.uniform(-3, 3)
+        center = rng.uniform(-2, 2, size=2) * radius
+    if sides == "square":
+        poly = square(2 * radius, origin=center - radius)
+    else:
+        poly = _rotated_ngon(sides, radius, center, rng.uniform(0, 2 * math.pi))
+    if inset:
+        poly = poly.inset(0.1 * radius)
+    diag = poly.diagonal
+    tol = -1e-9 * diag if fit_tol else 0.0
+    for _ in range(20):
+        origin = poly.sample_point(rng)
+        angle = rng.uniform(0, 2 * math.pi)
+        direction = 10 ** rng.uniform(-3, 3) * radius * np.array([math.cos(angle), math.sin(angle)])
+        t = poly.ray_exit(origin, direction, tol)
+        assert 0.0 <= t < math.inf
+        p = origin + t * direction
+        assert poly.contains(p, tol)
+        assert not poly.contains(p, tol - 1e-9 * diag)
+
+
+def test_ray_exit_zero_direction_and_origin_on_the_edge():
+    sq = square(2.0)
+    assert sq.ray_exit(np.array([1.0, 1.0]), np.zeros(2)) == math.inf
+    # on the right edge: leaving through it at once, or crossing to the left edge
+    assert sq.ray_exit(np.array([2.0, 1.0]), np.array([1.0, 0.0])) == 0.0
+    assert sq.ray_exit(np.array([2.0, 1.0]), np.array([-1.0, 0.0])) == pytest.approx(2.0)
+    assert sq.ray_exit(np.array([1.0, 1.0]), np.array([0.5, 0.0])) == pytest.approx(2.0)
+    assert sq.ray_exit(np.array([1.0, 1.0]), np.array([1.0, 1.0]), tol=-0.5) == pytest.approx(0.5)
+
+
 def test_clip_halfplane_whole_and_empty():
     sq = square(1.0)
     assert sq.clip_halfplane(np.array([1.0, 0.0]), 2.0) is sq  # keeps everything
@@ -193,6 +242,33 @@ def test_single_site_cell_is_boundary():
 def test_coincident_sites_rejected():
     with pytest.raises(GeometryError, match="coincide"):
         power_diagram([(0.5, 0.5), (0.5, 0.5)], square(1.0))
+
+
+def _first_close_pair(points, tol):
+    """Reference: the double loop power_diagram ran over site pairs."""
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if math.hypot(*(points[i] - points[j])) <= tol:
+                return i, j
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 12), st.integers(0, 4))
+def test_close_pair_equals_double_loop(seed, n, copies):
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0, 1, size=(n, 2))
+    for _ in range(copies):
+        i, j = rng.integers(0, n, size=2)
+        points[j] = points[i] + rng.choice([0.0, 1e-13, 1e-3])
+    for tol in (0.0, 1e-12, 1e-2):
+        assert geometry.close_pair(points, tol) == _first_close_pair(points, tol)
+
+
+def test_coincident_sites_name_the_first_pair():
+    sites = [(0.1, 0.1), (0.5, 0.5), (0.3, 0.7), (0.3, 0.7), (0.5, 0.5)]
+    with pytest.raises(GeometryError, match="sites cell1 and cell4 coincide"):
+        power_diagram(sites, square(1.0))
 
 
 def test_site_outside_rejected():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simmap.geometry import ConvexPolygon, power_diagram, regular_polygon, square
 from simmap.layout_init import (
@@ -127,9 +129,38 @@ def test_fit_preserves_shape():
 def test_fit_line_scaled_to_inscribed_width():
     boundary = square(10.0)
     pts = np.array([[0.0, 0.0], [4.0, 0.0]])
-    out = fit_points_in_polygon(pts, boundary, margin=0.9)
+    out = fit_points_in_polygon(pts, boundary)
     width = abs(out[1][0] - out[0][0])
     assert width == pytest.approx(9.0, rel=1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 40), st.sampled_from([3, 4, 5, 8, 64]),
+       st.sampled_from(["spread", "line", "outlier", "duplicates"]))
+def test_fit_points_inside_at_fit_tolerance(seed, n, sides, cloud):
+    """Every fitted point passes contains at the fit's -1e-9 diagonal. The
+    boundary centroid comes from absolute coordinates and is off by more
+    than the radius for a unit polygon 1e6 from the origin, so polygons that
+    far span 100 or more."""
+    rng = np.random.default_rng(seed)
+    if rng.integers(2):
+        scale = 10 ** rng.uniform(2, 4)
+        center = 1e6 + rng.uniform(-1, 1, size=2) * scale
+    else:
+        scale = 10 ** rng.uniform(-3, 3)
+        center = rng.uniform(-1, 1, size=2) * scale
+    boundary = regular_polygon(sides, radius=scale, center=center)
+    pts = rng.normal(size=(n, 2)) * 10 ** rng.uniform(-6, 6, size=2)
+    if cloud == "line":
+        pts[:, int(rng.integers(2))] = rng.normal()
+    elif cloud == "outlier":
+        pts[0] *= 1e3
+    elif cloud == "duplicates":
+        pts[rng.integers(n, size=n // 2)] = pts[0]
+    out = fit_points_in_polygon(pts, boundary)
+    tol = -1e-9 * boundary.diagonal
+    for p in out:
+        assert boundary.contains(p, tol=tol)
 
 
 def test_fit_coincident_points_collapse_to_centroid():

@@ -6,7 +6,7 @@ import pytest
 
 from simmap import optimizer, pipeline
 from simmap.datasets import gen_synthetic
-from simmap.geometry import ConvexPolygon, cell_neighbors, power_diagram, regular_polygon, square
+from simmap.geometry import Cell, ConvexPolygon, cell_neighbors, power_diagram, regular_polygon, square
 from simmap.optimizer import (
     LevelState,
     OptimizerConfig,
@@ -122,8 +122,25 @@ def test_move_toward_clamped_at_inset_boundary():
     b = right.cells[0]
     move_toward(a, b, cfg, 1.0, state.inset_for(left))
     inset = state.inset_for(left)
-    assert inset.contains(a.site, tol=1e-9 * left.scale)
-    assert a.site[0] < 100.0  # still inside its own parent
+    assert inset.contains(a.site)
+    margin = cfg.boundary_margin_fraction * left.scale
+    assert a.site[0] == pytest.approx(100.0 - margin, abs=1e-9 * left.scale)
+
+
+def test_clamped_moves_stop_on_the_inset_boundary():
+    # every clamped site passes inset.contains at tol 0 and lies on the margin,
+    # also when the next move starts from there
+    d = power_diagram([(500.0, 500.0)], make_boundary("circle", 1000.0), node_ids=["a"])
+    cfg = OptimizerConfig(k_min=0.0)
+    inset = make_state(d, []).inset_for(d)
+    a = d.cells[0]
+    for angle in np.linspace(0.0, 2.0 * math.pi, 97):
+        a.site = np.array([500.0, 500.0])
+        for turn in (0.0, 0.3):
+            far = a.site + 2000.0 * np.array([math.cos(angle + turn), math.sin(angle + turn)])
+            move_toward(a, Cell("target", far), cfg, 1.0, inset)
+            assert inset.contains(a.site)
+            assert not inset.contains(a.site, tol=-1e-9 * d.scale)
 
 
 # ----------------------------------------------------------------- move_orthogonal
