@@ -10,14 +10,13 @@ convex hull of the sites lifted to (x, y, x^2 + y^2 - w) (Aurenhammer,
 cell against its own r-th candidate, so a diagram costs as many numpy steps
 as the longest candidate list, not one per site. Smaller diagrams clip each
 cell against all other sites, one cell at a time. A diagram's rings then
-travel as one flat vertex array with per-cell lengths through the boundary
-snap to `_finish_rings`, which builds every polygon and its cached measures
-in one set of numpy operations per ring length. Every polygon is
-bit-identical to clipping, snapping and constructing its cell alone against
-the same candidates (see `recompute`). `_finish_rings` is the one
-ring-to-polygon path; `clip_halfplane` uses it too. Neighbors are found by
-testing only the edge pairs whose bounding boxes overlap, found by a
-sort-and-sweep, not all E x E edge pairs.
+travel as one flat vertex array with per-cell lengths to `_finish_rings`,
+which builds every polygon and its cached measures in one set of numpy
+operations per ring length. Every polygon is bit-identical to clipping and
+constructing its cell alone against the same candidates (see `recompute`).
+`_finish_rings` is the one ring-to-polygon path; `clip_halfplane` uses it
+too. Neighbors are found by testing only the edge pairs whose bounding boxes
+overlap, found by a sort-and-sweep, not all E x E edge pairs.
 """
 from __future__ import annotations
 
@@ -159,36 +158,30 @@ class ConvexPolygon:
 
     @cached_property
     def _edge_frame(self):
-        """Read-only (e, ln2, normals, offsets, slack, root) for snaps and ray_exit.
+        """Read-only (normals, offsets, slack, length) for contains and ray_exit.
 
-        Edge vectors e, their squared lengths ln2 (0 replaced by 1), the
-        (2, edges) stacked left normals and offsets whose difference is a
-        point's height over each edge times its length, the rounding slack
-        64 eps max |vertex coordinate|, and sqrt(ln2).
+        The (2, edges) stacked left normals and offsets, whose difference is a
+        point's height over each edge times the edge's length; the rounding
+        slack 64 eps max |vertex coordinate|; and each edge's length, 0 for a
+        repeated vertex.
         """
         v = self.vertices
         e = np.concatenate((v[1:], v[:1])) - v
-        ln2 = np.einsum("ij,ij->i", e, e)
-        ln2 = np.where(ln2 == 0.0, 1.0, ln2)
         normals = np.stack((-e[:, 1], e[:, 0]))
         offsets = e[:, 0] * v[:, 1] - e[:, 1] * v[:, 0]
-        root = np.sqrt(ln2)
-        for a in (e, ln2, normals, offsets, root):
+        length = np.sqrt(np.einsum("ij,ij->i", e, e))
+        for a in (normals, offsets, length):
             a.flags.writeable = False
         slack = 64.0 * np.finfo(float).eps * float(np.abs(v).max())
-        return e, ln2, normals, offsets, slack, root
+        return normals, offsets, slack, length
 
     def contains(self, point: np.ndarray, tol: float = 0.0) -> bool:
         """True if point is inside, with `tol` slack in signed edge distance.
 
         Negative tol demands the point be strictly inside by |tol|.
         """
-        v = self.vertices
-        e = np.concatenate((v[1:], v[:1])) - v
-        lengths = np.hypot(e[:, 0], e[:, 1])
-        d = point - v
-        cross = e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0]
-        return bool(np.all(cross >= -tol * lengths))
+        normals, offsets, _, length = self._edge_frame
+        return bool(np.all(point @ normals - offsets >= -tol * length))
 
     def ray_exit(self, origin: np.ndarray, direction: np.ndarray, tol: float = 0.0) -> float:
         """Largest t >= 0 for which origin + t * direction passes contains(., tol).
@@ -198,12 +191,12 @@ class ConvexPolygon:
         the edge frame's rounding slack first: contains may reject the exact
         exit point but accepts the returned one, within the slack of the edge.
         """
-        _, _, normals, offsets, slack, root = self._edge_frame
+        normals, offsets, slack, length = self._edge_frame
         rate = direction @ normals
         leaving = rate < 0.0
         if not leaving.any():
             return math.inf
-        room = origin @ normals - offsets + (tol - slack) * root
+        room = origin @ normals - offsets + (tol - slack) * length
         return max(0.0, float(np.min(room[leaving] / -rate[leaving])))
 
     def clip_halfplane(self, normal: np.ndarray, offset: float):
@@ -442,10 +435,10 @@ def _power_neighbours(sites: np.ndarray, weights: np.ndarray):
 
 def _power_cells(sites: np.ndarray, weights: np.ndarray, boundary: ConvexPolygon,
                  sq: np.ndarray, candidates: np.ndarray, degree: np.ndarray):
-    """Every cell's ring as _flatten's (vertices, lengths); ring i is clipped
-    against the bisectors of its candidate list in order, bit-identical to
-    _clip_from cell by cell. The lists are given as _power_neighbours gives
-    them; an empty list gives an empty cell.
+    """Every cell's ring as _flatten's (vertices, lengths), ready for
+    _finish_rings; ring i is clipped against the bisectors of its candidate
+    list in order, bit-identical to _clip_from cell by cell. The lists are
+    given as _power_neighbours gives them; an empty list gives an empty cell.
 
     In round r, every live ring is clipped against its own r-th candidate,
     so there are as many rounds as the longest list. Rings sit in a padded
@@ -530,44 +523,6 @@ def _power_cells(sites: np.ndarray, weights: np.ndarray, boundary: ConvexPolygon
     return rings[cols < lengths[:, None]], lengths
 
 
-def _snap_to_boundary(vertices: np.ndarray, boundary: ConvexPolygon, tol: float) -> np.ndarray:
-    """Project cell vertices lying within tol of a boundary edge onto it.
-
-    Makes collinearity tests across sibling diagrams exact after snapping.
-    Each vertex is snapped on its own, so snapping a diagram's flat vertex
-    array (all rings stacked) gives the same bits as snapping ring by ring.
-    A vertex goes to the nearest edge within tol, the first such edge on a
-    tie. Only the (vertex, edge) pairs within tol of the edge's supporting
-    line are projected, because no other edge can be within tol; the slack
-    covers rounding in both distances. The boundary's edge frame is
-    computed once per polygon and cached (ConvexPolygon._edge_frame).
-    """
-    bv = boundary.vertices
-    e, ln2, normals, offsets, slack, root = boundary._edge_frame
-    pairs = np.abs(vertices @ normals - offsets) <= (tol + slack) * root
-    near = np.flatnonzero(pairs.any(axis=1))
-    if len(near) == 0:
-        return vertices
-    pairs = pairs[near]
-    row, edge = np.nonzero(pairs)                           # edges ascending per vertex
-    p = vertices[near[row]]
-    rel = p - bv[edge]
-    t = np.clip(np.einsum("pj,pj->p", rel, e[edge]) / ln2[edge], 0.0, 1.0)
-    proj = bv[edge] + t[:, None] * e[edge]
-    dist = np.full(pairs.shape, np.inf)
-    dist[row, edge] = np.hypot(p[:, 0] - proj[:, 0], p[:, 1] - proj[:, 1])
-    rows = np.arange(len(near))
-    best = np.argmin(dist, axis=1)
-    close = dist[rows, best] <= tol
-    if not close.any():
-        return vertices
-    pair = np.zeros(pairs.shape, dtype=np.intp)
-    pair[row, edge] = np.arange(len(row))
-    out = vertices.copy()
-    out[near[close]] = proj[pair[rows[close], best[close]]]
-    return out
-
-
 def recompute(diagram: Diagram) -> Diagram:
     """Refresh every cell polygon from current sites and weights (in place).
 
@@ -577,18 +532,19 @@ def recompute(diagram: Diagram) -> Diagram:
     cells together (_power_cells); a site hidden from the lifted lower hull
     gets an empty cell, and if Qhull fails the lists hold all other sites.
     Smaller diagrams clip cell by cell against all other sites
-    (_power_cell_array). All vertices are then snapped to the boundary in
-    one call, and _finish_rings turns the rings into polygons with their
-    measures in one pass per ring length. If a ring is degenerate enough to
-    raise GeometryError, no cell is updated.
+    (_power_cell_array). _finish_rings then turns the rings into polygons
+    with their measures in one pass per ring length. If a ring is degenerate
+    enough to raise GeometryError, no cell is updated.
 
     Contract: every polygon, each of its cached measures, and which cells
     are empty, is bit-identical to clipping the cell's ring alone against
-    its candidate half-planes in ascending j, then snapping it and
-    constructing its polygon. Geometrically it matches clipping against all
-    other sites: a site's regular-triangulation neighbours bound its cell.
-    The bits can differ from the all-pairs clip's, because a half-plane that
-    only touches a cell may still move a vertex in its last bits.
+    its candidate half-planes in ascending j, then constructing its polygon.
+    Geometrically it matches clipping against all other sites: a site's
+    regular-triangulation neighbours bound its cell. The bits can differ from
+    the all-pairs clip's, because a half-plane that only touches a cell may
+    still move a vertex in its last bits. Vertices the clip leaves on a
+    boundary edge are off it by rounding only, far inside cell_neighbors'
+    tolerance.
     """
     sites = np.array([c.site for c in diagram.cells])
     weights = np.array([c.weight for c in diagram.cells])
@@ -599,7 +555,6 @@ def recompute(diagram: Diagram) -> Diagram:
     else:
         flat, lengths = _power_cells(sites, weights, diagram.boundary, sq,
                                      *_power_neighbours(sites, weights))
-    flat = _snap_to_boundary(flat, diagram.boundary, 1e-9 * diagram.scale)
     for cell, polygon in zip(diagram.cells, _finish_rings(flat, lengths, diagram.scale)):
         cell.polygon = polygon
     return diagram

@@ -31,7 +31,6 @@ class OptimizerConfig:
     step_fraction: float = 0.5
     step_decay: float = 0.95
     k_min: float = 0.9
-    k_max: float = 1.3
     boundary_margin_fraction: float = 1e-3
     growth_rate: float = 0.7
 
@@ -53,8 +52,6 @@ class LevelState:
     diagrams: list[Diagram]
     constraints: list[Constraint]
     neighbor_map: dict = field(default_factory=dict)
-    iter: int = 0
-    max_iter: int = 150
     # derived lookups
     cells_by_id: dict[str, Cell] = field(default_factory=dict)
     diagram_of: dict[str, Diagram] = field(default_factory=dict)
@@ -68,7 +65,7 @@ class LevelState:
                cfg: OptimizerConfig) -> "LevelState":
         scale = max(d.scale for d in diagrams)
         state = cls(level=level, diagrams=diagrams, constraints=list(constraints),
-                    max_iter=cfg.max_iter, margin=cfg.boundary_margin_fraction * scale)
+                    margin=cfg.boundary_margin_fraction * scale)
         for d in diagrams:
             for c in d.cells:
                 state.cells_by_id[c.node_id] = c
@@ -240,7 +237,6 @@ def optimize_level(
         if it >= cfg.growth_start:
             for diagram in state.diagrams:
                 adapt_weights(diagram, cfg.growth_rate, rng)
-        state.iter = it + 1
         if trace_cb is not None:
             trace_cb(state, it)
         state.neighbor_map = cell_neighbors(state.diagrams)

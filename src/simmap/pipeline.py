@@ -30,13 +30,7 @@ from .layout_init import (
 )
 from .optimizer import LevelState, OptimizerConfig, build_level_queue, optimize_level
 from .render import RenderOptions, render_svg
-from .similarity import (
-    Constraint,
-    SimilarityMatrix,
-    extract_level_constraints,
-    pair_matrix_from_lifted,
-    pairwise_matrix,
-)
+from .similarity import Constraint, extract_level_constraints, group_matrix
 from .tree_model import Tree, parse_tree, propagate_attributes, uniform_depth
 
 
@@ -97,16 +91,6 @@ def load_tree(source: dict | str) -> Tree:
     return propagate_attributes(tree)
 
 
-def _group_matrix(tree: Tree, children: list[str], level: int, kind: str) -> SimilarityMatrix:
-    nodes = [tree.nodes[c] for c in children]
-    if tree.pair_mode:
-        return pair_matrix_from_lifted(children, level, tree.level_pairs.get(level, {}))
-    if all(n.sim_vector is not None for n in nodes):
-        return pairwise_matrix(nodes, kind)
-    return SimilarityMatrix(level=level, node_ids=list(children),
-                            values=np.zeros((len(children), len(children))))
-
-
 def _derived_seed(seed: int, level: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, level, index]).generate_state(1)[0])
 
@@ -144,7 +128,7 @@ def init_diagram(
     n = len(children)
     parent_weight = tree.nodes[parent].weight
     targets = [tree.nodes[c].weight / parent_weight for c in children]
-    matrix = _group_matrix(tree, children, level, kind)
+    matrix = group_matrix(tree, children, level, kind)
     rng = np.random.default_rng(seed)
 
     if strategy == "proj_scale":

@@ -129,19 +129,23 @@ def bin_and_filter(matrix: SimilarityMatrix) -> list[Constraint]:
     return out
 
 
+def group_matrix(tree: Tree, node_ids: list[str], level: int, kind: str) -> SimilarityMatrix:
+    """Similarity matrix over same-depth nodes: from the level-lifted pairs in
+    pair mode, else from the nodes' vectors, else (a node has no vector) all
+    zeros, which bin_and_filter turns into no constraints."""
+    if tree.pair_mode:
+        return pair_matrix_from_lifted(node_ids, level, tree.level_pairs.get(level, {}))
+    nodes = [tree.nodes[i] for i in node_ids]
+    if all(n.sim_vector is not None for n in nodes):
+        return pairwise_matrix(nodes, kind)
+    return SimilarityMatrix(level=level, node_ids=list(node_ids),
+                            values=np.zeros((len(node_ids), len(node_ids))))
+
+
 def extract_level_constraints(tree: Tree, kind: str = "cosine") -> dict[int, list[Constraint]]:
     """Constraints per depth 1..D; sibling-ness is ignored, so pairs may cross parents."""
-    result: dict[int, list[Constraint]] = {}
-    for depth in range(1, tree.uniform_depth + 1):
-        nodes = tree.nodes_at_depth(depth)
-        ids = [n.id for n in nodes]
-        if tree.pair_mode:
-            matrix = pair_matrix_from_lifted(ids, depth, tree.level_pairs.get(depth, {}))
-        elif all(n.sim_vector is not None for n in nodes):
-            matrix = pairwise_matrix(nodes, kind)
-        else:
-            result[depth] = []
-            continue
-        result[depth] = bin_and_filter(matrix)
-    return result
-
+    return {
+        depth: bin_and_filter(group_matrix(
+            tree, [n.id for n in tree.nodes_at_depth(depth)], depth, kind))
+        for depth in range(1, tree.uniform_depth + 1)
+    }

@@ -16,6 +16,7 @@ from simmap.similarity import (
     bin_index,
     compute_similarity,
     extract_level_constraints,
+    group_matrix,
     pair_matrix_from_lifted,
     pairwise_matrix,
 )
@@ -271,6 +272,15 @@ def test_extract_pair_mode_levels():
     assert {(c.a, c.b) for c in cons[1]} == {("g1", "g2")}
     assert {(c.a, c.b) for c in cons[2]} == {("a", "b"), ("a", "c")}
     assert all(c.level == 2 for c in cons[2])
+
+
+def test_group_matrix_without_vectors_or_pairs_is_zero():
+    doc = {"name": "r", "children": [{"name": "a"}, {"name": "b"}, {"name": "c"}]}
+    tree = propagate_attributes(uniform_depth(parse_tree(doc)))
+    m = group_matrix(tree, ["a", "b", "c"], 1, "cosine")
+    assert (m.level, m.node_ids) == (1, ["a", "b", "c"])
+    assert m.values.shape == (3, 3) and not m.values.any()
+    assert extract_level_constraints(tree) == {1: []}
 
 
 def test_pair_matrix_from_lifted_symmetric():
