@@ -1,22 +1,15 @@
 """Additively weighted power-diagram kernel on convex boundaries.
 
-Cells are computed by sequential half-plane clipping against radical-axis
-bisectors, which are straight lines for additive weights. A diagram of
-BATCH_MIN_CELLS cells or more clips each cell only against its candidates,
-the sites it shares an edge with in the regular triangulation: the lower
-convex hull of the sites lifted to (x, y, x^2 + y^2 - w) (Aurenhammer,
-"Power diagrams: properties, algorithms and applications", SIAM J. Comput.
-1987). All cells are clipped together in rounds, round r clipping every
-cell against its own r-th candidate, so a diagram costs as many numpy steps
-as the longest candidate list, not one per site. Smaller diagrams clip each
-cell against all other sites, one cell at a time. A diagram's rings then
-travel as one flat vertex array with per-cell lengths to `_finish_rings`,
-which builds every polygon and its cached measures in one set of numpy
-operations per ring length. Every polygon is bit-identical to clipping and
-constructing its cell alone against the same candidates (see `recompute`).
-`_finish_rings` is the one ring-to-polygon path; `clip_halfplane` uses it
-too. Neighbors are found by testing only the edge pairs whose bounding boxes
-overlap, found by a sort-and-sweep, not all E x E edge pairs.
+Cells are clipped by radical-axis half-planes (straight lines for additive
+weights): in a diagram of BATCH_MIN_CELLS cells or more, against each cell's
+regular-triangulation neighbours from the lower convex hull of the sites
+lifted to (x, y, x^2 + y^2 - w) (Aurenhammer, "Power diagrams: properties,
+algorithms and applications", SIAM J. Comput. 1987), else against all other
+sites. `recompute_level` clips all cells of a level together in rounds, as
+many as its longest candidate list, and `_finish_rings` builds every polygon
+and its cached measures from the stacked rings, bit-identical to clipping
+and constructing each cell alone. Neighbors are found by testing only the
+edge pairs whose bounding boxes overlap.
 """
 from __future__ import annotations
 
@@ -255,12 +248,13 @@ def _cyclic_next(lengths: np.ndarray):
     return starts, nxt
 
 
-def _finish_rings(flat: np.ndarray, lengths: np.ndarray, ref_diag: float) -> list:
+def _finish_rings(flat: np.ndarray, lengths: np.ndarray, ref_diag) -> list:
     """Polygons (or None) from rings stacked in `flat`, ring k of lengths[k].
 
-    Each vertex within 1e-12 ref_diag of its cyclic successor is dropped; a
-    ring left with fewer than 3 vertices, or with |signed area| <=
-    1e-14 ref_diag^2, is None; a CCW ring with area <= 1e-12 diagonal^2
+    ref_diag is one reference diagonal for all rings or one per ring. Each
+    vertex within 1e-12 ref_diag of its cyclic successor is dropped; a ring
+    left with fewer than 3 vertices, or with |signed area| <= 1e-14
+    ref_diag^2, is None; a CCW ring with area <= 1e-12 diagonal^2
     raises GeometryError (before any polygon is returned); a clockwise ring
     goes through ConvexPolygon. The cached area, centroid, aabb and diagonal
     are those ConvexPolygon computes, bit for bit.
@@ -273,9 +267,10 @@ def _finish_rings(flat: np.ndarray, lengths: np.ndarray, ref_diag: float) -> lis
     width, because appended zeros change how both sums block their terms.
     """
     n = len(lengths)
+    ref_diag = np.broadcast_to(ref_diag, (n,))
     starts, nxt = _cyclic_next(lengths)
     gap = np.hypot(flat[:, 0] - flat[nxt, 0], flat[:, 1] - flat[nxt, 1])
-    keep = gap > 1e-12 * max(ref_diag, 1e-300)
+    keep = gap > np.repeat(1e-12 * np.maximum(ref_diag, 1e-300), lengths)
     if not keep.all():
         flat = flat[keep]
         lengths = np.bincount(np.repeat(np.arange(n), lengths)[keep], minlength=n)
@@ -309,7 +304,7 @@ def _finish_rings(flat: np.ndarray, lengths: np.ndarray, ref_diag: float) -> lis
     area = np.zeros(n)
     area[valid] = 0.5 * (core[valid] + (last[:, 0] * first[:, 1] - first[:, 0] * last[:, 1]))
     sized = np.zeros(n, dtype=bool)
-    sized[valid] = ~(np.abs(area[valid]) <= 1e-14 * ref_diag * ref_diag)
+    sized[valid] = ~(np.abs(area[valid]) <= 1e-14 * ref_diag[valid] * ref_diag[valid])
     ccw = sized & ~(area < 0.0)
 
     rows = np.flatnonzero(ccw)
@@ -368,23 +363,10 @@ class Diagram:
         return np.array([c.site for c in self.cells])
 
 
-# Diagrams with at least this many cells clip all cells together against their
-# candidate lists; smaller ones clip cell by cell against all other sites,
-# which costs less numpy setup. Measured per recompute on Lloyd-relaxed
-# diagrams in a 64-gon, a square and a hexagon (best of 15 interleaved rounds,
-# 2-CPU x86-64 VM), for batching over all sites: 2-14% slower at 8 cells, 6-13%
-# faster at 10 and 45-56% faster at 30. Candidate lists cut the batched
-# path's rounds from n - 1 to the longest list.
+# Diagrams with at least this many cells get hull candidate lists, which cut
+# their rounds from n - 1 to the longest list; smaller ones take all-pairs
+# lists, at most 8 rounds, and skip Qhull's fixed cost.
 BATCH_MIN_CELLS = 10
-
-
-def _power_cell_array(i: int, sites: np.ndarray, weights: np.ndarray,
-                      boundary: ConvexPolygon, sq: np.ndarray | None = None):
-    if sq is None:
-        # per-site p @ p; BLAS dot rounds differently from elementwise sums,
-        # so cached and uncached paths must share the same kernel
-        sq = np.array([p @ p for p in sites])
-    return _clip_from(boundary.vertices, i, range(len(sites)), sites, weights, sq)
 
 
 def _clip_from(v: np.ndarray, i: int, candidates, sites: np.ndarray,
@@ -425,7 +407,7 @@ def _power_neighbours(sites: np.ndarray, weights: np.ndarray):
     try:
         hull = ConvexHull(np.column_stack((c, lift)))
     except QhullError:
-        return np.nonzero(~np.eye(n, dtype=bool))[1], np.full(n, n - 1)
+        return _all_pairs(n)
     facets = hull.simplices[hull.equations[:, 2] < 0.0]
     edges = facets[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     keys = np.unique(np.concatenate((edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0])))
@@ -433,12 +415,19 @@ def _power_neighbours(sites: np.ndarray, weights: np.ndarray):
     return other, np.bincount(owner, minlength=n)
 
 
-def _power_cells(sites: np.ndarray, weights: np.ndarray, boundary: ConvexPolygon,
-                 sq: np.ndarray, candidates: np.ndarray, degree: np.ndarray):
+def _all_pairs(n: int):
+    """(candidates, degree) in which every site's list holds all other sites."""
+    return np.nonzero(~np.eye(n, dtype=bool))[1], np.full(n, n - 1)
+
+
+def _power_cells(sites: np.ndarray, weights: np.ndarray, sq: np.ndarray,
+                 candidates: np.ndarray, degree: np.ndarray, live: np.ndarray,
+                 boundaries: list[ConvexPolygon], sizes: list[int]):
     """Every cell's ring as _flatten's (vertices, lengths), ready for
-    _finish_rings; ring i is clipped against the bisectors of its candidate
-    list in order, bit-identical to _clip_from cell by cell. The lists are
-    given as _power_neighbours gives them; an empty list gives an empty cell.
+    _finish_rings. The first sizes[0] rings start from boundaries[0], and so
+    on; ring i is clipped against the bisectors of its candidate list (given
+    as _power_neighbours gives them, indexing the stacked sites) in order,
+    bit-identical to _clip_from cell by cell. A cell not `live` is empty.
 
     In round r, every live ring is clipped against its own r-th candidate,
     so there are as many rounds as the longest list. Rings sit in a padded
@@ -463,11 +452,14 @@ def _power_cells(sites: np.ndarray, weights: np.ndarray, boundary: ConvexPolygon
     # the half-plane of cell i against site cand[r, i], as _clip_from builds it
     normals = 2.0 * (sites[cand] - sites)
     offsets = (sq[cand] - sq) - weights[cand] + weights
-    bv = boundary.vertices
-    capacity = len(bv) + rounds     # a clip adds at most one vertex
+    ring_sizes = [len(b.vertices) for b in boundaries]
+    capacity = max(ring_sizes) + rounds     # a clip adds at most one vertex
     rings = np.zeros((n, capacity, 2))
-    rings[:, :len(bv)] = bv
-    lengths = np.where(degree > 0, len(bv), 0)
+    first = 0
+    for b, size in zip(boundaries, sizes):
+        rings[first:first + size, :len(b.vertices)] = b.vertices
+        first += size
+    lengths = np.repeat(ring_sizes, sizes) * live
     cols = np.arange(capacity)
     handed_off: dict[int, np.ndarray | None] = {}
     for r in range(rounds):
@@ -523,40 +515,47 @@ def _power_cells(sites: np.ndarray, weights: np.ndarray, boundary: ConvexPolygon
     return rings[cols < lengths[:, None]], lengths
 
 
-def recompute(diagram: Diagram) -> Diagram:
-    """Refresh every cell polygon from current sites and weights (in place).
+def recompute_level(diagrams: list[Diagram]) -> list[Diagram]:
+    """Refresh every cell polygon of a level's diagrams in place, with one
+    _power_cells and one _finish_rings call for the whole level.
 
-    The diagram's rings travel as one flat (vertices, 2) array with per-cell
-    lengths (0 for an empty cell). A diagram of BATCH_MIN_CELLS cells or more
-    clips each cell against its candidate list from _power_neighbours, all
-    cells together (_power_cells); a site hidden from the lifted lower hull
-    gets an empty cell, and if Qhull fails the lists hold all other sites.
-    Smaller diagrams clip cell by cell against all other sites
-    (_power_cell_array). _finish_rings then turns the rings into polygons
-    with their measures in one pass per ring length. If a ring is degenerate
-    enough to raise GeometryError, no cell is updated.
-
-    Contract: every polygon, each of its cached measures, and which cells
-    are empty, is bit-identical to clipping the cell's ring alone against
-    its candidate half-planes in ascending j, then constructing its polygon.
-    Geometrically it matches clipping against all other sites: a site's
-    regular-triangulation neighbours bound its cell. The bits can differ from
-    the all-pairs clip's, because a half-plane that only touches a cell may
-    still move a vertex in its last bits. Vertices the clip leaves on a
-    boundary edge are off it by rounding only, far inside cell_neighbors'
-    tolerance.
+    A cell is clipped from its own diagram's boundary against its own
+    diagram's sites: its _power_neighbours list (empty for a hidden site,
+    whose cell is empty) from BATCH_MIN_CELLS cells up, else all other
+    sites. If a ring raises GeometryError, no cell is updated. Every polygon,
+    its cached measures, and which cells are empty are bit-identical to
+    clipping the cell's ring alone against its candidate half-planes in
+    ascending j and constructing its polygon, whatever diagrams share the call.
     """
-    sites = np.array([c.site for c in diagram.cells])
-    weights = np.array([c.weight for c in diagram.cells])
-    sq = np.array([p @ p for p in sites])
-    if len(sites) < BATCH_MIN_CELLS:
-        flat, lengths = _flatten([_power_cell_array(i, sites, weights, diagram.boundary, sq)
-                                  for i in range(len(sites))])
-    else:
-        flat, lengths = _power_cells(sites, weights, diagram.boundary, sq,
-                                     *_power_neighbours(sites, weights))
-    for cell, polygon in zip(diagram.cells, _finish_rings(flat, lengths, diagram.scale)):
+    if not diagrams:
+        return diagrams
+    cells = [c for d in diagrams for c in d.cells]
+    sites = np.array([c.site for c in cells])
+    weights = np.array([c.weight for c in cells])
+    # each site's p @ p: a stacked (1, 2) @ (2, 1) matmul runs the same BLAS ddot
+    sq = np.matmul(sites[:, None, :], sites[:, :, None])[:, 0, 0]
+    sizes = [len(d.cells) for d in diagrams]
+    lists, first = [], 0
+    for size in sizes:
+        if size >= BATCH_MIN_CELLS:
+            candidates, degree = _power_neighbours(sites[first:first + size], weights[first:first + size])
+            lists.append((candidates + first, degree, degree > 0))
+        else:
+            candidates, degree = _all_pairs(size)
+            lists.append((candidates + first, degree, np.ones(size, dtype=bool)))
+        first += size
+    candidates, degree, live = (np.concatenate(parts) for parts in zip(*lists))
+    flat, lengths = _power_cells(sites, weights, sq, candidates, degree, live,
+                                 [d.boundary for d in diagrams], sizes)
+    scales = np.repeat([d.scale for d in diagrams], sizes)
+    for cell, polygon in zip(cells, _finish_rings(flat, lengths, scales)):
         cell.polygon = polygon
+    return diagrams
+
+
+def recompute(diagram: Diagram) -> Diagram:
+    """recompute_level on one diagram."""
+    recompute_level([diagram])
     return diagram
 
 
@@ -621,23 +620,19 @@ def cell_neighbors(level_diagrams: list[Diagram]) -> dict:
     scale = max(d.scale for d in level_diagrams)
     tol = 1e-6 * scale
 
-    starts, ends, owners = [], [], []
+    rings, owners = [], []
     owner_index: dict[str, int] = {}
     for d in level_diagrams:
         for c in d.cells:
-            if c.polygon is None:
-                continue
-            v = c.polygon.vertices
-            starts.append(v)
-            ends.append(np.roll(v, -1, axis=0))
-            index = owner_index.setdefault(str(c.node_id), len(owner_index))
-            owners.append(np.full(len(v), index))
+            if c.polygon is not None:
+                rings.append(c.polygon.vertices)
+                owners.append(owner_index.setdefault(str(c.node_id), len(owner_index)))
     result: dict[tuple[str, str], list] = {}
-    if not starts:
+    if not rings:
         return result
-    A = np.vstack(starts)
-    B = np.vstack(ends)
-    owner = np.concatenate(owners)
+    A, lengths = _flatten(rings)
+    B = A[_cyclic_next(lengths)[1]]
+    owner = np.repeat(owners, lengths)
     owner_ids = list(owner_index)
     U = B - A
     L = np.hypot(U[:, 0], U[:, 1])
@@ -714,35 +709,40 @@ def _mean_pairwise_site_distance(diagram: Diagram) -> float:
     return float(np.sum(d) / (n * (n - 1)))
 
 
-def adapt_weights(diagram: Diagram, rate: float = 0.7, rng: np.random.Generator | None = None) -> Diagram:
-    """One weight-adaptation step toward target areas (equivalent-radius error).
+def adapt_weights(diagrams: list[Diagram], rate: float = 0.7,
+                  rng: np.random.Generator | None = None) -> list[Diagram]:
+    """One weight-adaptation step toward target areas (equivalent-radius
+    error) for each of a level's diagrams, then one recompute_level.
 
-    w_i += rate * (t_i * A_boundary - A_i) / pi, then a uniform shift keeps the
-    minimum weight at >= 0. Dominated (empty) cells get a one-off weight bump,
-    then a reseed if still empty.
+    w_i += rate * (t_i * A_boundary - A_i) / pi, then a uniform shift keeps
+    each diagram's minimum weight at >= 0. Dominated (empty) cells get a
+    one-off weight bump, then a reseed if still empty, drawn in diagram
+    order; only diagrams with empty cells are recomputed again. So the bits
+    and rng draws equal those of one call per diagram, in order.
     """
-    a_boundary = diagram.boundary.area
-    for cell in diagram.cells:
-        cell.weight += rate * (cell.target_area_fraction * a_boundary - cell.area) / math.pi
-    min_w = min(c.weight for c in diagram.cells)
-    if min_w < 0.0:
+    for diagram in diagrams:
+        a_boundary = diagram.boundary.area
         for cell in diagram.cells:
-            cell.weight -= min_w
-    recompute(diagram)
-    empties = [c for c in diagram.cells if c.polygon is None]
-    if empties:
+            cell.weight += rate * (cell.target_area_fraction * a_boundary - cell.area) / math.pi
+        min_w = min(c.weight for c in diagram.cells)
+        if min_w < 0.0:
+            for cell in diagram.cells:
+                cell.weight -= min_w
+    recompute_level(diagrams)
+    dominated = [d for d in diagrams if any(c.polygon is None for c in d.cells)]
+    for diagram in dominated:
         bump = 0.1 * _mean_pairwise_site_distance(diagram) ** 2
-        for c in empties:
-            c.weight = max(0.0, c.weight) + bump
-        recompute(diagram)
-        still = [c for c in diagram.cells if c.polygon is None]
-        if still:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            for c in still:
+        for c in diagram.cells:
+            if c.polygon is None:
+                c.weight = max(0.0, c.weight) + bump
+    still = [d for d in recompute_level(dominated) if any(c.polygon is None for c in d.cells)]
+    for diagram in still:
+        rng = np.random.default_rng(0) if rng is None else rng
+        for c in diagram.cells:
+            if c.polygon is None:
                 c.site = diagram.boundary.sample_point(rng)
-            recompute(diagram)
-    return diagram
+    recompute_level(still)
+    return diagrams
 
 
 def regular_polygon(n: int, radius: float = 1.0, center=(0.0, 0.0)) -> ConvexPolygon:

@@ -142,10 +142,8 @@ def init_diagram(
         else:
             positions = mds_project(matrix)
             assignment = match_assignment(positions, cvt)
-            local = [
-                c for c in level_constraints
-                if c.a in set(children) and c.b in set(children)
-            ]
+            members = set(children)
+            local = [c for c in level_constraints if c.a in members and c.b in members]
             assignment = swap_improve(assignment, local, cvt)
         sites = np.array([cvt.cells[assignment.mapping[c]].site for c in children])
     return power_diagram(

@@ -1,6 +1,7 @@
 """Hierarchy parsing, validation, virtual-node expansion, attribute propagation."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +88,7 @@ def parse_tree(document: dict) -> Tree:
             sim = np.asarray(sim, dtype=float)
             if sim.ndim != 1 or sim.size < 1:
                 raise TreeValidationError(f"node {nid!r}: similarity must be a flat vector")
-            if np.any(sim < 0.0) or np.any(sim > 1.0):
+            if not np.all((sim >= 0.0) & (sim <= 1.0)):     # NaN fails both
                 raise TreeValidationError(f"node {nid!r}: similarity values must lie in [0,1]")
         weight = obj.get("weight")
         if weight is None:
@@ -193,8 +194,8 @@ def propagate_attributes(tree: Tree) -> Tree:
     survives aggregation.
     """
     for leaf in tree.leaves():
-        if leaf.weight <= 0.0:
-            raise TreeValidationError(f"leaf {leaf.id!r} has non-positive weight")
+        if not 0.0 < leaf.weight < math.inf:                 # NaN fails both
+            raise TreeValidationError(f"leaf {leaf.id!r} has a non-positive or non-finite weight")
     order = sorted(tree.nodes.values(), key=lambda n: -n.depth)
     for node in order:
         if node.is_leaf:

@@ -155,6 +155,21 @@ def test_duplicate_ids_is_validation_error(tmp_path, capsys):
     assert cli.main(["--input", str(path)]) == 2
 
 
+@pytest.mark.parametrize("leaf", [
+    {"weight": float("nan")},
+    {"weight": float("inf")},
+    {"weight": 1.0, "similarity": [float("nan"), 0.1]},
+], ids=["nan_weight", "inf_weight", "nan_similarity"])
+def test_non_finite_leaf_is_validation_error(leaf, tmp_path, capsys):
+    doc = json.loads(json.dumps(THREE_NODE_DOC))
+    doc["children"][1].update(leaf)
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))
+    prefix = tmp_path / "out"
+    assert cli.main(["--input", str(path), "--out", str(prefix), "--iters", "5"]) == 2
+    assert not os.path.exists(f"{prefix}.metrics.json")
+
+
 def test_bad_env_seed_is_validation_error(three_node, monkeypatch, capsys):
     monkeypatch.setenv("SIMMAP_SEED", "not-a-number")
     assert cli.main(["--input", three_node]) == 2

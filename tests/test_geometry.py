@@ -17,7 +17,6 @@ from simmap.geometry import (
     _clip_array,
     _clip_from,
     _finish_rings,
-    _power_cell_array,
     _power_neighbours,
     _signed_area,
     adapt_weights,
@@ -627,14 +626,14 @@ def test_lloyd_reduces_second_moment():
 def test_adapt_weights_fixpoint_at_targets():
     d = power_diagram([(0.25, 0.5), (0.75, 0.5)], square(1.0), targets=[0.5, 0.5])
     w_before = [c.weight for c in d.cells]
-    adapt_weights(d)
+    adapt_weights([d])
     assert [c.weight for c in d.cells] == pytest.approx(w_before, abs=1e-12)
 
 
 def test_adapt_weights_converges_75_25():
     d = power_diagram([(0.25, 0.5), (0.75, 0.5)], square(1.0), targets=[0.75, 0.25])
     for _ in range(100):
-        adapt_weights(d, rate=0.7)
+        adapt_weights([d], rate=0.7)
     a, b = d.cells
     assert abs(a.area - 0.75) / 0.75 < 0.05
     assert abs(b.area - 0.25) / 0.25 < 0.05
@@ -645,7 +644,7 @@ def test_adapt_weights_revives_dominated_cell():
                       weights=[10.0, 0.0], targets=[0.5, 0.5])
     assert d.cells[1].polygon is None
     for _ in range(50):
-        adapt_weights(d, rate=0.7)
+        adapt_weights([d], rate=0.7)
         if d.cells[1].polygon is not None:
             break
     assert d.cells[1].polygon is not None
@@ -657,7 +656,7 @@ def test_adapt_weights_keeps_min_weight_nonnegative():
     sites = np.array([boundary.sample_point(rng) for _ in range(5)])
     d = power_diagram(sites, boundary, targets=[0.4, 0.3, 0.1, 0.1, 0.1])
     for _ in range(30):
-        adapt_weights(d, rate=0.7)
+        adapt_weights([d], rate=0.7)
         assert min(c.weight for c in d.cells) >= -1e-12
 
 
@@ -754,6 +753,16 @@ def _per_cell_polygons(diagram, all_pairs=False):
     return out
 
 
+def _assert_same_polygons(cells, reference):
+    """Each cell's polygon equals its reference polygon bit for bit, or both
+    are None; returns how many are None."""
+    for cell, ref in zip(cells, reference, strict=True):
+        assert (cell.polygon is None) == (ref is None), cell.node_id
+        if ref is not None:
+            assert _measure_bytes(cell.polygon) == _measure_bytes(ref), cell.node_id
+    return sum(ref is None for ref in reference)
+
+
 def _assert_recompute_matches_per_cell(diagram):
     """recompute(diagram) equals the per-cell reference bit for bit.
 
@@ -763,24 +772,21 @@ def _assert_recompute_matches_per_cell(diagram):
     """
     reference = _per_cell_polygons(diagram)
     recompute(diagram)
-    for cell, ref in zip(diagram.cells, reference):
-        assert (cell.polygon is None) == (ref is None), cell.node_id
-        if ref is not None:
-            assert _measure_bytes(cell.polygon) == _measure_bytes(ref), cell.node_id
-    return sum(ref is None for ref in reference)
+    return _assert_same_polygons(diagram.cells, reference)
 
 
 @pytest.fixture
-def batched_calls(monkeypatch):
-    """Count recompute calls that take the batched path."""
+def hull_calls(monkeypatch):
+    """Sizes of the diagrams recompute gives hull candidate lists; every
+    other diagram gets all-pairs lists in the same _power_cells call."""
     calls = []
-    batched = geometry._power_cells
+    hull = geometry._power_neighbours
 
-    def spy(*args):
-        calls.append(len(args[0]))
-        return batched(*args)
+    def spy(sites, weights):
+        calls.append(len(sites))
+        return hull(sites, weights)
 
-    monkeypatch.setattr(geometry, "_power_cells", spy)
+    monkeypatch.setattr(geometry, "_power_neighbours", spy)
     return calls
 
 
@@ -789,7 +795,7 @@ def batched_calls(monkeypatch):
     regular_polygon(6, radius=3.0, center=(2.0, -1.0)),
     square(10.0, origin=(-3.0, 4.0)),
 ], ids=["circle", "hexagon", "square"])
-def test_batched_recompute_equals_per_cell(boundary, batched_calls):
+def test_batched_recompute_equals_per_cell(boundary, hull_calls):
     rng = np.random.default_rng(17)
     diag = boundary.diagonal
     sizes = [2, 5, BATCH_MIN_CELLS - 1, BATCH_MIN_CELLS, BATCH_MIN_CELLS + 1, 30, 60]
@@ -801,8 +807,8 @@ def test_batched_recompute_equals_per_cell(boundary, batched_calls):
             d = power_diagram(sites, boundary, weights=weights)
             empty += _assert_recompute_matches_per_cell(d)
     assert empty > 0
-    batched_sizes = [n for n in sizes if n >= BATCH_MIN_CELLS]
-    assert sorted(set(batched_calls)) == batched_sizes
+    hull_sizes = [n for n in sizes if n >= BATCH_MIN_CELLS]
+    assert sorted(set(hull_calls)) == hull_sizes
 
 
 def test_batched_recompute_equals_per_cell_under_lloyd_and_growth():
@@ -816,46 +822,67 @@ def test_batched_recompute_equals_per_cell_under_lloyd_and_growth():
         if step < 15:
             lloyd_step(d, rng)
         else:
-            adapt_weights(d, rate=0.7, rng=rng)
+            adapt_weights([d], rate=0.7, rng=rng)
         _assert_recompute_matches_per_cell(d)
 
 
-def test_batched_recompute_hands_non_contiguous_rows_to_per_cell_loop(
-        monkeypatch, batched_calls):
-    # a square whose top edge dents inward at one vertex; the radical axis of
-    # sites 1 and 2 runs between the dent and the top corners, so cell 1's
-    # inside run against bisector 2 is not contiguous
-    dent = 1e-3
+DENT = 1e-3
+
+
+def _dented_diagram():
+    """A square whose top edge dents inward at one vertex; the radical axis of
+    sites 1 and 2 runs between the dent and the top corners, so cell 1's
+    inside run against bisector 2 is not contiguous."""
     boundary = ConvexPolygon(np.array([
-        [0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [5.0, 10.0 - dent], [0.0, 10.0],
+        [0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [5.0, 10.0 - DENT], [0.0, 10.0],
     ]))
     n = BATCH_MIN_CELLS + 2
     sites = [(1.0, 1.0), (5.0, 5.0), (5.0, 9.0)]
     sites += [(1.0 + 8.0 * k / (n - 4), 0.5) for k in range(n - 3)]
     weights = np.zeros(n)
-    weights[1] = 24.0 - 4.0 * dent   # puts the radical axis at y = 10 - dent / 2
-    d = power_diagram(sites, boundary, weights=weights)
-    batched_calls.clear()
+    weights[1] = 24.0 - 4.0 * DENT   # puts the radical axis at y = 10 - DENT / 2
+    return power_diagram(sites, boundary, weights=weights)
 
+
+@pytest.fixture
+def hand_offs(monkeypatch):
+    """(i, candidates) of every ring _power_cells hands to _clip_from."""
     handed = []
     clip_from = geometry._clip_from
 
     def spy(v, i, candidates, *args):
-        # the reference clips from the boundary; a hand-off, from a ring
-        # part-way through its candidate list
+        # a hand-off continues a ring part-way through its candidate list; the
+        # reference clips from the boundary, which is not writeable
         candidates = list(candidates)
-        if v is not boundary.vertices:
+        if v.flags.writeable:
             handed.append((i, [j for j in candidates if j != i]))
         return clip_from(v, i, candidates, *args)
 
     monkeypatch.setattr(geometry, "_clip_from", spy)
-    _assert_recompute_matches_per_cell(d)
-    assert batched_calls == [n]
-    neighbours_of_1 = _candidate_lists(np.array(sites), weights)[1].tolist()
+    return handed
+
+
+def _assert_cell_1_handed_off(d, handed, first=0):
+    """Cell 1 of _dented_diagram, stacked at index `first`, went to _clip_from
+    at its bisector with site 2, and kept the radical axis' two crossings."""
+    sites = d.sites
+    weights = np.array([c.weight for c in d.cells])
+    neighbours_of_1 = _candidate_lists(sites, weights)[1].tolist()
     assert 2 in neighbours_of_1
-    assert (1, neighbours_of_1[neighbours_of_1.index(2):]) in handed
+    rest = neighbours_of_1[neighbours_of_1.index(2):]
+    assert (first + 1, [first + j for j in rest]) in handed
     ys = d.cells[1].polygon.vertices[:, 1]
-    assert np.isclose(ys, 10.0 - dent / 2, rtol=0.0, atol=1e-12).sum() == 4
+    assert np.isclose(ys, 10.0 - DENT / 2, rtol=0.0, atol=1e-12).sum() == 4
+
+
+def test_batched_recompute_hands_non_contiguous_rows_to_per_cell_loop(
+        hull_calls, hand_offs):
+    d = _dented_diagram()
+    hull_calls.clear()
+    hand_offs.clear()
+    _assert_recompute_matches_per_cell(d)
+    assert hull_calls == [len(d.cells)]
+    _assert_cell_1_handed_off(d, hand_offs)
 
 
 def _hausdorff(p, q):
@@ -895,7 +922,7 @@ def _assert_matches_all_pairs(diagram):
     square(10.0, origin=(-3.0, 4.0)),
     square(10.0, origin=(1e6, -1e6)),
 ], ids=["circle", "hexagon", "square", "far"])
-def test_recompute_matches_all_pairs_clipper(boundary, batched_calls):
+def test_recompute_matches_all_pairs_clipper(boundary, hull_calls):
     rng = np.random.default_rng(23)
     diag = boundary.diagonal
     empty = 0
@@ -906,10 +933,10 @@ def test_recompute_matches_all_pairs_clipper(boundary, batched_calls):
             d = power_diagram(sites, boundary, weights=weights)
             empty += _assert_matches_all_pairs(d)
     assert empty > 0
-    assert min(batched_calls) == BATCH_MIN_CELLS
+    assert min(hull_calls) == BATCH_MIN_CELLS
 
 
-def test_power_neighbours_falls_back_to_all_pairs_on_collinear_sites(batched_calls):
+def test_power_neighbours_falls_back_to_all_pairs_on_collinear_sites(hull_calls):
     # collinear sites lift to a plane, where Qhull finds no hull
     boundary = square(10.0)
     n = BATCH_MIN_CELLS + 3
@@ -921,14 +948,14 @@ def test_power_neighbours_falls_back_to_all_pairs_on_collinear_sites(batched_cal
     d = power_diagram(sites, boundary, weights=weights)
     reference = _per_cell_polygons(d, all_pairs=True)
     recompute(d)
-    assert batched_calls[-1] == n
+    assert hull_calls[-1] == n
     for cell, ref in zip(d.cells, reference):
         assert (cell.polygon is None) == (ref is None), cell.node_id
         if ref is not None:
             assert _measure_bytes(cell.polygon) == _measure_bytes(ref), cell.node_id
 
 
-def test_recompute_on_cocircular_grid(batched_calls):
+def test_recompute_on_cocircular_grid(hull_calls):
     # equal weights on a grid: every 2 x 2 block of sites is cocircular, so
     # the lifted points of a block are coplanar
     boundary = square(4.0)
@@ -939,7 +966,7 @@ def test_recompute_on_cocircular_grid(batched_calls):
     for cell, site in zip(d.cells, grid):
         assert cell.area == pytest.approx(1.0, rel=1e-12)
         assert np.allclose(cell.polygon.centroid, site, rtol=0.0, atol=1e-12)
-    assert batched_calls and set(batched_calls) == {len(grid)}
+    assert hull_calls and set(hull_calls) == {len(grid)}
     neighbours = _candidate_lists(grid, np.zeros(len(grid)))
     assert max(len(c) for c in neighbours) < len(grid) - 1     # no fallback
     for i, (x, y) in enumerate(grid):
@@ -948,8 +975,9 @@ def test_recompute_on_cocircular_grid(batched_calls):
         assert set(edge) <= set(neighbours[i].tolist())
 
 
-def test_hidden_site_has_no_candidates_and_an_empty_cell(batched_calls):
-    # site 0 sits among four heavy sites whose power cells cover it
+def _hidden_site_inputs():
+    """(boundary, sites, weights): site 0 sits among four heavy sites whose
+    power cells cover it."""
     boundary = square(10.0)
     ring = [(5.0 + dx, 5.0 + dy) for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1))]
     rng = np.random.default_rng(9)
@@ -961,6 +989,11 @@ def test_hidden_site_has_no_candidates_and_an_empty_cell(batched_calls):
     sites = np.array([(5.0, 5.0)] + ring + outer)
     weights = np.zeros(len(sites))
     weights[1:5] = 4.0
+    return boundary, sites, weights
+
+
+def test_hidden_site_has_no_candidates_and_an_empty_cell(hull_calls):
+    boundary, sites, weights = _hidden_site_inputs()
     neighbours = _candidate_lists(sites, weights)
     assert len(neighbours[0]) == 0
     assert all(0 not in c.tolist() for c in neighbours)
@@ -968,7 +1001,73 @@ def test_hidden_site_has_no_candidates_and_an_empty_cell(batched_calls):
     assert d.cells[0].polygon is None
     _assert_recompute_matches_per_cell(d)
     _assert_matches_all_pairs(d)
-    assert set(batched_calls) == {len(sites)}
+    assert set(hull_calls) == {len(sites)}
+
+
+def _mixed_level():
+    """Diagrams of one level, on overlapping boundaries of 3 to 64 vertices:
+    one-cell pass-throughs, all-pairs diagrams of 2-9 cells, hull diagrams
+    of 10-60 cells, a hidden site and a ring handed off to _clip_from (the
+    dented diagram, at stack index 0)."""
+    rng = np.random.default_rng(31)
+    gon = regular_polygon(64, radius=5.0, center=(5.0, 5.0))
+    hexagon = regular_polygon(6, radius=4.0, center=(4.0, 6.0))
+    triangle = ConvexPolygon(np.array([[0.0, 0.0], [10.0, 1.0], [3.0, 9.0]]))
+    diagrams = [_dented_diagram()]
+    for n, boundary, weight_frac in [
+        (1, triangle, 0.0), (2, hexagon, 0.2), (1, gon, 0.0), (5, gon, 0.6),
+        (9, triangle, 0.05), (BATCH_MIN_CELLS, hexagon, 0.2), (3, triangle, 0.6),
+        (30, gon, 0.05), (60, square(10.0), 0.2), (1, hexagon, 0.0),
+    ]:
+        sites = [boundary.sample_point(rng) for _ in range(n)]
+        weights = rng.uniform(0.0, (weight_frac * boundary.diagonal) ** 2, size=n)
+        diagrams.append(power_diagram(sites, boundary, weights=weights,
+                                      node_ids=[f"d{len(diagrams)}c{i}" for i in range(n)]))
+    boundary, sites, weights = _hidden_site_inputs()
+    diagrams.append(power_diagram(sites, boundary, weights=weights))
+    return diagrams
+
+
+def test_recompute_level_equals_per_cell(monkeypatch, hull_calls, hand_offs):
+    level = _mixed_level()
+    references = [_per_cell_polygons(d) for d in level]
+    for d in level:
+        for c in d.cells:
+            c.polygon = None
+    hull_calls.clear()
+    hand_offs.clear()
+    kernel_calls = []
+    power_cells = geometry._power_cells
+
+    def spy(sites, *args):
+        kernel_calls.append(len(sites))
+        return power_cells(sites, *args)
+
+    monkeypatch.setattr(geometry, "_power_cells", spy)
+    assert geometry.recompute_level(level) is level
+    assert kernel_calls == [sum(len(d.cells) for d in level)]
+    assert hull_calls == [len(d.cells) for d in level if len(d.cells) >= BATCH_MIN_CELLS]
+    empty = sum(_assert_same_polygons(d.cells, ref) for d, ref in zip(level, references))
+    assert level[-1].cells[0].polygon is None and empty >= 1
+    for d in level:
+        if len(d.cells) == 1:
+            assert _measure_bytes(d.cells[0].polygon) == _measure_bytes(d.boundary)
+    _assert_cell_1_handed_off(level[0], hand_offs)
+
+
+def test_recompute_level_error_leaves_every_cell_unchanged():
+    healthy = power_diagram([(2.0, 3.0), (7.0, 6.0), (4.0, 8.0)], square(10.0))
+    sliver = power_diagram([(0.5, 0.25), (0.5, 0.75)], square(1.0))
+    # the radical axis at y = 1 - 1e-13 leaves cell 1 a sliver of area 1e-13:
+    # not None against a reference diagonal of 1e-3, degenerate for its own
+    sliver.scale = 1e-3
+    sliver.cells[0].weight = 0.5 - 1e-13
+    before = [c.polygon for d in (healthy, sliver) for c in d.cells]
+    for c in healthy.cells:
+        c.site = c.site + 0.5
+    with pytest.raises(GeometryError, match="degenerate"):
+        geometry.recompute_level([healthy, sliver])
+    assert [c.polygon for d in (healthy, sliver) for c in d.cells] == before
 
 
 def test_finish_rings_equals_per_ring_reference():

@@ -4,9 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from simmap import optimizer, pipeline
+from simmap import geometry, optimizer, pipeline
 from simmap.datasets import gen_synthetic
-from simmap.geometry import Cell, ConvexPolygon, cell_neighbors, power_diagram, regular_polygon, square
+from simmap.geometry import (
+    Cell,
+    ConvexPolygon,
+    adapt_weights,
+    cell_neighbors,
+    power_diagram,
+    regular_polygon,
+    square,
+)
 from simmap.optimizer import (
     LevelState,
     OptimizerConfig,
@@ -402,3 +410,76 @@ def test_build_treemap_builds_one_map_per_level_and_iteration(monkeypatch, neigh
                            "cosine", 0, cfg, init_preserved=init_preserved)
     assert sorted(init_preserved) == sorted(levels) == [1, 2]
     assert len(neighbor_calls) == len(levels) * (cfg.max_iter + 1)
+
+
+# ---------------------------------------------------------- level-wide recompute
+
+def _growth_level():
+    """Diagrams of one level: two with a dominated cell that the weight bump
+    does not revive, so adapt_weights reseeds it, and two healthy ones, one
+    of them on hull candidate lists."""
+    rng = np.random.default_rng(2)
+    boundary = regular_polygon(12, radius=40.0, center=(50.0, 50.0))
+    healthy = [boundary.sample_point(rng) for _ in range(12)]
+    return [
+        power_diagram([(40.0, 50.0), (60.0, 50.0)], square(100.0), weights=[1e5, 0.0],
+                      node_ids=["a0", "a1"], targets=[0.5, 0.5]),
+        power_diagram([(20.0, 30.0), (60.0, 70.0), (80.0, 20.0)], square(100.0),
+                      node_ids=["b0", "b1", "b2"], targets=[0.5, 0.25, 0.25]),
+        power_diagram(healthy, boundary, node_ids=[f"c{i}" for i in range(12)],
+                      targets=np.full(12, 1.0 / 12)),
+        power_diagram([(10.0, 10.0), (30.0, 20.0), (20.0, 30.0)], square(40.0),
+                      weights=[0.0, 5e3, 0.0], node_ids=["d0", "d1", "d2"],
+                      targets=[0.4, 0.3, 0.3]),
+    ]
+
+
+def _level_bytes(diagrams):
+    out = []
+    for d in diagrams:
+        for c in d.cells:
+            out.append((c.node_id, c.site.tobytes(), np.float64(c.weight).tobytes(),
+                        None if c.polygon is None else c.polygon.vertices.tobytes(),
+                        None if c.polygon is None else np.float64(c.polygon.area).tobytes()))
+    return out
+
+
+def test_adapt_weights_on_a_level_equals_one_diagram_at_a_time(monkeypatch):
+    level, alone = _growth_level(), _growth_level()
+    assert _level_bytes(level) == _level_bytes(alone)
+    assert level[0].cells[1].polygon is None and level[3].cells[0].polygon is None
+    reseeds = []
+    sample_point = ConvexPolygon.sample_point
+
+    def counting(self, rng):
+        reseeds.append(self)
+        return sample_point(self, rng)
+
+    monkeypatch.setattr(ConvexPolygon, "sample_point", counting)
+    rng_level, rng_alone = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(3):
+        adapt_weights(level, rate=0.7, rng=rng_level)
+        for d in alone:
+            adapt_weights([d], rate=0.7, rng=rng_alone)
+        assert _level_bytes(level) == _level_bytes(alone)
+    assert len(reseeds) >= 2 * 3 * 2          # both dominated cells, every step, both runs
+    assert rng_level.bit_generator.state == rng_alone.bit_generator.state
+
+
+def test_optimize_level_recomputes_the_level_once_per_move_phase(monkeypatch):
+    level = _growth_level()
+    calls = []
+    recompute_level = optimizer.recompute_level
+
+    def counting(diagrams):
+        calls.append(diagrams)
+        return recompute_level(diagrams)
+
+    monkeypatch.setattr(optimizer, "recompute_level", counting)
+    for module in (geometry, optimizer):                 # no per-diagram recompute
+        monkeypatch.setattr(module, "recompute", None)
+    cfg = OptimizerConfig(max_iter=6, growth_start_fraction=0.5)
+    state = make_state(level, [constraint("c0", "c5"), constraint("b0", "c3")], cfg)
+    optimize_level(state, cfg, np.random.default_rng(0))
+    assert len(calls) == cfg.max_iter
+    assert all(diagrams is state.diagrams for diagrams in calls)

@@ -1,4 +1,6 @@
 """Hierarchy parsing, virtual-node expansion, and attribute propagation."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,22 @@ def test_propagate_zero_weight_leaf_rejected():
     doc = {"name": "r", "children": [{"name": "a", "weight": 0}]}
     with pytest.raises(TreeValidationError, match="non-positive"):
         propagate_attributes(uniform_depth(parse_tree(doc)))
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_propagate_non_finite_weight_leaf_rejected(weight):
+    doc = {"name": "r", "children": [{"name": "a", "weight": 1}, {"name": "b", "weight": weight}]}
+    with pytest.raises(TreeValidationError, match="non-finite"):
+        propagate_attributes(uniform_depth(parse_tree(doc)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_parse_non_finite_similarity_rejected(value):
+    doc = {"name": "r", "children": [
+        {"name": "a", "similarity": [1.0, 0.0]}, {"name": "b", "similarity": [value, 0.5]},
+    ]}
+    with pytest.raises(TreeValidationError, match=r"\[0,1\]"):
+        parse_tree(doc)
 
 
 # ------------------------------------------------------------- property tests
