@@ -6,10 +6,12 @@ regular-triangulation neighbours from the lower convex hull of the sites
 lifted to (x, y, x^2 + y^2 - w) (Aurenhammer, "Power diagrams: properties,
 algorithms and applications", SIAM J. Comput. 1987), else against all other
 sites. `recompute_level` clips all cells of a level together in rounds, as
-many as its longest candidate list, and `_finish_rings` builds every polygon
-and its cached measures from the stacked rings, bit-identical to clipping
-and constructing each cell alone. Neighbors are found by testing only the
-edge pairs whose bounding boxes overlap.
+many as its longest candidate list, bit-identical to clipping each cell
+alone. `_finish_rings` builds every polygon from the stacked rings, and one
+`_ring_measures` call, the only shoelace, takes every ring's area, centroid
+and bounding box relative to the ring's first vertex; a ring's polygon does
+not depend on which rings share the call. Neighbors are found by testing
+only the edge pairs whose bounding boxes overlap.
 """
 from __future__ import annotations
 
@@ -23,14 +25,6 @@ from scipy.spatial import ConvexHull, QhullError
 
 class GeometryError(ValueError):
     """Degenerate polygon or invalid site configuration."""
-
-
-def _signed_area(vertices: np.ndarray) -> float:
-    x = vertices[:, 0]
-    y = vertices[:, 1]
-    core = float(np.dot(x[:-1], y[1:]) - np.dot(x[1:], y[:-1]))
-    wrap = float(x[-1] * y[0] - x[0] * y[-1])
-    return 0.5 * (core + wrap)
 
 
 def _clip_array(v: np.ndarray, normal, offset: float):
@@ -90,23 +84,31 @@ def _clip_array_generic(v: np.ndarray, d: np.ndarray, inside: np.ndarray):
 class ConvexPolygon:
     """Counter-clockwise convex polygon.
 
-    Immutable: the vertex array is a read-only copy, so the cached measures
-    below cannot go stale. `ray_exit` finds in closed form where a ray leaves.
+    Immutable: the vertex array is a read-only copy, and the area, centroid,
+    aabb and diagonal are measured once, by _ring_measures, when the polygon
+    is built. `ray_exit` finds in closed form where a ray leaves.
     """
 
     vertices: np.ndarray
+    area: float = field(init=False, repr=False)
+    centroid: np.ndarray = field(init=False, repr=False)
+    aabb: tuple[float, float, float, float] = field(init=False, repr=False)
+    diagonal: float = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
             raise GeometryError("polygon needs at least 3 two-dimensional vertices")
-        if _signed_area(v) < 0.0:
+        area, centroid, lo, hi, diagonal = _ring_measures(v, np.array([len(v)]))
+        if area[0] < 0.0:
             v = v[::-1].copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "vertices", v)
-        diag = self.diagonal
-        if self.area <= 1e-12 * diag * diag:
+            area, centroid, lo, hi, diagonal = _ring_measures(v, np.array([len(v)]))
+        if area[0] <= 1e-12 * diagonal[0] * diagonal[0]:
             raise GeometryError("polygon area is degenerate")
+        v.flags.writeable = False
+        centroid.flags.writeable = False
+        self.__dict__.update(vertices=v, area=float(area[0]), centroid=centroid[0],
+                             aabb=(*lo[0].tolist(), *hi[0].tolist()), diagonal=float(diagonal[0]))
 
     @classmethod
     def _measured(cls, vertices: np.ndarray, area: float, centroid: np.ndarray,
@@ -117,37 +119,6 @@ class ConvexPolygon:
         poly.__dict__.update(vertices=vertices, area=area, centroid=centroid,
                              aabb=aabb, diagonal=diagonal)
         return poly
-
-    @cached_property
-    def area(self) -> float:
-        return _signed_area(self.vertices)
-
-    @cached_property
-    def centroid(self) -> np.ndarray:
-        v = self.vertices
-        w = np.concatenate((v[1:], v[:1]))
-        cross = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-        a = 0.5 * np.sum(cross)
-        cx = np.sum((v[:, 0] + w[:, 0]) * cross) / (6.0 * a)
-        cy = np.sum((v[:, 1] + w[:, 1]) * cross) / (6.0 * a)
-        c = np.array([cx, cy])
-        c.flags.writeable = False
-        return c
-
-    @cached_property
-    def aabb(self) -> tuple[float, float, float, float]:
-        v = self.vertices
-        return (
-            float(v[:, 0].min()),
-            float(v[:, 1].min()),
-            float(v[:, 0].max()),
-            float(v[:, 1].max()),
-        )
-
-    @cached_property
-    def diagonal(self) -> float:
-        x0, y0, x1, y1 = self.aabb
-        return math.hypot(x1 - x0, y1 - y0)
 
     @cached_property
     def _edge_frame(self):
@@ -208,15 +179,10 @@ class ConvexPolygon:
     def inset(self, margin: float):
         """Shrink by moving each edge inward by `margin`; None if it vanishes."""
         poly = self
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        for a, b in zip(v, w):
-            e = b - a
-            ln = math.hypot(e[0], e[1])
-            if ln == 0.0:
-                continue
-            outward = np.array([e[1], -e[0]]) / ln
-            poly = poly.clip_halfplane(outward, float(outward @ a) - margin)
+        normals, offsets, _, length = self._edge_frame
+        for k in np.flatnonzero(length > 0.0).tolist():
+            # {x : normals[:, k] . x - offsets[k] >= margin * length[k]}
+            poly = poly.clip_halfplane(-normals[:, k], -offsets[k] - margin * length[k])
             if poly is None:
                 return None
         return poly
@@ -248,6 +214,38 @@ def _cyclic_next(lengths: np.ndarray):
     return starts, nxt
 
 
+def _ring_measures(flat: np.ndarray, lengths: np.ndarray):
+    """(area, centroid, lo, hi, diagonal) of each ring stacked in `flat`, ring
+    k of lengths[k] >= 3 vertices: its signed area, positive for a CCW ring,
+    its centroid, the (rings, 2) min and max corners of its bounding box, and
+    the box's diagonal. This is the one shoelace of the package.
+
+    Area and first moments are summed relative to each ring's first vertex,
+    and the centroid is that vertex plus the relative centroid, so they keep
+    their precision far from the origin. The centroid is divided out only
+    where |area| > 1e-12 diagonal^2, the degeneracy bound below which no
+    polygon is kept; elsewhere it is the first vertex. Sums run per ring with
+    np.add.reduceat, so a ring's measures are the same bits whatever rings
+    share the call. Rings need 3 vertices because reduceat gives an empty
+    segment the element at its index, not 0.
+    """
+    starts, nxt = _cyclic_next(lengths)
+    first = flat[starts]
+    p = flat - np.repeat(first, lengths, axis=0)
+    q = p[nxt]
+    cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
+    terms = np.stack((cross, (p[:, 0] + q[:, 0]) * cross, (p[:, 1] + q[:, 1]) * cross), axis=1)
+    sums = np.add.reduceat(terms, starts, axis=0)
+    area = 0.5 * sums[:, 0]
+    lo = np.minimum.reduceat(flat, starts, axis=0)
+    hi = np.maximum.reduceat(flat, starts, axis=0)
+    diagonal = np.hypot(hi[:, 0] - lo[:, 0], hi[:, 1] - lo[:, 1])
+    solid = np.abs(area) > 1e-12 * diagonal * diagonal
+    centroid = first.copy()
+    centroid[solid] += sums[solid, 1:] / (6.0 * area[solid, None])
+    return area, centroid, lo, hi, diagonal
+
+
 def _finish_rings(flat: np.ndarray, lengths: np.ndarray, ref_diag) -> list:
     """Polygons (or None) from rings stacked in `flat`, ring k of lengths[k].
 
@@ -256,76 +254,43 @@ def _finish_rings(flat: np.ndarray, lengths: np.ndarray, ref_diag) -> list:
     left with fewer than 3 vertices, or with |signed area| <= 1e-14
     ref_diag^2, is None; a CCW ring with area <= 1e-12 diagonal^2
     raises GeometryError (before any polygon is returned); a clockwise ring
-    goes through ConvexPolygon. The cached area, centroid, aabb and diagonal
-    are those ConvexPolygon computes, bit for bit.
+    goes through ConvexPolygon.
 
-    Elementwise terms are computed once over all vertices. Sums run once per
-    ring length over a (rings, m) stack: the stacked np.matmul of a (1, m)
-    row by an (m, 1) column runs the same BLAS ddot as _signed_area's np.dot,
-    and a row-wise np.sum the same pairwise sum as the centroid's np.sum over
-    one ring. Rings are grouped by length rather than zero-padded to one
-    width, because appended zeros change how both sums block their terms.
+    A ring's polygon does not depend on which rings share the call: one
+    _ring_measures call measures every ring, and a CCW ring's polygon
+    carries the measures ConvexPolygon takes of its vertices, bit for bit.
+    The polygons' vertices are read-only slices of one array.
     """
     n = len(lengths)
     ref_diag = np.broadcast_to(ref_diag, (n,))
-    starts, nxt = _cyclic_next(lengths)
+    nxt = _cyclic_next(lengths)[1]
     gap = np.hypot(flat[:, 0] - flat[nxt, 0], flat[:, 1] - flat[nxt, 1])
     keep = gap > np.repeat(1e-12 * np.maximum(ref_diag, 1e-300), lengths)
-    if not keep.all():
-        flat = flat[keep]
-        lengths = np.bincount(np.repeat(np.arange(n), lengths)[keep], minlength=n)
-        starts, nxt = _cyclic_next(lengths)
-
+    owner = np.repeat(np.arange(n), lengths)
+    lengths = np.bincount(owner[keep], minlength=n)
+    valid = lengths >= 3
+    rows = np.flatnonzero(valid)
     polys: list = [None] * n
-    valid = np.flatnonzero(lengths >= 3)
-    if len(valid) == 0:
+    if len(rows) == 0:
         return polys
-    x, y = flat[:, 0], flat[:, 1]
-    w = flat[nxt]
-    cross = x * w[:, 1] - w[:, 0] * y
-    terms = np.stack((cross, (x + w[:, 0]) * cross, (y + w[:, 1]) * cross))
-    core = np.zeros(n)
-    sums = np.zeros((3, n))
-    lo = np.zeros((n, 2))
-    hi = np.zeros((n, 2))
-    groups = []
-    for m in np.unique(lengths[valid]).tolist():
-        rows = np.flatnonzero(lengths == m)
-        idx = starts[rows, None] + np.arange(m)
-        r = flat[idx]                                     # (rings, m, 2)
-        rx, ry = r[:, None, :, 0], r[:, :, 1, None]
-        core[rows] = (np.matmul(rx[:, :, :-1], ry[:, 1:])
-                      - np.matmul(rx[:, :, 1:], ry[:, :-1]))[:, 0, 0]
-        sums[:, rows] = terms.take(idx, axis=1).sum(axis=2)
-        lo[rows] = r.min(axis=1)
-        hi[rows] = r.max(axis=1)
-        groups.append((rows.tolist(), r))
-    first, last = flat[starts[valid]], flat[starts[valid] + lengths[valid] - 1]
-    area = np.zeros(n)
-    area[valid] = 0.5 * (core[valid] + (last[:, 0] * first[:, 1] - first[:, 0] * last[:, 1]))
-    sized = np.zeros(n, dtype=bool)
-    sized[valid] = ~(np.abs(area[valid]) <= 1e-14 * ref_diag[valid] * ref_diag[valid])
+    flat = flat[keep & valid[owner]]
+    flat.flags.writeable = False
+    lengths = lengths[rows]
+    area, centroid, lo, hi, diagonal = _ring_measures(flat, lengths)
+    ref = ref_diag[rows]
+    sized = ~(np.abs(area) <= 1e-14 * ref * ref)
     ccw = sized & ~(area < 0.0)
-
-    rows = np.flatnonzero(ccw)
-    aabbs = [(x0, y0, x1, y1) for (x0, y0), (x1, y1) in zip(lo[rows].tolist(), hi[rows].tolist())]
-    diags = [math.hypot(x1 - x0, y1 - y0) for x0, y0, x1, y1 in aabbs]
-    areas = area[rows].tolist()
-    for a, diag in zip(areas, diags):
-        if a <= 1e-12 * diag * diag:
-            raise GeometryError("polygon area is degenerate")
-    centroids = np.zeros((n, 2))
-    centroids[rows] = (sums[1:, rows] / (6.0 * (0.5 * sums[0, rows]))).T
-    centroids.flags.writeable = False
-    measures = dict(zip(rows.tolist(), zip(areas, aabbs, diags)))
-    for group_rows, r in groups:
-        r.flags.writeable = False
-        for k, row in enumerate(group_rows):
-            if row in measures:
-                a, aabb, diag = measures[row]
-                polys[row] = ConvexPolygon._measured(r[k], a, centroids[row], aabb, diag)
-            elif sized[row]:
-                polys[row] = ConvexPolygon(r[k])
+    if np.any(ccw & (area <= 1e-12 * diagonal * diagonal)):
+        raise GeometryError("polygon area is degenerate")
+    centroid.flags.writeable = False
+    rings = [flat[end - m:end] for end, m in zip(np.cumsum(lengths).tolist(), lengths.tolist())]
+    for row, ring, a, c, aabb, diag, is_ccw, is_sized in zip(
+            rows.tolist(), rings, area.tolist(), centroid, np.hstack((lo, hi)).tolist(),
+            diagonal.tolist(), ccw.tolist(), sized.tolist()):
+        if is_ccw:
+            polys[row] = ConvexPolygon._measured(ring, a, c, tuple(aabb), diag)
+        elif is_sized:
+            polys[row] = ConvexPolygon(ring)
     return polys
 
 
@@ -523,7 +488,7 @@ def recompute_level(diagrams: list[Diagram]) -> list[Diagram]:
     diagram's sites: its _power_neighbours list (empty for a hidden site,
     whose cell is empty) from BATCH_MIN_CELLS cells up, else all other
     sites. If a ring raises GeometryError, no cell is updated. Every polygon,
-    its cached measures, and which cells are empty are bit-identical to
+    its measures, and which cells are empty are bit-identical to
     clipping the cell's ring alone against its candidate half-planes in
     ascending j and constructing its polygon, whatever diagrams share the call.
     """

@@ -55,11 +55,14 @@ def mds_project(matrix: SimilarityMatrix) -> ProjectedPositions:
 def build_cvt(boundary: ConvexPolygon, n: int, seed: int = 0, max_iter: int = 500) -> Diagram:
     """Random equal-weight sites relaxed with Lloyd until convergence."""
     rng = np.random.default_rng(seed)
-    sites = []
-    while len(sites) < n:
+    sites = np.empty((n, 2))
+    count = 0
+    while count < n:
         p = boundary.sample_point(rng)
-        if all(np.hypot(*(p - q)) > 1e-9 * boundary.diagonal for q in sites):
-            sites.append(p)
+        gap = p - sites[:count]
+        if np.all(np.hypot(gap[:, 0], gap[:, 1]) > 1e-9 * boundary.diagonal):
+            sites[count] = p
+            count += 1
     diagram = power_diagram(sites, boundary, node_ids=[f"cvt{i}" for i in range(n)])
     tol = 1e-4 * diagram.scale
     for _ in range(max_iter):

@@ -18,7 +18,6 @@ from simmap.geometry import (
     _clip_from,
     _finish_rings,
     _power_neighbours,
-    _signed_area,
     adapt_weights,
     cell_neighbors,
     lloyd_step,
@@ -197,6 +196,20 @@ def test_measures_triangle():
     tri = ConvexPolygon(np.array([[0, 0], [2, 0], [0, 2]]))
     assert tri.area == pytest.approx(2.0)
     assert tri.centroid == pytest.approx([2 / 3, 2 / 3])
+
+
+@pytest.mark.parametrize("radius", [1.0, 10.0])
+def test_measures_far_from_origin(radius):
+    """A regular 7-gon 1e6 from the origin keeps its centroid and area, from
+    ConvexPolygon and from _finish_rings: summed over absolute coordinates,
+    the centroid was off by up to 62 radii at radius 1."""
+    center = np.array([1e6, 1e6])
+    poly = regular_polygon(7, radius=radius, center=center)
+    exact = 3.5 * radius * radius * math.sin(2.0 * math.pi / 7)
+    finished = _finish_rings(*geometry._flatten([poly.vertices]), poly.diagonal)[0]
+    for p in (poly, finished):
+        assert np.abs(p.centroid - center).max() <= 1e-9 * radius
+        assert abs(p.area - exact) <= 1e-9 * exact
 
 
 def test_measures_montecarlo_oracle():
@@ -667,9 +680,10 @@ def test_adapt_weights_keeps_min_weight_nonnegative():
 def test_property_partition_containment(seed, n, far):
     """Cells tile the boundary, and every cell vertex lies within 1e-9 scale
     of it, on both recompute paths, near the origin and 1e6 away. Far
-    boundaries span 100 or more: at 1e6, shoelace areas of a unit-span
-    polygon are off by up to about 1e-3 of their value, far above the 1e-6
-    partition bound."""
+    boundaries span 100 or more: at 1e6 the clip's bisector offsets,
+    p_j . p_j - p_i . p_i in absolute coordinates, round by about 1e-4, which
+    moves the bisectors of a unit-span diagram far beyond the 1e-6 partition
+    bound."""
     rng = np.random.default_rng(seed)
     boundary = random_convex_boundary(rng)
     if far:
@@ -682,6 +696,24 @@ def test_property_partition_containment(seed, n, far):
     assert _containment_ok(d)
 
 
+def test_power_diagram_far_from_origin():
+    """17 sites in triangles of radius 0.5 centred at (1e6, 1e6): every diagram
+    builds, and every cell's centroid lies in the boundary. Summed over
+    absolute coordinates, seeds 13, 28 and 52 raised 'polygon area is
+    degenerate' and seeds 5, 6 and 47 divided by zero. The cells' area sum is
+    not checked: the clip's bisector offsets p_j . p_j - p_i . p_i are still
+    taken in absolute coordinates, which moves the bisectors."""
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=3))
+        boundary = ConvexPolygon(1e6 + 0.5 * np.stack((np.cos(angles), np.sin(angles)), axis=1))
+        sites = [boundary.sample_point(rng) for _ in range(17)]
+        d = power_diagram(sites, boundary)
+        for c in d.cells:
+            if c.polygon is not None:
+                assert boundary.contains(c.polygon.centroid, tol=1e-9 * boundary.diagonal), seed
+
+
 def test_recompute_in_place_identity():
     d = power_diagram([(0.3, 0.3), (0.7, 0.7)], square(1.0))
     v_before = [c.polygon.vertices.copy() for c in d.cells]
@@ -692,28 +724,9 @@ def test_recompute_in_place_identity():
 
 # ---------------------------------------------------------- batched recompute
 
-def _dedupe_ring(pts, ref_diag):
-    """Reference: drop consecutive near-duplicate vertices of one ring."""
-    eps = 1e-12 * max(ref_diag, 1e-300)
-    nxt = np.concatenate((pts[1:], pts[:1]))
-    gap = np.hypot(pts[:, 0] - nxt[:, 0], pts[:, 1] - nxt[:, 1])
-    keep = gap > eps
-    if keep.all():
-        return pts
-    pts = pts[keep]
-    return pts if len(pts) >= 3 else None
-
-
 def _polygon_or_none(points, ref_diag):
-    """Reference: one ring to a polygon, or None, as _finish_rings does it."""
-    if points is None or len(points) < 3:
-        return None
-    pts = _dedupe_ring(np.asarray(points, dtype=float), ref_diag)
-    if pts is None:
-        return None
-    if abs(_signed_area(pts)) <= 1e-14 * ref_diag * ref_diag:
-        return None
-    return ConvexPolygon(pts)
+    """Reference: one ring finished alone, with no other ring in the call."""
+    return _finish_rings(*geometry._flatten([points]), ref_diag)[0]
 
 
 def _measure_bytes(poly):
@@ -1071,6 +1084,9 @@ def test_recompute_level_error_leaves_every_cell_unchanged():
 
 
 def test_finish_rings_equals_per_ring_reference():
+    """Each ring's polygon in a mixed stack is byte-equal to the ring's polygon
+    finished alone, in either stack order, and carries the measures
+    ConvexPolygon takes of its vertices."""
     scale = 10.0
     near = 1e-14 * scale                      # below the 1e-12 * scale dedupe gap
     rings = [
@@ -1083,17 +1099,27 @@ def test_finish_rings_equals_per_ring_reference():
         np.array([[3.0, 3.0], [4.0, 3.0], [4.0, 4.0], [3.0, 4.0]]),
         np.array([[0.0, 0.0], [near, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]),
         np.array([[0.0, 0.0], [1.0, -1.0], [3.0, 0.5], [2.0, 2.5], [-0.5, 1.5]]),
+        regular_polygon(64, radius=4.0, center=(1e6, -1e6)).vertices,
+        np.array([[1.0, 1.0], [2.0, 1.0]]),                                 # 2 vertices
     ]
     expected = [_polygon_or_none(v, scale) for v in rings]
     assert [p is None for p in expected] == [False, False, True, False, True, True,
-                                             False, False, False]
-    got = _finish_rings(*geometry._flatten(rings), scale)
-    for k, (p, ref) in enumerate(zip(got, expected)):
-        assert (p is None) == (ref is None), k
-        if ref is not None:
-            assert _measure_bytes(p) == _measure_bytes(ref), k
-    assert len(got[1].vertices) == 4 and len(got[7].vertices) == 4
-    assert got[3].vertices.tobytes() == rings[3][::-1].tobytes()
+                                             False, False, False, False, True]
+    for order in (list(range(len(rings))), list(range(len(rings)))[::-1]):
+        got = _finish_rings(*geometry._flatten([rings[k] for k in order]), scale)
+        for k, p in zip(order, got):
+            ref = expected[k]
+            assert (p is None) == (ref is None), k
+            if ref is not None:
+                assert _measure_bytes(p) == _measure_bytes(ref), k
+                assert _measure_bytes(p) == _measure_bytes(ConvexPolygon(p.vertices)), k
+                assert not p.vertices.flags.writeable and not p.centroid.flags.writeable
+    assert len(expected[1].vertices) == 4 and len(expected[7].vertices) == 4
+    assert expected[3].vertices.tobytes() == rings[3][::-1].tobytes()
+    for p in (expected[0], expected[3]):
+        assert p.area == 12.0 and p.centroid.tolist() == [2.0, 1.5]
+        assert p.aabb == (0.0, 0.0, 4.0, 3.0) and p.diagonal == 5.0
+    assert expected[6].area == 1.0 and expected[6].centroid.tolist() == [3.5, 3.5]
 
 
 def test_finish_rings_raises_on_sliver_above_none_threshold():
@@ -1104,6 +1130,8 @@ def test_finish_rings_raises_on_sliver_above_none_threshold():
     fine = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(GeometryError):
         _finish_rings(*geometry._flatten([fine, sliver]), 1.0)
+    with pytest.raises(GeometryError):
+        _finish_rings(*geometry._flatten([sliver[::-1], fine]), 1.0)     # clockwise
 
 
 def test_clip_halfplane_equals_per_ring_reference():
