@@ -5,13 +5,15 @@ weights): in a diagram of BATCH_MIN_CELLS cells or more, against each cell's
 regular-triangulation neighbours from the lower convex hull of the sites
 lifted to (x, y, x^2 + y^2 - w) (Aurenhammer, "Power diagrams: properties,
 algorithms and applications", SIAM J. Comput. 1987), else against all other
-sites. `recompute_level` clips all cells of a level together in rounds, as
-many as its longest candidate list, bit-identical to clipping each cell
-alone. `_finish_rings` builds every polygon from the stacked rings, and one
-`_ring_measures` call, the only shoelace, takes every ring's area, centroid
-and bounding box relative to the ring's first vertex; a ring's polygon does
-not depend on which rings share the call. Neighbors are found by testing
-only the edge pairs whose bounding boxes overlap.
+sites. `_clip_rings` is the one clipper: it clips a padded stack of rings in
+rounds, one half-plane per ring per round. `recompute_level` clips all cells
+of a level in one call, as many rounds as its longest candidate list, and
+`ConvexPolygon.inset` and `clip_halfplane` are calls of their own; a ring's
+result does not depend on which rings share the call. `_finish_rings` builds
+every polygon from the stacked rings, and one `_ring_measures` call, the
+only shoelace, takes every ring's area, centroid and bounding box relative
+to the ring's first vertex. Neighbors are found by testing only the edge
+pairs whose bounding boxes overlap.
 """
 from __future__ import annotations
 
@@ -25,59 +27,6 @@ from scipy.spatial import ConvexHull, QhullError
 
 class GeometryError(ValueError):
     """Degenerate polygon or invalid site configuration."""
-
-
-def _clip_array(v: np.ndarray, normal, offset: float):
-    """Clip a CCW convex vertex ring by {x : normal . x <= offset}.
-
-    Returns the clipped vertex array (possibly the input object) or None.
-    Relies on convexity: the inside vertices form one contiguous arc.
-    """
-    d = v @ np.asarray(normal, dtype=float) - offset
-    flags = (d <= 0.0).tolist()
-    count = flags.count(True)
-    n = len(v)
-    if count == n:
-        return v
-    if count == 0:
-        return None
-    # first inside vertex whose predecessor is outside
-    starts = [i for i in range(n) if flags[i] and not flags[i - 1]]
-    if len(starts) != 1:
-        return _clip_array_generic(v, d, np.asarray(flags))
-    start = starts[0]
-    out = np.empty((count + 2, 2))
-    end = start + count
-    if end <= n:
-        out[1:count + 1] = v[start:end]
-    else:
-        head = n - start
-        out[1:head + 1] = v[start:]
-        out[head + 1:count + 1] = v[:end - n]
-    i_in = (start - 1) % n                      # outside -> inside edge
-    t_in = d[i_in] / (d[i_in] - d[start])
-    out[0] = v[i_in] + t_in * (v[start] - v[i_in])
-    i_out = (end - 1) % n                       # inside -> outside edge
-    j_out = (i_out + 1) % n
-    t_out = d[i_out] / (d[i_out] - d[j_out])
-    out[count + 1] = v[i_out] + t_out * (v[j_out] - v[i_out])
-    return out
-
-
-def _clip_array_generic(v: np.ndarray, d: np.ndarray, inside: np.ndarray):
-    """Sutherland-Hodgman fallback for numerically non-contiguous inside runs."""
-    out = []
-    n = len(v)
-    for i in range(n):
-        j = (i + 1) % n
-        if inside[i]:
-            out.append(v[i])
-        if inside[i] != inside[j]:
-            t = d[i] / (d[i] - d[j])
-            out.append(v[i] + t * (v[j] - v[i]))
-    if len(out) < 3:
-        return None
-    return np.asarray(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,26 +115,28 @@ class ConvexPolygon:
     def clip_halfplane(self, normal: np.ndarray, offset: float):
         """Intersect with the half-plane {x : normal . x <= offset}.
 
-        Returns a new ConvexPolygon, or None when the intersection is empty
-        or degenerate.
+        Returns self when every vertex is inside, else a new ConvexPolygon, or
+        None when the intersection is empty or degenerate.
         """
-        clipped = _clip_array(self.vertices, normal, offset)
-        if clipped is self.vertices:
+        v = self.vertices
+        flat, lengths = _clip_rings(v[None], np.array([len(v)]),
+                                    np.asarray(normal, dtype=float).reshape(1, 1, 2),
+                                    np.array([[offset]], dtype=float))
+        if flat.shape == v.shape and np.array_equal(flat, v):
             return self
-        if clipped is None:
-            return None
-        return _finish_rings(clipped, np.array([len(clipped)]), self.diagonal)[0]
+        return _finish_rings(flat, lengths, self.diagonal)[0]
 
     def inset(self, margin: float):
-        """Shrink by moving each edge inward by `margin`; None if it vanishes."""
-        poly = self
+        """Shrink by moving each edge inward by `margin`; None if it vanishes.
+
+        One _clip_rings round per edge of nonzero length, in edge order.
+        """
         normals, offsets, _, length = self._edge_frame
-        for k in np.flatnonzero(length > 0.0).tolist():
-            # {x : normals[:, k] . x - offsets[k] >= margin * length[k]}
-            poly = poly.clip_halfplane(-normals[:, k], -offsets[k] - margin * length[k])
-            if poly is None:
-                return None
-        return poly
+        k = length > 0.0
+        # round r keeps {x : normals[:, k_r] . x - offsets[k_r] >= margin * length[k_r]}
+        flat, lengths = _clip_rings(self.vertices[None], np.array([len(self.vertices)]),
+                                    -normals.T[k][:, None], (-offsets[k] - margin * length[k])[:, None])
+        return _finish_rings(flat, lengths, self.diagonal)[0]
 
     def sample_point(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform interior point via rejection sampling from the bounding box."""
@@ -334,23 +285,6 @@ class Diagram:
 BATCH_MIN_CELLS = 10
 
 
-def _clip_from(v: np.ndarray, i: int, candidates, sites: np.ndarray,
-               weights: np.ndarray, sq: np.ndarray):
-    """Clip cell i's ring v against its bisectors with the sites in `candidates`,
-    in order; i itself is skipped."""
-    pi = sites[i]
-    wi = weights[i]
-    for j in candidates:
-        if j == i:
-            continue
-        normal = 2.0 * (sites[j] - pi)
-        offset = float(sq[j] - sq[i]) - weights[j] + wi
-        v = _clip_array(v, normal, offset)
-        if v is None:
-            return None
-    return v
-
-
 def _power_neighbours(sites: np.ndarray, weights: np.ndarray):
     """Each site's candidate list, as (candidates, degree): the lists of all
     sites, each ascending, concatenated in site order, and their lengths.
@@ -385,53 +319,40 @@ def _all_pairs(n: int):
     return np.nonzero(~np.eye(n, dtype=bool))[1], np.full(n, n - 1)
 
 
-def _power_cells(sites: np.ndarray, weights: np.ndarray, sq: np.ndarray,
-                 candidates: np.ndarray, degree: np.ndarray, live: np.ndarray,
-                 boundaries: list[ConvexPolygon], sizes: list[int]):
-    """Every cell's ring as _flatten's (vertices, lengths), ready for
-    _finish_rings. The first sizes[0] rings start from boundaries[0], and so
-    on; ring i is clipped against the bisectors of its candidate list (given
-    as _power_neighbours gives them, indexing the stacked sites) in order,
-    bit-identical to _clip_from cell by cell. A cell not `live` is empty.
+def _clip_rings(rings: np.ndarray, lengths: np.ndarray, normals: np.ndarray,
+                offsets: np.ndarray):
+    """Clip every ring of a padded stack in rounds, the package's one clipper;
+    returns the rings as _flatten's (vertices, lengths), for _finish_rings.
 
-    In round r, every live ring is clipped against its own r-th candidate,
-    so there are as many rounds as the longest list. Rings sit in a padded
-    (cells, width, 2) stack, and each round reads only the columns up to the
-    longest live ring; an emptied ring gets length 0. Padding columns hold
-    zeros or copies of ring vertices, so they stay finite, and are masked
-    out, never cleared. A shorter list is padded with the cell's own index,
-    whose half-plane has a zero normal and offset and keeps the ring whole.
-    Vertex distances come from a stacked np.matmul, which runs the same BLAS
-    kernel per ring as _clip_array's `v @ normal`; an elementwise
-    x * n0 + y * n1 rounds differently. Normals, offsets, crossing
-    parameters and crossing points use _clip_array's elementwise formulas.
-    A ring whose inside run is not contiguous finishes on _clip_from over
-    the rest of its list.
+    Ring i is rings[i, :lengths[i]]; round r clips it by
+    {x : normals[r, i] . x <= offsets[r, i]}, for normals of shape
+    (rounds, rings, 2) and offsets (rounds, rings). A zero normal and offset
+    keep a ring whole; an emptied ring gets length 0. The arguments are not
+    changed.
+
+    Each round reads the columns up to the longest live ring; padding columns
+    stay finite and are masked out, never cleared. Vertex heights d come from
+    a stacked np.matmul, which runs the same BLAS kernel per ring as
+    `v @ normal`; an elementwise x * n0 + y * n1 rounds differently. Edge
+    a -> b crosses at v_a + t (v_b - v_a), t = d_a / (d_a - d_b). A ring whose
+    inside vertices form one cyclic run becomes the entering crossing, the
+    run and the leaving crossing. A ring convex only up to rounding can have
+    more runs: it takes a Sutherland-Hodgman pass from vertex 0, each inside
+    vertex followed by the crossing on its outgoing edge if that changes
+    sides (Sutherland & Hodgman, "Reentrant polygon clipping", CACM 1974).
+    A one-run clip adds at most one vertex, so the stack starts with a spare
+    column per round, and grows when a ring outgrows it.
     """
-    n = len(sites)
-    rounds = int(degree.max())
-    # [r, i]: cell i's r-th candidate, or i itself past the end of its list
-    cand = np.tile(np.arange(n), (rounds, 1))
-    cand[np.arange(len(candidates)) - np.repeat(np.cumsum(degree) - degree, degree),
-         np.repeat(np.arange(n), degree)] = candidates
-    # the half-plane of cell i against site cand[r, i], as _clip_from builds it
-    normals = 2.0 * (sites[cand] - sites)
-    offsets = (sq[cand] - sq) - weights[cand] + weights
-    ring_sizes = [len(b.vertices) for b in boundaries]
-    capacity = max(ring_sizes) + rounds     # a clip adds at most one vertex
-    rings = np.zeros((n, capacity, 2))
-    first = 0
-    for b, size in zip(boundaries, sizes):
-        rings[first:first + size, :len(b.vertices)] = b.vertices
-        first += size
-    lengths = np.repeat(ring_sizes, sizes) * live
-    cols = np.arange(capacity)
-    handed_off: dict[int, np.ndarray | None] = {}
+    rounds, n = offsets.shape
+    stack = np.zeros((n, rings.shape[1] + rounds, 2))
+    stack[:, :rings.shape[1]] = rings
+    lengths = np.array(lengths, dtype=np.intp)
+    cols = np.arange(stack.shape[1])
     for r in range(rounds):
         width = int(lengths.max())
         if width == 0:
             break
-        v = rings[:, :width]
+        v = stack[:, :width]
         d = np.matmul(v, normals[r][:, :, None])[:, :, 0] - offsets[r][:, None]
         inside = (d <= 0.0) & (cols[:width] < lengths[:, None])
         count = inside.sum(axis=1)
@@ -446,20 +367,31 @@ def _power_cells(sites: np.ndarray, weights: np.ndarray, sq: np.ndarray,
         prev[:, 1:] = inside[:, :-1]
         prev[:, 0] = inside[k, m - 1]
         starts = inside & ~prev
-        single = starts.sum(axis=1) == 1
-        if not single.all():
-            for row in np.flatnonzero(~single):
-                i = int(cut[row])
-                handed_off[i] = _clip_from(v[row, :m[row]], i, cand[r:, i].tolist(),
-                                           sites, weights, sq)
-                lengths[i] = 0
-            cut, v, d, m, count, starts = (
-                a[single] for a in (cut, v, d, m, count, starts))
+        runs = starts.sum(axis=1)
+        lengths[cut] = count + 2 * runs         # each run gains its two crossings
+        need = int(lengths[cut].max())
+        if need > stack.shape[1]:
+            stack = np.concatenate((stack, np.zeros((n, need + rounds - stack.shape[1], 2))), axis=1)
+            cols = np.arange(stack.shape[1])
+        multi = runs > 1
+        if multi.any():
+            rows, mv, md, mi, mm = cut[multi], v[multi], d[multi], inside[multi], m[multi]
+            j = np.arange(len(rows))[:, None]
+            nxt = (cols[:width] + 1) % mm[:, None]
+            flip = (mi != mi[j, nxt]) & (cols[:width] < mm[:, None])
+            t = md[flip] / (md[flip] - md[j, nxt][flip])
+            slots = np.stack((mv, mv), axis=2)          # [row, vertex, (vertex, crossing)]
+            slots[flip, 1] = mv[flip] + t[:, None] * (mv[j, nxt][flip] - mv[flip])
+            keep = np.stack((mi, flip), axis=2).reshape(len(rows), -1)
+            row, slot = np.nonzero(keep)
+            at = np.cumsum(keep, axis=1)[row, slot] - 1
+            stack[rows[row], at] = slots.reshape(len(rows), -1, 2)[row, slot]
+            cut, v, d, m, count, starts = (a[~multi] for a in (cut, v, d, m, count, starts))
             if len(cut) == 0:
                 continue
             k = np.arange(len(cut))
         start = starts.argmax(axis=1)
-        # (i_in, start, i_out, j_out): the two edges that cross the bisector
+        # (i_in, start, i_out, j_out): the two edges that cross the half-plane
         ends = start[:, None] + np.array([-1, 0, -1, 0])
         ends[:, 2:] += count[:, None]
         ends %= m[:, None]
@@ -467,22 +399,49 @@ def _power_cells(sites: np.ndarray, weights: np.ndarray, sq: np.ndarray,
         ve = v[k[:, None], ends]
         t = de[:, 0::2] / (de[:, 0::2] - de[:, 1::2])
         crossing = ve[:, 0::2] + t[:, :, None] * (ve[:, 1::2] - ve[:, 0::2])
-        new_m = count + 2
-        new_width = max(width, int(new_m.max()))
+        new_width = max(width, int(count.max()) + 2)
         ring = v[k[:, None], (start[:, None] + cols[:new_width] - 1) % m[:, None]]
         ring[k, 0] = crossing[:, 0]
         ring[k, count + 1] = crossing[:, 1]
-        rings[cut, :new_width] = ring
-        lengths[cut] = new_m
-    if handed_off:
-        return _flatten([handed_off[i] if i in handed_off else rings[i, :m] if m else None
-                         for i, m in enumerate(lengths.tolist())])
-    return rings[cols < lengths[:, None]], lengths
+        stack[cut, :new_width] = ring
+    return stack[cols < lengths[:, None]], lengths
+
+
+def _power_cells(sites: np.ndarray, weights: np.ndarray, sq: np.ndarray,
+                 candidates: np.ndarray, degree: np.ndarray, live: np.ndarray,
+                 boundaries: list[ConvexPolygon], sizes: list[int]):
+    """Every cell's ring as _clip_rings returns it, from one _clip_rings call.
+
+    The first sizes[0] rings start from boundaries[0], and so on. Ring i is
+    clipped against the bisectors of its candidate list (given as
+    _power_neighbours gives them, indexing the stacked sites) in order: in
+    round r against its r-th candidate, so there are as many rounds as the
+    longest list. A shorter list is padded with the cell's own index, whose
+    half-plane has a zero normal and offset. A cell not `live` is empty.
+    """
+    n = len(sites)
+    rounds = int(degree.max())
+    # [r, i]: cell i's r-th candidate, or i itself past the end of its list
+    cand = np.tile(np.arange(n), (rounds, 1))
+    cand[np.arange(len(candidates)) - np.repeat(np.cumsum(degree) - degree, degree),
+         np.repeat(np.arange(n), degree)] = candidates
+    # cell i's side of its power bisector with site j = cand[r, i]:
+    # 2 (p_j - p_i) . x <= p_j . p_j - p_i . p_i - w_j + w_i
+    normals = 2.0 * (sites[cand] - sites)
+    offsets = (sq[cand] - sq) - weights[cand] + weights
+    ring_sizes = [len(b.vertices) for b in boundaries]
+    rings = np.zeros((n, max(ring_sizes), 2))
+    first = 0
+    for b, size in zip(boundaries, sizes):
+        rings[first:first + size, :len(b.vertices)] = b.vertices
+        first += size
+    return _clip_rings(rings, np.repeat(ring_sizes, sizes) * live, normals, offsets)
 
 
 def recompute_level(diagrams: list[Diagram]) -> list[Diagram]:
     """Refresh every cell polygon of a level's diagrams in place, with one
-    _power_cells and one _finish_rings call for the whole level.
+    _power_cells (so one _clip_rings) and one _finish_rings call for the
+    whole level.
 
     A cell is clipped from its own diagram's boundary against its own
     diagram's sites: its _power_neighbours list (empty for a hidden site,

@@ -14,8 +14,7 @@ from simmap.geometry import (
     Cell,
     ConvexPolygon,
     GeometryError,
-    _clip_array,
-    _clip_from,
+    _clip_rings,
     _finish_rings,
     _power_neighbours,
     adapt_weights,
@@ -44,6 +43,143 @@ def random_convex_boundary(rng, n_max=9):
     cx, cy = rng.uniform(-5, 5, size=2)
     pts = np.stack([cx + rx * np.cos(angles), cy + ry * np.sin(angles)], axis=1)
     return ConvexPolygon(pts)
+
+
+# ----------------------------------------------------- scalar clip reference
+
+def _clip_array(v, normal, offset):
+    """Reference: clip a CCW ring by {x : normal . x <= offset}, one ring and
+    one half-plane at a time.
+
+    Returns v itself when every vertex is inside, None when none is, else
+    the clipped ring. A convex ring's inside vertices form one cyclic run,
+    kept between the crossing that enters it and the crossing that leaves
+    it; a ring convex only up to rounding can have more runs, and goes to
+    _clip_array_generic.
+    """
+    d = v @ np.asarray(normal, dtype=float) - offset
+    flags = (d <= 0.0).tolist()
+    count = flags.count(True)
+    n = len(v)
+    if count == n:
+        return v
+    if count == 0:
+        return None
+    # first inside vertex whose predecessor is outside
+    starts = [i for i in range(n) if flags[i] and not flags[i - 1]]
+    if len(starts) != 1:
+        return _clip_array_generic(v, d, np.asarray(flags))
+    start = starts[0]
+    out = np.empty((count + 2, 2))
+    end = start + count
+    if end <= n:
+        out[1:count + 1] = v[start:end]
+    else:
+        head = n - start
+        out[1:head + 1] = v[start:]
+        out[head + 1:count + 1] = v[:end - n]
+    i_in = (start - 1) % n                      # outside -> inside edge
+    t_in = d[i_in] / (d[i_in] - d[start])
+    out[0] = v[i_in] + t_in * (v[start] - v[i_in])
+    i_out = (end - 1) % n                       # inside -> outside edge
+    j_out = (i_out + 1) % n
+    t_out = d[i_out] / (d[i_out] - d[j_out])
+    out[count + 1] = v[i_out] + t_out * (v[j_out] - v[i_out])
+    return out
+
+
+def _clip_array_generic(v, d, inside):
+    """Reference: Sutherland-Hodgman from vertex 0, for inside vertices that
+    form more than one run."""
+    out = []
+    n = len(v)
+    for i in range(n):
+        j = (i + 1) % n
+        if inside[i]:
+            out.append(v[i])
+        if inside[i] != inside[j]:
+            t = d[i] / (d[i] - d[j])
+            out.append(v[i] + t * (v[j] - v[i]))
+    return np.asarray(out)
+
+
+def _clip_from(v, i, candidates, sites, weights, sq):
+    """Reference: clip cell i's ring v against its bisectors with the sites in
+    `candidates`, in order, one at a time; i itself is skipped."""
+    pi = sites[i]
+    wi = weights[i]
+    for j in candidates:
+        if j == i:
+            continue
+        normal = 2.0 * (sites[j] - pi)
+        offset = float(sq[j] - sq[i]) - weights[j] + wi
+        v = _clip_array(v, normal, offset)
+        if v is None:
+            return None
+    return v
+
+
+def _dented_ring(depth):
+    """A unit square whose top edge dents inward by `depth` at x = 0.5: a ring
+    made slightly reflex by rounding. A line y = c between the dent and the
+    top leaves two runs of inside vertices."""
+    return np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0 - depth], [0.0, 1.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 6), st.integers(0, 8))
+def test_clip_rings_equals_scalar_reference(seed, n, rounds):
+    """Every ring of a stack of convex rings of 3 to 8 vertices and dented
+    rings, clipped in rounds by _clip_rings, equals the ring clipped alone by
+    the scalar reference, half-plane by half-plane, bit for bit. A dented
+    ring's first half-plane cuts its two runs apart, and every ring may meet
+    whole-ring (zero) half-planes and half-planes that empty it."""
+    rng = np.random.default_rng(seed)
+    rings, planes = [], []
+    for _ in range(n):
+        dented = rng.random() < 0.3
+        if dented:
+            depth = 2.0 ** -int(rng.integers(5, 40))
+            ring = _dented_ring(depth)
+        elif rng.random() < 0.2:
+            ring = ConvexPolygon(rng.uniform(-3.0, 3.0, size=(3, 2))).vertices
+        else:
+            ring = random_convex_boundary(rng).vertices
+        rows = []
+        for r in range(rounds):
+            kind = rng.integers(5)
+            if dented and r == 0:
+                normal = np.array([0.0, 1.0])
+                offset = 1.0 - rng.uniform(0.1, 0.9) * depth
+            elif kind == 0:
+                normal, offset = np.zeros(2), 0.0
+            else:
+                angle = rng.uniform(0.0, 2.0 * math.pi)
+                normal = 10 ** rng.uniform(-1, 1) * np.array([math.cos(angle), math.sin(angle)])
+                heights = ring @ normal
+                span = heights.max() - heights.min()
+                offset = rng.uniform(heights.min() - 0.1 * span, heights.max() + 0.1 * span)
+            rows.append((normal, offset))
+        rings.append(ring)
+        planes.append(rows)
+    width = max(len(v) for v in rings)
+    stack = np.zeros((n, width, 2))
+    for i, v in enumerate(rings):
+        stack[i, :len(v)] = v
+    normals = np.array([[planes[i][r][0] for i in range(n)] for r in range(rounds)]).reshape(rounds, n, 2)
+    offsets = np.array([[planes[i][r][1] for i in range(n)] for r in range(rounds)]).reshape(rounds, n)
+    flat, lengths = _clip_rings(stack, np.array([len(v) for v in rings]), normals, offsets)
+    assert lengths.sum() == len(flat)
+    got = np.split(flat, np.cumsum(lengths)[:-1])
+    for i, v in enumerate(rings):
+        for normal, offset in planes[i]:
+            v = _clip_array(v, normal, offset)
+            if v is None:
+                break
+        if v is None:
+            assert lengths[i] == 0, i
+        else:
+            assert got[i].tobytes() == np.asarray(v, dtype=float).tobytes(), i
 
 
 # -------------------------------------------------------------- ConvexPolygon
@@ -154,26 +290,19 @@ def test_clip_halfplane_half():
     assert half.vertices[:, 0].max() == pytest.approx(0.5)
 
 
-def test_clip_array_non_contiguous_run_uses_generic_fallback(monkeypatch):
+def test_clip_halfplane_keeps_both_runs_of_a_dented_ring():
     # the top vertex dents inward by 2^-30, so the line y = 1 - 2^-31 leaves
-    # two separate inside runs: a ring made slightly reflex by rounding
-    dent = 1.0 - 2.0 ** -30
-    ring = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, dent], [0.0, 1.0]])
-    calls = []
-    generic = geometry._clip_array_generic
-
-    def spy(*args):
-        calls.append(args)
-        return generic(*args)
-
-    monkeypatch.setattr(geometry, "_clip_array_generic", spy)
+    # two inside runs; a one-round stack of the 5-vertex ring has room for 6
+    ring = _dented_ring(2.0 ** -30)
     y = 1.0 - 2.0 ** -31
-    out = _clip_array(ring, np.array([0.0, 1.0]), y)
-    assert len(calls) == 1
+    normal = np.array([0.0, 1.0])
     # Sutherland-Hodgman keeps both runs and adds one point per crossing
-    expected = [[0.0, 0.0], [1.0, 0.0], [1.0, y], [0.75, y], [0.5, dent],
-                [0.25, y], [0.0, y]]
-    assert np.array_equal(out, np.array(expected))
+    expected = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, y], [0.75, y], ring[3],
+                         [0.25, y], [0.0, y]])
+    assert np.array_equal(_clip_array(ring, normal, y), expected)
+    flat, lengths = _clip_rings(ring[None], np.array([5]), normal[None, None], np.array([[y]]))
+    assert lengths.tolist() == [7] and np.array_equal(flat, expected)
+    assert np.array_equal(ConvexPolygon(ring).clip_halfplane(normal, y).vertices, expected)
 
 
 def test_inset_square():
@@ -857,45 +986,23 @@ def _dented_diagram():
     return power_diagram(sites, boundary, weights=weights)
 
 
-@pytest.fixture
-def hand_offs(monkeypatch):
-    """(i, candidates) of every ring _power_cells hands to _clip_from."""
-    handed = []
-    clip_from = geometry._clip_from
-
-    def spy(v, i, candidates, *args):
-        # a hand-off continues a ring part-way through its candidate list; the
-        # reference clips from the boundary, which is not writeable
-        candidates = list(candidates)
-        if v.flags.writeable:
-            handed.append((i, [j for j in candidates if j != i]))
-        return clip_from(v, i, candidates, *args)
-
-    monkeypatch.setattr(geometry, "_clip_from", spy)
-    return handed
-
-
-def _assert_cell_1_handed_off(d, handed, first=0):
-    """Cell 1 of _dented_diagram, stacked at index `first`, went to _clip_from
-    at its bisector with site 2, and kept the radical axis' two crossings."""
+def _assert_cell_1_keeps_both_runs(d):
+    """Cell 1 of _dented_diagram is clipped by its bisector with site 2, which
+    leaves two runs of its ring inside, and keeps both: the radical axis
+    crosses its ring four times."""
     sites = d.sites
     weights = np.array([c.weight for c in d.cells])
-    neighbours_of_1 = _candidate_lists(sites, weights)[1].tolist()
-    assert 2 in neighbours_of_1
-    rest = neighbours_of_1[neighbours_of_1.index(2):]
-    assert (first + 1, [first + j for j in rest]) in handed
+    assert 2 in _candidate_lists(sites, weights)[1].tolist()
     ys = d.cells[1].polygon.vertices[:, 1]
     assert np.isclose(ys, 10.0 - DENT / 2, rtol=0.0, atol=1e-12).sum() == 4
 
 
-def test_batched_recompute_hands_non_contiguous_rows_to_per_cell_loop(
-        hull_calls, hand_offs):
+def test_batched_recompute_keeps_both_runs_of_a_dented_cell(hull_calls):
     d = _dented_diagram()
     hull_calls.clear()
-    hand_offs.clear()
     _assert_recompute_matches_per_cell(d)
     assert hull_calls == [len(d.cells)]
-    _assert_cell_1_handed_off(d, hand_offs)
+    _assert_cell_1_keeps_both_runs(d)
 
 
 def _hausdorff(p, q):
@@ -1020,7 +1127,7 @@ def test_hidden_site_has_no_candidates_and_an_empty_cell(hull_calls):
 def _mixed_level():
     """Diagrams of one level, on overlapping boundaries of 3 to 64 vertices:
     one-cell pass-throughs, all-pairs diagrams of 2-9 cells, hull diagrams
-    of 10-60 cells, a hidden site and a ring handed off to _clip_from (the
+    of 10-60 cells, a hidden site and a ring with two inside runs (the
     dented diagram, at stack index 0)."""
     rng = np.random.default_rng(31)
     gon = regular_polygon(64, radius=5.0, center=(5.0, 5.0))
@@ -1041,14 +1148,13 @@ def _mixed_level():
     return diagrams
 
 
-def test_recompute_level_equals_per_cell(monkeypatch, hull_calls, hand_offs):
+def test_recompute_level_equals_per_cell(monkeypatch, hull_calls):
     level = _mixed_level()
     references = [_per_cell_polygons(d) for d in level]
     for d in level:
         for c in d.cells:
             c.polygon = None
     hull_calls.clear()
-    hand_offs.clear()
     kernel_calls = []
     power_cells = geometry._power_cells
 
@@ -1065,7 +1171,7 @@ def test_recompute_level_equals_per_cell(monkeypatch, hull_calls, hand_offs):
     for d in level:
         if len(d.cells) == 1:
             assert _measure_bytes(d.cells[0].polygon) == _measure_bytes(d.boundary)
-    _assert_cell_1_handed_off(level[0], hand_offs)
+    _assert_cell_1_keeps_both_runs(level[0])
 
 
 def test_recompute_level_error_leaves_every_cell_unchanged():
