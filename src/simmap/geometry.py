@@ -407,7 +407,7 @@ def _clip_rings(rings: np.ndarray, lengths: np.ndarray, normals: np.ndarray,
     return stack[cols < lengths[:, None]], lengths
 
 
-def _power_cells(sites: np.ndarray, weights: np.ndarray, sq: np.ndarray,
+def _power_cells(sites: np.ndarray, weights: np.ndarray,
                  candidates: np.ndarray, degree: np.ndarray, live: np.ndarray,
                  boundaries: list[ConvexPolygon], sizes: list[int]):
     """Every cell's ring as _clip_rings returns it, from one _clip_rings call.
@@ -426,9 +426,11 @@ def _power_cells(sites: np.ndarray, weights: np.ndarray, sq: np.ndarray,
     cand[np.arange(len(candidates)) - np.repeat(np.cumsum(degree) - degree, degree),
          np.repeat(np.arange(n), degree)] = candidates
     # cell i's side of its power bisector with site j = cand[r, i]:
-    # 2 (p_j - p_i) . x <= p_j . p_j - p_i . p_i - w_j + w_i
-    normals = 2.0 * (sites[cand] - sites)
-    offsets = (sq[cand] - sq) - weights[cand] + weights
+    # 2 (p_j - p_i) . x <= (p_j - p_i) . (p_j + p_i) - w_j + w_i, whose offset,
+    # unlike p_j . p_j - p_i . p_i, keeps its precision far from the origin
+    gap, mid = sites[cand] - sites, sites[cand] + sites
+    normals = 2.0 * gap
+    offsets = gap[..., 0] * mid[..., 0] + gap[..., 1] * mid[..., 1] - weights[cand] + weights
     ring_sizes = [len(b.vertices) for b in boundaries]
     rings = np.zeros((n, max(ring_sizes), 2))
     first = 0
@@ -456,8 +458,6 @@ def recompute_level(diagrams: list[Diagram]) -> list[Diagram]:
     cells = [c for d in diagrams for c in d.cells]
     sites = np.array([c.site for c in cells])
     weights = np.array([c.weight for c in cells])
-    # each site's p @ p: a stacked (1, 2) @ (2, 1) matmul runs the same BLAS ddot
-    sq = np.matmul(sites[:, None, :], sites[:, :, None])[:, 0, 0]
     sizes = [len(d.cells) for d in diagrams]
     lists, first = [], 0
     for size in sizes:
@@ -469,7 +469,7 @@ def recompute_level(diagrams: list[Diagram]) -> list[Diagram]:
             lists.append((candidates + first, degree, np.ones(size, dtype=bool)))
         first += size
     candidates, degree, live = (np.concatenate(parts) for parts in zip(*lists))
-    flat, lengths = _power_cells(sites, weights, sq, candidates, degree, live,
+    flat, lengths = _power_cells(sites, weights, candidates, degree, live,
                                  [d.boundary for d in diagrams], sizes)
     scales = np.repeat([d.scale for d in diagrams], sizes)
     for cell, polygon in zip(cells, _finish_rings(flat, lengths, scales)):

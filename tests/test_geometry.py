@@ -103,7 +103,7 @@ def _clip_array_generic(v, d, inside):
     return np.asarray(out)
 
 
-def _clip_from(v, i, candidates, sites, weights, sq):
+def _clip_from(v, i, candidates, sites, weights):
     """Reference: clip cell i's ring v against its bisectors with the sites in
     `candidates`, in order, one at a time; i itself is skipped."""
     pi = sites[i]
@@ -111,8 +111,9 @@ def _clip_from(v, i, candidates, sites, weights, sq):
     for j in candidates:
         if j == i:
             continue
-        normal = 2.0 * (sites[j] - pi)
-        offset = float(sq[j] - sq[i]) - weights[j] + wi
+        gap, mid = sites[j] - pi, sites[j] + pi
+        normal = 2.0 * gap
+        offset = float(gap[0] * mid[0] + gap[1] * mid[1]) - weights[j] + wi
         v = _clip_array(v, normal, offset)
         if v is None:
             return None
@@ -808,15 +809,12 @@ def test_adapt_weights_keeps_min_weight_nonnegative():
 @given(st.integers(0, 10**6), st.integers(2, 2 * BATCH_MIN_CELLS), st.booleans())
 def test_property_partition_containment(seed, n, far):
     """Cells tile the boundary, and every cell vertex lies within 1e-9 scale
-    of it, on both recompute paths, near the origin and 1e6 away. Far
-    boundaries span 100 or more: at 1e6 the clip's bisector offsets,
-    p_j . p_j - p_i . p_i in absolute coordinates, round by about 1e-4, which
-    moves the bisectors of a unit-span diagram far beyond the 1e-6 partition
-    bound."""
+    of it, on both recompute paths, near the origin and 1e6 away, where
+    boundaries span from about 1 to 6 * 10^4."""
     rng = np.random.default_rng(seed)
     boundary = random_convex_boundary(rng)
     if far:
-        boundary = ConvexPolygon(boundary.vertices * 10 ** rng.uniform(2, 4)
+        boundary = ConvexPolygon(boundary.vertices * 10 ** rng.uniform(0, 4)
                                  + 1e6 * np.array([math.cos(seed), math.sin(seed)]))
     sites = np.array([boundary.sample_point(rng) for _ in range(n)])
     weights = rng.uniform(0, 0.1 * boundary.area, size=n)
@@ -827,17 +825,18 @@ def test_property_partition_containment(seed, n, far):
 
 def test_power_diagram_far_from_origin():
     """17 sites in triangles of radius 0.5 centred at (1e6, 1e6): every diagram
-    builds, and every cell's centroid lies in the boundary. Summed over
-    absolute coordinates, seeds 13, 28 and 52 raised 'polygon area is
-    degenerate' and seeds 5, 6 and 47 divided by zero. The cells' area sum is
-    not checked: the clip's bisector offsets p_j . p_j - p_i . p_i are still
-    taken in absolute coordinates, which moves the bisectors."""
+    builds, every cell's centroid lies in the boundary, and the cells' areas
+    sum to the boundary's within 1e-6 of it. Summed over absolute
+    coordinates, seeds 13, 28 and 52 raised 'polygon area is degenerate' and
+    seeds 5, 6 and 47 divided by zero; with bisector offsets
+    p_j . p_j - p_i . p_i, the area sum was off by up to 0.30 of it."""
     for seed in range(60):
         rng = np.random.default_rng(seed)
         angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=3))
         boundary = ConvexPolygon(1e6 + 0.5 * np.stack((np.cos(angles), np.sin(angles)), axis=1))
         sites = [boundary.sample_point(rng) for _ in range(17)]
         d = power_diagram(sites, boundary)
+        assert _partition_ok(d, rel=1e-6), seed
         for c in d.cells:
             if c.polygon is not None:
                 assert boundary.contains(c.polygon.centroid, tol=1e-9 * boundary.diagonal), seed
@@ -880,7 +879,6 @@ def _per_cell_polygons(diagram, all_pairs=False):
     """
     sites = np.array([c.site for c in diagram.cells])
     weights = np.array([c.weight for c in diagram.cells])
-    sq = np.array([p @ p for p in sites])
     n = len(sites)
     if all_pairs or n < BATCH_MIN_CELLS:
         candidates = [range(n)] * n
@@ -890,7 +888,7 @@ def _per_cell_polygons(diagram, all_pairs=False):
     for i in range(n):
         v = None
         if len(candidates[i]):
-            v = _clip_from(diagram.boundary.vertices, i, candidates[i], sites, weights, sq)
+            v = _clip_from(diagram.boundary.vertices, i, candidates[i], sites, weights)
         out.append(_polygon_or_none(v, diagram.scale))
     return out
 
