@@ -340,8 +340,8 @@ def _clip_rings(rings: np.ndarray, lengths: np.ndarray, normals: np.ndarray,
     more runs: it takes a Sutherland-Hodgman pass from vertex 0, each inside
     vertex followed by the crossing on its outgoing edge if that changes
     sides (Sutherland & Hodgman, "Reentrant polygon clipping", CACM 1974).
-    A one-run clip adds at most one vertex, so the stack starts with a spare
-    column per round, and grows when a ring outgrows it.
+    A one-run clip adds at most one vertex, so the stack keeps a spare column
+    for each round left; a Sutherland-Hodgman pass grows it when needed.
     """
     rounds, n = offsets.shape
     stack = np.zeros((n, rings.shape[1] + rounds, 2))
@@ -368,14 +368,15 @@ def _clip_rings(rings: np.ndarray, lengths: np.ndarray, normals: np.ndarray,
         prev[:, 0] = inside[k, m - 1]
         starts = inside & ~prev
         runs = starts.sum(axis=1)
-        lengths[cut] = count + 2 * runs         # each run gains its two crossings
-        need = int(lengths[cut].max())
-        if need > stack.shape[1]:
-            stack = np.concatenate((stack, np.zeros((n, need + rounds - stack.shape[1], 2))), axis=1)
-            cols = np.arange(stack.shape[1])
         multi = runs > 1
         if multi.any():
             rows, mv, md, mi, mm = cut[multi], v[multi], d[multi], inside[multi], m[multi]
+            lengths[rows] = count[multi] + 2 * runs[multi]  # each run gains two crossings
+            # keep room for the later rounds' one-run clips
+            need = int(lengths.max()) + rounds - r - 1
+            if need > stack.shape[1]:
+                stack = np.concatenate((stack, np.zeros((n, need - stack.shape[1], 2))), axis=1)
+                cols = np.arange(stack.shape[1])
             j = np.arange(len(rows))[:, None]
             nxt = (cols[:width] + 1) % mm[:, None]
             flip = (mi != mi[j, nxt]) & (cols[:width] < mm[:, None])
@@ -399,11 +400,13 @@ def _clip_rings(rings: np.ndarray, lengths: np.ndarray, normals: np.ndarray,
         ve = v[k[:, None], ends]
         t = de[:, 0::2] / (de[:, 0::2] - de[:, 1::2])
         crossing = ve[:, 0::2] + t[:, :, None] * (ve[:, 1::2] - ve[:, 0::2])
-        new_width = max(width, int(count.max()) + 2)
+        new_m = count + 2
+        new_width = max(width, int(new_m.max()))
         ring = v[k[:, None], (start[:, None] + cols[:new_width] - 1) % m[:, None]]
         ring[k, 0] = crossing[:, 0]
         ring[k, count + 1] = crossing[:, 1]
         stack[cut, :new_width] = ring
+        lengths[cut] = new_m
     return stack[cols < lengths[:, None]], lengths
 
 
