@@ -431,7 +431,8 @@ def _power_cells(sites: np.ndarray, weights: np.ndarray,
     # cell i's side of its power bisector with site j = cand[r, i]:
     # 2 (p_j - p_i) . x <= (p_j - p_i) . (p_j + p_i) - w_j + w_i, whose offset,
     # unlike p_j . p_j - p_i . p_i, keeps its precision far from the origin
-    gap, mid = sites[cand] - sites, sites[cand] + sites
+    other = sites[cand]
+    gap, mid = other - sites, other + sites
     normals = 2.0 * gap
     offsets = gap[..., 0] * mid[..., 0] + gap[..., 1] * mid[..., 1] - weights[cand] + weights
     ring_sizes = [len(b.vertices) for b in boundaries]
