@@ -607,24 +607,35 @@ def cell_neighbors(level_diagrams: list[Diagram]) -> dict:
     return result
 
 
-def lloyd_step(diagram: Diagram, rng: np.random.Generator | None = None) -> Diagram:
-    """Move every site to its cell centroid and recompute; reseed empty cells."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for cell in diagram.cells:
-        if cell.polygon is not None:
-            cell.site = cell.polygon.centroid
-        else:
-            cell.site = diagram.boundary.sample_point(rng)
-    recompute(diagram)
+def lloyd_step(diagrams: list[Diagram], rngs: list[np.random.Generator] | None = None) -> list[Diagram]:
+    """One Lloyd step for each of a level's diagrams, with one recompute_level.
+
+    Every site moves to its cell centroid; an empty cell's site is drawn
+    anew. Then, up to 5 times, the sites of cells still empty are drawn anew
+    and only the diagrams holding them are recomputed again. Diagram k draws
+    from rngs[k] (default_rng(0) each when rngs is None), in its own cell
+    order, so its bits and draws equal those of a one-entry level.
+    """
+    if rngs is None:
+        rngs = [np.random.default_rng(0) for _ in diagrams]
+    for diagram, rng in zip(diagrams, rngs):
+        for cell in diagram.cells:
+            if cell.polygon is not None:
+                cell.site = cell.polygon.centroid
+            else:
+                cell.site = diagram.boundary.sample_point(rng)
+    recompute_level(diagrams)
+    pending = list(zip(diagrams, rngs))
     for _ in range(5):
-        empties = [c for c in diagram.cells if c.polygon is None]
-        if not empties:
+        pending = [(d, rng) for d, rng in pending if any(c.polygon is None for c in d.cells)]
+        if not pending:
             break
-        for c in empties:
-            c.site = diagram.boundary.sample_point(rng)
-        recompute(diagram)
-    return diagram
+        for diagram, rng in pending:
+            for c in diagram.cells:
+                if c.polygon is None:
+                    c.site = diagram.boundary.sample_point(rng)
+        recompute_level([d for d, _ in pending])
+    return diagrams
 
 
 def _mean_pairwise_site_distance(diagram: Diagram) -> float:

@@ -52,26 +52,38 @@ def mds_project(matrix: SimilarityMatrix) -> ProjectedPositions:
     return ProjectedPositions(list(matrix.node_ids), pts)
 
 
-def build_cvt(boundary: ConvexPolygon, n: int, seed: int = 0, max_iter: int = 500) -> Diagram:
-    """Random equal-weight sites relaxed with Lloyd until convergence."""
-    rng = np.random.default_rng(seed)
-    sites = np.empty((n, 2))
-    count = 0
-    while count < n:
-        p = boundary.sample_point(rng)
-        gap = p - sites[:count]
-        if np.all(np.hypot(gap[:, 0], gap[:, 1]) > 1e-9 * boundary.diagonal):
-            sites[count] = p
-            count += 1
-    diagram = power_diagram(sites, boundary, node_ids=[f"cvt{i}" for i in range(n)])
-    tol = 1e-4 * diagram.scale
+def build_cvt(parents: list[tuple[ConvexPolygon, int, int]], max_iter: int = 500) -> list[Diagram]:
+    """One CVT per (boundary, cell count, seed) of a level's parents: random
+    equal-weight sites relaxed with Lloyd until convergence.
+
+    Each CVT draws its start sites, then its Lloyd reseeds, from its own
+    default_rng(seed). Every unconverged CVT takes each step in one
+    lloyd_step call; a CVT leaves at the step whose largest site displacement
+    is below 1e-4 of its scale, or after max_iter steps. So each CVT is the
+    one a one-entry level gives.
+    """
+    cvts, rngs = [], []
+    for boundary, n, seed in parents:
+        rng = np.random.default_rng(seed)
+        sites = np.empty((n, 2))
+        count = 0
+        while count < n:
+            p = boundary.sample_point(rng)
+            gap = p - sites[:count]
+            if np.all(np.hypot(gap[:, 0], gap[:, 1]) > 1e-9 * boundary.diagonal):
+                sites[count] = p
+                count += 1
+        cvts.append(power_diagram(sites, boundary, node_ids=[f"cvt{i}" for i in range(n)]))
+        rngs.append(rng)
+    active = list(range(len(cvts)))
     for _ in range(max_iter):
-        before = diagram.sites.copy()
-        lloyd_step(diagram, rng)
-        disp = np.hypot(*(diagram.sites - before).T).max()
-        if disp < tol:
+        if not active:
             break
-    return diagram
+        before = [cvts[k].sites for k in active]
+        lloyd_step([cvts[k] for k in active], [rngs[k] for k in active])
+        active = [k for k, b in zip(active, before)
+                  if not np.hypot(*(cvts[k].sites - b).T).max() < 1e-4 * cvts[k].scale]
+    return cvts
 
 
 FIT_MARGIN = 0.9
@@ -143,12 +155,27 @@ def swap_improve(
     """Greedy pairwise swaps that strictly increase realized constraints.
 
     Passes repeat until a full pass makes no swap or `max_passes` elapse; the
-    realized count never decreases.
+    realized count never decreases. A trial swap of u and v rescores only the
+    constraints that name u or v, each once, so its count equals
+    realized_count's on the swapped mapping.
     """
     adjacency = cvt_adjacency(cvt)
     mapping = dict(assignment.mapping)
     node_ids = sorted(mapping)
-    current = realized_count(Assignment(mapping, "match_swap"), constraints, adjacency)
+    ends = [(c.a, c.b) for c in constraints if c.a in mapping and c.b in mapping]
+    incident: dict[str, set[int]] = {u: set() for u in node_ids}
+    for k, (a, b) in enumerate(ends):
+        incident[a].add(k)
+        incident[b].add(k)
+
+    def realized(ks) -> int:
+        count = 0
+        for k in ks:
+            i, j = mapping[ends[k][0]], mapping[ends[k][1]]
+            count += (min(i, j), max(i, j)) in adjacency
+        return count
+
+    current = realized(range(len(ends)))
     if trace is not None:
         trace.append(current)
     for _ in range(max_passes):
@@ -156,8 +183,10 @@ def swap_improve(
         for i in range(len(node_ids)):
             for j in range(i + 1, len(node_ids)):
                 u, v = node_ids[i], node_ids[j]
+                touched = incident[u] | incident[v]
+                before = realized(touched)
                 mapping[u], mapping[v] = mapping[v], mapping[u]
-                candidate = realized_count(Assignment(mapping, "match_swap"), constraints, adjacency)
+                candidate = current - before + realized(touched)
                 if candidate > current:
                     current = candidate
                     swapped = True

@@ -122,10 +122,14 @@ def init_diagram(
     seed: int,
     level: int,
     scale: float,
+    cvt: Diagram | None,
 ) -> Diagram:
+    """The parent's child diagram: its sites are the MDS positions scaled
+    into the boundary (proj_scale), or the sites of the parent's CVT, which
+    build_cvt made from (boundary, len(children), seed), assigned to the
+    children (match_swap, random_cvt)."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown init strategy: {strategy!r}")
-    n = len(children)
     parent_weight = tree.nodes[parent].weight
     targets = [tree.nodes[c].weight / parent_weight for c in children]
     matrix = group_matrix(tree, children, level, kind)
@@ -136,7 +140,6 @@ def init_diagram(
         sites = proj_scale_init(positions, boundary)
         sites = _distinct_sites(sites, boundary, rng)
     else:
-        cvt = build_cvt(boundary, n, seed=seed)
         if strategy == "random_cvt":
             assignment = random_assignment(children, cvt, seed=seed)
         else:
@@ -175,15 +178,20 @@ def build_treemap(
     diagrams_by_level: dict[int, list[Diagram]] = {}
     for level, groups in build_level_queue(tree):
         level_cons = constraints.get(level, [])
-        diagrams = []
-        for gi, (parent, children) in enumerate(groups):
-            boundary = boundaries.get(parent)
-            if boundary is None:
+        for parent, _ in groups:
+            if parent not in boundaries:
                 raise PipelineError(f"parent {parent!r} has no cell to subdivide")
-            diagrams.append(init_diagram(
-                tree, parent, children, boundary, strategy, level_cons,
-                kind, _derived_seed(seed, level, gi), level, scale,
-            ))
+        seeds = [_derived_seed(seed, level, gi) for gi in range(len(groups))]
+        if strategy in ("match_swap", "random_cvt"):
+            cvts = build_cvt([(boundaries[parent], len(children), s)
+                              for (parent, children), s in zip(groups, seeds)])
+        else:
+            cvts = [None] * len(groups)
+        diagrams = [
+            init_diagram(tree, parent, children, boundaries[parent], strategy, level_cons,
+                         kind, s, level, scale, cvt)
+            for (parent, children), s, cvt in zip(groups, seeds, cvts)
+        ]
         state = LevelState.create(level, diagrams, level_cons, cfg)
         if init_preserved is not None:
             count, _ = metrics_mod.preserved_constraints(state.neighbor_map, level_cons)

@@ -219,8 +219,8 @@ def test_criterion_01_power_diagram_point_oracle():
 
 def test_criterion_02_matching_equals_bruteforce():
     rng = np.random.default_rng(202)
-    cvts = {n: build_cvt(make_boundary("square", 10.0), n, seed=n)
-            for n in range(2, 8)}
+    cvts = dict(zip(range(2, 8), build_cvt([(make_boundary("square", 10.0), n, n)
+                                            for n in range(2, 8)])))
     failures = 0
     for _ in range(100):
         n = int(rng.integers(2, 8))
@@ -333,7 +333,7 @@ def test_criterion_06_area_error(instrumented_runs):
 
 def test_criterion_07_swap_monotonicity():
     rng = np.random.default_rng(707)
-    cvt = build_cvt(make_boundary("square", 1.0), 9, seed=7)
+    cvt = build_cvt([(make_boundary("square", 1.0), 9, 7)])[0]
     ids = [f"n{i}" for i in range(9)]
     adjacency = cvt_adjacency(cvt)
     regressions = 0
@@ -416,9 +416,11 @@ def _lloyd_growth_mirror(tree, boundary, seed):
     for level, groups in build_level_queue(tree):
         diagrams = []
         for gi, (parent, children) in enumerate(groups):
+            child_seed = _derived_seed(seed, level, gi)
+            cvt = build_cvt([(boundaries[parent], len(children), child_seed)])[0]
             diagrams.append(init_diagram(
                 tree, parent, children, boundaries[parent], "match_swap", [],
-                "cosine", _derived_seed(seed, level, gi), level, scale,
+                "cosine", child_seed, level, scale, cvt,
             ))
         pure_lloyd_growth(diagrams, OptimizerConfig(),
                           rng=np.random.default_rng([seed, level]))

@@ -704,7 +704,7 @@ def test_lloyd_fixpoint():
     # a symmetric 2-cell split of a square is already centroidal
     d = power_diagram([(0.25, 0.5), (0.75, 0.5)], square(1.0))
     before = d.sites.copy()
-    lloyd_step(d)
+    lloyd_step([d])
     assert np.abs(d.sites - before).max() < 1e-12
 
 
@@ -712,7 +712,7 @@ def test_lloyd_two_sites_converges_to_halves():
     d = power_diagram([(0.3, 0.7), (0.45, 0.2)], square(1.0))
     for _ in range(200):
         before = d.sites.copy()
-        lloyd_step(d)
+        lloyd_step([d])
         if np.hypot(*(d.sites - before).T).max() < 1e-4 * d.scale:
             break
     a, b = d.cells
@@ -722,17 +722,50 @@ def test_lloyd_two_sites_converges_to_halves():
 
 def test_lloyd_single_site_jumps_to_centroid():
     d = power_diagram([(0.9, 0.9)], square(1.0))
-    lloyd_step(d)
+    lloyd_step([d])
     assert d.cells[0].site == pytest.approx([0.5, 0.5])
 
 
 def test_lloyd_reseeds_empty_cells():
     d = power_diagram([(0.4, 0.5), (0.6, 0.5)], square(1.0), weights=[10.0, 0.0])
     assert d.cells[1].polygon is None
-    lloyd_step(d, np.random.default_rng(0))
+    lloyd_step([d], [np.random.default_rng(0)])
     # the dominated site was reseeded; with equal recomputation it may still be
     # dominated by weight, so only require the loop to terminate cleanly
     assert d.cells[0].polygon is not None
+
+
+def _lloyd_level():
+    """Three diagrams, two of them with a cell that a heavy weight keeps empty
+    through every reseed, one of them on hull candidate lists."""
+    rng = np.random.default_rng(5)
+    boundary = regular_polygon(12, radius=40.0, center=(50.0, 50.0))
+    return [
+        power_diagram([(40.0, 50.0), (60.0, 50.0)], square(100.0), weights=[1e5, 0.0]),
+        power_diagram([boundary.sample_point(rng) for _ in range(BATCH_MIN_CELLS + 2)], boundary),
+        power_diagram([(10.0, 10.0), (30.0, 20.0), (20.0, 30.0)], square(40.0),
+                      weights=[0.0, 5e3, 0.0]),
+    ]
+
+
+def test_lloyd_step_on_a_level_equals_one_diagram_at_a_time():
+    level, alone = _lloyd_level(), _lloyd_level()
+    assert level[0].cells[1].polygon is None and level[2].cells[0].polygon is None
+    rngs_level = [np.random.default_rng(k) for k in range(3)]
+    rngs_alone = [np.random.default_rng(k) for k in range(3)]
+    for _ in range(3):
+        lloyd_step(level, rngs_level)
+        for d, rng in zip(alone, rngs_alone):
+            lloyd_step([d], [rng])
+        for a, b in zip(level, alone):
+            assert [(c.site.tobytes(), c.polygon is None or c.polygon.vertices.tobytes())
+                    for c in a.cells] == \
+                [(c.site.tobytes(), c.polygon is None or c.polygon.vertices.tobytes())
+                 for c in b.cells]
+    assert [r.bit_generator.state for r in rngs_level] == [r.bit_generator.state for r in rngs_alone]
+    # only the diagrams with an empty cell drew
+    fresh = [np.random.default_rng(k).bit_generator.state for k in range(3)]
+    assert [r.bit_generator.state == f for r, f in zip(rngs_level, fresh)] == [False, True, False]
 
 
 def test_lloyd_reduces_second_moment():
@@ -759,7 +792,7 @@ def test_lloyd_reduces_second_moment():
         return total
 
     m0 = second_moment(d)
-    lloyd_step(d)
+    lloyd_step([d])
     m1 = second_moment(d)
     assert m1 < m0
 
@@ -960,7 +993,7 @@ def test_batched_recompute_equals_per_cell_under_lloyd_and_growth():
     d = power_diagram(sites, boundary, targets=targets / targets.sum())
     for step in range(30):
         if step < 15:
-            lloyd_step(d, rng)
+            lloyd_step([d], [rng])
         else:
             adapt_weights([d], rate=0.7, rng=rng)
         _assert_recompute_matches_per_cell(d)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simmap.geometry import ConvexPolygon, power_diagram, regular_polygon, square
+from simmap import geometry, layout_init
+from simmap.geometry import BATCH_MIN_CELLS, ConvexPolygon, power_diagram, regular_polygon, square
 from simmap.layout_init import (
     Assignment,
     ProjectedPositions,
@@ -86,30 +87,109 @@ def test_mds_deterministic():
 
 def test_cvt_single_cell():
     boundary = regular_polygon(8, radius=2.0)
-    cvt = build_cvt(boundary, 1, seed=0)
+    cvt = build_cvt([(boundary, 1, 0)])[0]
     assert len(cvt.cells) == 1
     assert cvt.cells[0].area == pytest.approx(boundary.area)
     assert cvt.cells[0].site == pytest.approx(boundary.centroid, abs=1e-6)
 
 
 def test_cvt_four_in_square_near_quadrants():
-    cvt = build_cvt(square(1.0), 4, seed=3)
+    cvt = build_cvt([(square(1.0), 4, 3)])[0]
     for c in cvt.cells:
         assert c.area == pytest.approx(0.25, abs=0.02)
 
 
 def test_cvt_deterministic():
     boundary = square(1.0)
-    a = build_cvt(boundary, 5, seed=11).sites
-    b = build_cvt(boundary, 5, seed=11).sites
+    a = build_cvt([(boundary, 5, 11)])[0].sites
+    b = build_cvt([(boundary, 5, 11)])[0].sites
     assert np.array_equal(a, b)
 
 
 def test_cvt_sites_inside():
     boundary = regular_polygon(5, radius=3.0)
-    cvt = build_cvt(boundary, 7, seed=4)
+    cvt = build_cvt([(boundary, 7, 4)])[0]
     for c in cvt.cells:
         assert boundary.contains(c.site, tol=-1e-12 * boundary.diagonal)
+
+
+def _spy_lloyd_steps(monkeypatch):
+    """Every lloyd_step call build_cvt makes, as {id(diagram): (its rng, its
+    largest site displacement)}."""
+    calls = []
+    real = layout_init.lloyd_step
+
+    def spy(diagrams, rngs):
+        before = [d.sites for d in diagrams]
+        real(diagrams, rngs)
+        calls.append({id(d): (rng, np.hypot(*(d.sites - b).T).max())
+                      for d, rng, b in zip(diagrams, rngs, before)})
+        return diagrams
+
+    monkeypatch.setattr(layout_init, "lloyd_step", spy)
+    return calls
+
+
+def _cvt_bytes(cvt):
+    return [(c.site.tobytes(), c.polygon.vertices.tobytes(), c.polygon.area,
+             c.polygon.centroid.tobytes(), c.polygon.aabb, c.polygon.diagonal)
+            for c in cvt.cells]
+
+
+# a mixed level: both sides of BATCH_MIN_CELLS, and seeds whose CVTs take
+# 2, 7, 32, 65, 102 and 133 Lloyd steps alone
+FAR_TRIANGLE = ConvexPolygon(np.array([[1e6, 1e6], [1e6 + 3.0, 1e6 + 0.5], [1e6 + 1.0, 1e6 + 2.5]]))
+MIXED_LEVEL = [
+    (square(1.0), 1, 0),
+    (regular_polygon(64, radius=500.0, center=(500.0, 500.0)), 2, 0),
+    (FAR_TRIANGLE, BATCH_MIN_CELLS - 1, 3),
+    (square(1.0), BATCH_MIN_CELLS, 0),
+    (regular_polygon(64, radius=500.0, center=(500.0, 500.0)), 20, 2),
+    (FAR_TRIANGLE, 40, 0),
+]
+
+
+def test_cvt_level_equals_one_call_per_parent(monkeypatch):
+    calls = _spy_lloyd_steps(monkeypatch)
+    alone, steps, draws = [], [], []
+    for parent in MIXED_LEVEL:
+        calls.clear()
+        alone.append(build_cvt([parent])[0])
+        steps.append(len(calls))
+        (rng, _), = calls[0].values()
+        draws.append(rng.random())
+    assert len(set(steps)) == len(MIXED_LEVEL)
+    calls.clear()
+    level = build_cvt(MIXED_LEVEL)
+    assert [len(call) for call in calls] == [sum(s > t for s in steps) for t in range(max(steps))]
+    for cvt, ref in zip(level, alone):
+        assert _cvt_bytes(cvt) == _cvt_bytes(ref)
+        # it steps until its largest displacement is below 1e-4 scale, and no further
+        disp = [call[id(cvt)][1] for call in calls if id(cvt) in call]
+        assert min(disp[:-1], default=np.inf) >= 1e-4 * cvt.scale > disp[-1]
+    assert [rng.random() for rng, _ in calls[0].values()] == draws
+
+
+def test_cvt_level_recomputes_once_per_lloyd_step(monkeypatch):
+    calls = _spy_lloyd_steps(monkeypatch)
+    steps = []
+    for parent in MIXED_LEVEL:
+        calls.clear()
+        build_cvt([parent])
+        steps.append(len(calls))
+    power_cells = []
+    real = geometry._power_cells
+
+    def spy(*args):
+        power_cells.append(len(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_power_cells", spy)
+    calls.clear()
+    build_cvt(MIXED_LEVEL)
+    assert len(calls) == max(steps)
+    # one per start diagram, then one per step for the CVTs still relaxing
+    assert power_cells == [1] * len(MIXED_LEVEL) + [len(call) for call in calls]
 
 
 # ---------------------------------------------------------- fit_points_in_polygon
@@ -185,21 +265,21 @@ def test_fit_outlier_compresses_the_rest():
 # ------------------------------------------------------------- match_assignment
 
 def test_match_single_node():
-    cvt = build_cvt(square(1.0), 1, seed=0)
+    cvt = build_cvt([(square(1.0), 1, 0)])[0]
     pos = ProjectedPositions(["a"], np.zeros((1, 2)))
     a = match_assignment(pos, cvt)
     assert a.mapping == {"a": 0}
 
 
 def test_match_size_mismatch():
-    cvt = build_cvt(square(1.0), 2, seed=0)
+    cvt = build_cvt([(square(1.0), 2, 0)])[0]
     pos = ProjectedPositions(["a"], np.zeros((1, 2)))
     with pytest.raises(ValueError, match="mismatch"):
         match_assignment(pos, cvt)
 
 
 def test_match_identity_when_positions_sit_on_centroids():
-    cvt = build_cvt(square(1.0), 4, seed=3)
+    cvt = build_cvt([(square(1.0), 4, 3)])[0]
     centroids = np.array([c.polygon.centroid for c in cvt.cells])
     pos = ProjectedPositions([f"n{i}" for i in range(4)], centroids)
     a = match_assignment(pos, cvt)
@@ -217,7 +297,7 @@ def _bruteforce_total_cost(pts, centroids):
 
 def test_match_equals_bruteforce_minimum():
     rng = np.random.default_rng(6)
-    cvt = build_cvt(square(1.0), 6, seed=1)
+    cvt = build_cvt([(square(1.0), 6, 1)])[0]
     centroids = np.array([c.polygon.centroid for c in cvt.cells])
     for trial in range(5):
         raw = rng.uniform(-1, 1, size=(6, 2))
@@ -259,7 +339,7 @@ def test_swap_realizes_diagonal_constraint():
 
 def test_swap_monotone_trace():
     rng = np.random.default_rng(8)
-    cvt = build_cvt(square(1.0), 8, seed=2)
+    cvt = build_cvt([(square(1.0), 8, 2)])[0]
     ids = [f"n{i}" for i in range(8)]
     cons = []
     for _ in range(8):
@@ -277,6 +357,72 @@ def test_swap_monotone_trace():
         assert trace[-1] >= trace[0]
 
 
+def _reference_swap_improve(assignment, constraints, cvt, max_passes=20, trace=None):
+    """The scalar reference of swap_improve: every trial swap recounts all
+    constraints with realized_count."""
+    adjacency = cvt_adjacency(cvt)
+    mapping = dict(assignment.mapping)
+    node_ids = sorted(mapping)
+    current = realized_count(Assignment(mapping, "match_swap"), constraints, adjacency)
+    if trace is not None:
+        trace.append(current)
+    for _ in range(max_passes):
+        swapped = False
+        for i in range(len(node_ids)):
+            for j in range(i + 1, len(node_ids)):
+                u, v = node_ids[i], node_ids[j]
+                mapping[u], mapping[v] = mapping[v], mapping[u]
+                candidate = realized_count(Assignment(mapping, "match_swap"), constraints, adjacency)
+                if candidate > current:
+                    current = candidate
+                    swapped = True
+                    if trace is not None:
+                        trace.append(current)
+                else:
+                    mapping[u], mapping[v] = mapping[v], mapping[u]
+        if not swapped:
+            break
+    return Assignment(mapping=mapping, strategy="match_swap")
+
+
+SWAP_CVTS = build_cvt([(square(1.0), n, n) for n in range(2, 13)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, len(SWAP_CVTS) - 1), st.integers(1, 20))
+def test_swap_improve_equals_full_recount_reference(seed, which, max_passes):
+    rng = np.random.default_rng(seed)
+    cvt = SWAP_CVTS[which]
+    n = len(cvt.cells)
+    ids = [f"n{i}" for i in range(n)]
+    # two names outside the mapping, so some constraints never count
+    names = ids + ["out0", "out1"]
+    cons = [constraint(names[int(a)], names[int(b)])
+            for a, b in rng.integers(0, len(names), size=(int(rng.integers(1, 3 * n)), 2))]
+    cons.append(cons[int(rng.integers(len(cons)))])     # a constraint listed twice
+    assignment = Assignment({ids[i]: int(c) for i, c in enumerate(rng.permutation(n))},
+                            "match_swap")
+    trace, ref_trace = [], []
+    out = swap_improve(assignment, cons, cvt, max_passes=max_passes, trace=trace)
+    ref = _reference_swap_improve(assignment, cons, cvt, max_passes=max_passes, trace=ref_trace)
+    assert out.mapping == ref.mapping
+    assert trace == ref_trace
+
+
+def test_swap_improve_counts_duplicates_outsiders_and_the_swapped_pair_like_the_reference():
+    cvt = grid_cvt()    # cells 0..3 = SW, SE, NW, NE; SW and NE touch only at a corner
+    a = Assignment({"u": 0, "v": 3, "x": 1, "y": 2}, "match_swap")
+    cons = [constraint("u", "v"), constraint("u", "v"), constraint("u", "gone"),
+            constraint("x", "y"), constraint("u", "u")]
+    trace, ref_trace = [], []
+    out = swap_improve(a, cons, cvt, trace=trace)
+    ref = _reference_swap_improve(a, cons, cvt, trace=ref_trace)
+    assert out.mapping == ref.mapping
+    # swapping u with x realizes both copies of (u, v), and (x, y) with them
+    assert trace == ref_trace == [0, 3]
+    assert realized_count(out, cons, cvt_adjacency(cvt)) == 3
+
+
 # -------------------------------------------------------------- proj_scale_init
 
 def test_proj_scale_sites_inside():
@@ -292,7 +438,7 @@ def test_proj_scale_sites_inside():
 # ------------------------------------------------------------ random_assignment
 
 def test_random_assignment_deterministic():
-    cvt = build_cvt(square(1.0), 5, seed=1)
+    cvt = build_cvt([(square(1.0), 5, 1)])[0]
     ids = [f"n{i}" for i in range(5)]
     a = random_assignment(ids, cvt, seed=42).mapping
     b = random_assignment(ids, cvt, seed=42).mapping
@@ -301,13 +447,13 @@ def test_random_assignment_deterministic():
 
 
 def test_random_assignment_size_mismatch():
-    cvt = build_cvt(square(1.0), 2, seed=0)
+    cvt = build_cvt([(square(1.0), 2, 0)])[0]
     with pytest.raises(ValueError, match="mismatch"):
         random_assignment(["a"], cvt)
 
 
 def test_random_assignment_roughly_uniform():
-    cvt = build_cvt(square(1.0), 10, seed=0)
+    cvt = build_cvt([(square(1.0), 10, 0)])[0]
     ids = [f"n{i}" for i in range(10)]
     hits = np.zeros((10, 10))
     for seed in range(1000):
