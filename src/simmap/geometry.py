@@ -8,8 +8,8 @@ algorithms and applications", SIAM J. Comput. 1987), else against all other
 sites. `_clip_rings` is the one clipper: it clips a padded stack of rings in
 rounds, one half-plane per ring per round. `recompute_level` clips all cells
 of a level in one call, as many rounds as its longest candidate list, and
-`ConvexPolygon.inset` and `clip_halfplane` are calls of their own; a ring's
-result does not depend on which rings share the call. `_finish_rings` builds
+`ConvexPolygon.inset` is a call of its own; a ring's result does not depend
+on which rings share the call. `_finish_rings` builds
 every polygon from the stacked rings, and one `_ring_measures` call, the
 only shoelace, takes every ring's area, centroid and bounding box relative
 to the ring's first vertex. Neighbors are found by testing only the edge
@@ -111,20 +111,6 @@ class ConvexPolygon:
             return math.inf
         room = origin @ normals - offsets + (tol - slack) * length
         return max(0.0, float(np.min(room[leaving] / -rate[leaving])))
-
-    def clip_halfplane(self, normal: np.ndarray, offset: float):
-        """Intersect with the half-plane {x : normal . x <= offset}.
-
-        Returns self when every vertex is inside, else a new ConvexPolygon, or
-        None when the intersection is empty or degenerate.
-        """
-        v = self.vertices
-        flat, lengths = _clip_rings(v[None], np.array([len(v)]),
-                                    np.asarray(normal, dtype=float).reshape(1, 1, 2),
-                                    np.array([[offset]], dtype=float))
-        if flat.shape == v.shape and np.array_equal(flat, v):
-            return self
-        return _finish_rings(flat, lengths, self.diagonal)[0]
 
     def inset(self, margin: float):
         """Shrink by moving each edge inward by `margin`; None if it vanishes.

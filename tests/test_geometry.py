@@ -278,15 +278,24 @@ def test_ray_exit_zero_direction_and_origin_on_the_edge():
     assert sq.ray_exit(np.array([1.0, 1.0]), np.array([1.0, 1.0]), tol=-0.5) == pytest.approx(0.5)
 
 
+def _clip_once(vertices, normal, offset):
+    """One _clip_rings round on one ring, by {x : normal . x <= offset}."""
+    return _clip_rings(vertices[None], np.array([len(vertices)]),
+                       np.asarray(normal, dtype=float).reshape(1, 1, 2),
+                       np.array([[offset]], dtype=float))
+
+
 def test_clip_halfplane_whole_and_empty():
     sq = square(1.0)
-    assert sq.clip_halfplane(np.array([1.0, 0.0]), 2.0) is sq  # keeps everything
-    assert sq.clip_halfplane(np.array([1.0, 0.0]), -1.0) is None  # removes everything
+    flat, lengths = _clip_once(sq.vertices, [1.0, 0.0], 2.0)  # keeps everything
+    assert lengths.tolist() == [4] and np.array_equal(flat, sq.vertices)
+    flat, lengths = _clip_once(sq.vertices, [1.0, 0.0], -1.0)  # removes everything
+    assert _finish_rings(flat, lengths, sq.diagonal) == [None]
 
 
 def test_clip_halfplane_half():
     sq = square(1.0)
-    half = sq.clip_halfplane(np.array([1.0, 0.0]), 0.5)  # x <= 0.5
+    half, = _finish_rings(*_clip_once(sq.vertices, [1.0, 0.0], 0.5), sq.diagonal)  # x <= 0.5
     assert half.area == pytest.approx(0.5)
     assert half.vertices[:, 0].max() == pytest.approx(0.5)
 
@@ -301,9 +310,10 @@ def test_clip_halfplane_keeps_both_runs_of_a_dented_ring():
     expected = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, y], [0.75, y], ring[3],
                          [0.25, y], [0.0, y]])
     assert np.array_equal(_clip_array(ring, normal, y), expected)
-    flat, lengths = _clip_rings(ring[None], np.array([5]), normal[None, None], np.array([[y]]))
+    flat, lengths = _clip_once(ring, normal, y)
     assert lengths.tolist() == [7] and np.array_equal(flat, expected)
-    assert np.array_equal(ConvexPolygon(ring).clip_halfplane(normal, y).vertices, expected)
+    polygon, = _finish_rings(flat, lengths, ConvexPolygon(ring).diagonal)
+    assert np.array_equal(polygon.vertices, expected)
 
 
 def test_inset_square():
@@ -1280,12 +1290,13 @@ def test_clip_halfplane_equals_per_ring_reference():
         normal = np.array([math.cos(angle), math.sin(angle)])
         heights = poly.vertices @ normal
         offset = rng.uniform(heights.min() - 0.1, heights.max() + 0.1)
-        got = poly.clip_halfplane(normal, offset)
+        flat, lengths = _clip_once(poly.vertices, normal, offset)
         ring = _clip_array(poly.vertices, normal, offset)
         ref = None if ring is None else _polygon_or_none(ring, poly.diagonal)
         if ring is poly.vertices:
-            assert got is poly
+            assert np.array_equal(flat, poly.vertices)    # the ring comes back unchanged
             continue
+        got, = _finish_rings(flat, lengths, poly.diagonal)
         assert (got is None) == (ref is None)
         if ref is not None:
             assert _measure_bytes(got) == _measure_bytes(ref)
