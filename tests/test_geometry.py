@@ -746,8 +746,8 @@ def test_lloyd_reseeds_empty_cells():
 
 
 def _lloyd_level():
-    """Three diagrams, two of them with a cell that a heavy weight keeps empty
-    through every reseed, one of them on hull candidate lists."""
+    """Three diagrams: two whose heavy weight keeps the other cells empty
+    through every reseed, and one on hull candidate lists."""
     rng = np.random.default_rng(5)
     boundary = regular_polygon(12, radius=40.0, center=(50.0, 50.0))
     return [
