@@ -763,15 +763,16 @@ def test_lloyd_step_on_a_level_equals_one_diagram_at_a_time():
     assert level[0].cells[1].polygon is None and level[2].cells[0].polygon is None
     rngs_level = [np.random.default_rng(k) for k in range(3)]
     rngs_alone = [np.random.default_rng(k) for k in range(3)]
+
+    def cell_bytes(diagrams):
+        return [(c.site.tobytes(), c.polygon is None or c.polygon.vertices.tobytes())
+                for d in diagrams for c in d.cells]
+
     for _ in range(3):
         lloyd_step(level, rngs_level)
         for d, rng in zip(alone, rngs_alone):
             lloyd_step([d], [rng])
-        for a, b in zip(level, alone):
-            assert [(c.site.tobytes(), c.polygon is None or c.polygon.vertices.tobytes())
-                    for c in a.cells] == \
-                [(c.site.tobytes(), c.polygon is None or c.polygon.vertices.tobytes())
-                 for c in b.cells]
+        assert cell_bytes(level) == cell_bytes(alone)
     assert [r.bit_generator.state for r in rngs_level] == [r.bit_generator.state for r in rngs_alone]
     # only the diagrams with an empty cell drew
     fresh = [np.random.default_rng(k).bit_generator.state for k in range(3)]
