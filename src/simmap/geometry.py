@@ -593,34 +593,27 @@ def cell_neighbors(level_diagrams: list[Diagram]) -> dict:
     return result
 
 
-def lloyd_step(diagrams: list[Diagram], rngs: list[np.random.Generator] | None = None) -> list[Diagram]:
-    """One Lloyd step for each of a level's diagrams, with one recompute_level.
+def _require_cells(diagrams: list[Diagram], when: str) -> None:
+    empty = [c.node_id for d in diagrams for c in d.cells if c.polygon is None]
+    if empty:
+        raise GeometryError(f"cell {empty[0]} is empty {when} a Lloyd step")
 
-    Every site moves to its cell centroid; an empty cell's site is drawn
-    anew. Then, up to 5 times, the sites of cells still empty are drawn anew
-    and only the diagrams holding them are recomputed again. Diagram k draws
-    from rngs[k] (default_rng(0) each when rngs is None), in its own cell
-    order, so its bits and draws equal those of a one-entry level.
+
+def lloyd_step(diagrams: list[Diagram]) -> list[Diagram]:
+    """One Lloyd step for each of a level's diagrams, with one recompute_level:
+    every site moves to its cell centroid.
+
+    With zero weights every cell holds its own site (Du, Faber & Gunzburger,
+    SIAM Review 41(4), 1999), so no cell can be empty; a cell empty before or
+    after the step raises GeometryError naming it. A diagram's bits equal
+    those of a one-entry level.
     """
-    if rngs is None:
-        rngs = [np.random.default_rng(0) for _ in diagrams]
-    for diagram, rng in zip(diagrams, rngs):
+    _require_cells(diagrams, "before")
+    for diagram in diagrams:
         for cell in diagram.cells:
-            if cell.polygon is not None:
-                cell.site = cell.polygon.centroid
-            else:
-                cell.site = diagram.boundary.sample_point(rng)
+            cell.site = cell.polygon.centroid
     recompute_level(diagrams)
-    pending = list(zip(diagrams, rngs))
-    for _ in range(5):
-        pending = [(d, rng) for d, rng in pending if any(c.polygon is None for c in d.cells)]
-        if not pending:
-            break
-        for diagram, rng in pending:
-            for c in diagram.cells:
-                if c.polygon is None:
-                    c.site = diagram.boundary.sample_point(rng)
-        recompute_level([d for d, _ in pending])
+    _require_cells(diagrams, "after")
     return diagrams
 
 
@@ -634,21 +627,24 @@ def _mean_pairwise_site_distance(diagram: Diagram) -> float:
     return float(np.sum(d) / (n * (n - 1)))
 
 
-def adapt_weights(diagrams: list[Diagram], rate: float = 0.7,
-                  rng: np.random.Generator | None = None) -> list[Diagram]:
+# Weight added per unit of area error over pi (Nocaj & Brandes, EuroVis 2012).
+GROWTH_RATE = 0.7
+
+
+def adapt_weights(diagrams: list[Diagram], rng: np.random.Generator | None = None) -> list[Diagram]:
     """One weight-adaptation step toward target areas (equivalent-radius
     error) for each of a level's diagrams, then one recompute_level.
 
-    w_i += rate * (t_i * A_boundary - A_i) / pi, then a uniform shift keeps
-    each diagram's minimum weight at >= 0. Dominated (empty) cells get a
-    one-off weight bump, then a reseed if still empty, drawn in diagram
+    w_i += GROWTH_RATE * (t_i * A_boundary - A_i) / pi, then a uniform shift
+    keeps each diagram's minimum weight at >= 0. Dominated (empty) cells get
+    a one-off weight bump, then a reseed if still empty, drawn in diagram
     order; only diagrams with empty cells are recomputed again. So the bits
     and rng draws equal those of one call per diagram, in order.
     """
     for diagram in diagrams:
         a_boundary = diagram.boundary.area
         for cell in diagram.cells:
-            cell.weight += rate * (cell.target_area_fraction * a_boundary - cell.area) / math.pi
+            cell.weight += GROWTH_RATE * (cell.target_area_fraction * a_boundary - cell.area) / math.pi
         min_w = min(c.weight for c in diagram.cells)
         if min_w < 0.0:
             for cell in diagram.cells:

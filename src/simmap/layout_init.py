@@ -52,17 +52,20 @@ def mds_project(matrix: SimilarityMatrix) -> ProjectedPositions:
     return ProjectedPositions(list(matrix.node_ids), pts)
 
 
-def build_cvt(parents: list[tuple[ConvexPolygon, int, int]], max_iter: int = 500) -> list[Diagram]:
+# Lloyd steps after which a CVT stops even if it has not converged.
+CVT_MAX_STEPS = 500
+
+
+def build_cvt(parents: list[tuple[ConvexPolygon, int, int]]) -> list[Diagram]:
     """One CVT per (boundary, cell count, seed) of a level's parents: random
     equal-weight sites relaxed with Lloyd until convergence.
 
-    Each CVT draws its start sites, then its Lloyd reseeds, from its own
-    default_rng(seed). Every unconverged CVT takes each step in one
-    lloyd_step call; a CVT leaves at the step whose largest site displacement
-    is below 1e-4 of its scale, or after max_iter steps. So each CVT is the
-    one a one-entry level gives.
+    Each CVT draws its start sites from its own default_rng(seed). Every
+    unconverged CVT takes each step in one lloyd_step call; a CVT leaves at
+    the step whose largest site displacement is below 1e-4 of its scale, or
+    after CVT_MAX_STEPS steps. So each CVT is the one a one-entry level gives.
     """
-    cvts, rngs = [], []
+    cvts = []
     for boundary, n, seed in parents:
         rng = np.random.default_rng(seed)
         sites = np.empty((n, 2))
@@ -74,15 +77,14 @@ def build_cvt(parents: list[tuple[ConvexPolygon, int, int]], max_iter: int = 500
                 sites[count] = p
                 count += 1
         cvts.append(power_diagram(sites, boundary, node_ids=[f"cvt{i}" for i in range(n)]))
-        rngs.append(rng)
-    active = list(range(len(cvts)))
-    for _ in range(max_iter):
+    active = list(cvts)
+    for _ in range(CVT_MAX_STEPS):
         if not active:
             break
-        before = [cvts[k].sites for k in active]
-        lloyd_step([cvts[k] for k in active], [rngs[k] for k in active])
-        active = [k for k, b in zip(active, before)
-                  if not np.hypot(*(cvts[k].sites - b).T).max() < 1e-4 * cvts[k].scale]
+        before = [cvt.sites for cvt in active]
+        lloyd_step(active)
+        active = [cvt for cvt, b in zip(active, before)
+                  if not np.hypot(*(cvt.sites - b).T).max() < 1e-4 * cvt.scale]
     return cvts
 
 

@@ -24,27 +24,28 @@ from .similarity import Constraint
 from .tree_model import Tree
 
 
+GROWTH_START_FRACTION = 0.8    # growth runs over the last 20% of iterations
+STEP_FRACTION = 0.5            # a move's share of its gap before growth
+STEP_DECAY = 0.95              # per-iteration decay of that share during growth
+K_MIN = 0.9                    # move_toward's band, in summed equivalent radii
+BOUNDARY_MARGIN_FRACTION = 1e-3  # sites' margin inside a parent, of the level's scale
+
+
 @dataclass
 class OptimizerConfig:
     max_iter: int = 150
-    growth_start_fraction: float = 0.8
     max_neighbor_count: int = 6
-    step_fraction: float = 0.5
-    step_decay: float = 0.95
-    k_min: float = 0.9
-    boundary_margin_fraction: float = 1e-3
-    growth_rate: float = 0.7
 
     @property
     def growth_start(self) -> int:
-        return int(math.ceil(self.growth_start_fraction * self.max_iter))
+        return int(math.ceil(GROWTH_START_FRACTION * self.max_iter))
 
     def step_at(self, iteration: int) -> float:
         """Base step fraction, decayed once growth starts to damp oscillation."""
         excess = iteration - self.growth_start + 1
         if excess <= 0:
-            return self.step_fraction
-        return self.step_fraction * self.step_decay ** excess
+            return STEP_FRACTION
+        return STEP_FRACTION * STEP_DECAY ** excess
 
 
 @dataclass
@@ -62,11 +63,10 @@ class LevelState:
     insets: dict[int, ConvexPolygon] = field(default_factory=dict)
 
     @classmethod
-    def create(cls, level: int, diagrams: list[Diagram], constraints: list[Constraint],
-               cfg: OptimizerConfig) -> "LevelState":
+    def create(cls, level: int, diagrams: list[Diagram], constraints: list[Constraint]) -> "LevelState":
         scale = max(d.scale for d in diagrams)
         state = cls(level=level, diagrams=diagrams, constraints=list(constraints),
-                    margin=cfg.boundary_margin_fraction * scale)
+                    margin=BOUNDARY_MARGIN_FRACTION * scale)
         for d in diagrams:
             for c in d.cells:
                 state.cells_by_id[c.node_id] = c
@@ -130,7 +130,7 @@ def _clamp_into(old: np.ndarray, new: np.ndarray, inset: ConvexPolygon) -> np.nd
     return old + inset.ray_exit(old, d) * d
 
 
-def move_toward(cell: Cell, target: Cell, cfg: OptimizerConfig, f: float, inset: ConvexPolygon) -> None:
+def move_toward(cell: Cell, target: Cell, f: float, inset: ConvexPolygon) -> None:
     """Advance the site a fraction of the gap toward the target, band-floored."""
     s = cell.site
     t = target.site
@@ -138,7 +138,7 @@ def move_toward(cell: Cell, target: Cell, cfg: OptimizerConfig, f: float, inset:
     d = math.hypot(dvec[0], dvec[1])
     if d == 0.0:
         return
-    floor = cfg.k_min * (cell.equiv_radius + target.equiv_radius)
+    floor = K_MIN * (cell.equiv_radius + target.equiv_radius)
     if d <= floor:
         return
     new = s + f * dvec
@@ -202,7 +202,7 @@ def neighborhood_step(cell: Cell, state: LevelState, cfg: OptimizerConfig, f: fl
             segments = state.neighbor_map.get(pair)
             inset = state.inset_for(state.diagram_of[cell.node_id])
             if segments is None:
-                move_toward(cell, target, cfg, f, inset)
+                move_toward(cell, target, f, inset)
                 return
             same_parent = state.diagram_of[cell.node_id] is state.diagram_of[other_id]
             if not same_parent:
@@ -238,7 +238,7 @@ def optimize_level(
                 neighborhood_step(cell, state, cfg, f, adjacency)
         recompute_level(state.diagrams)
         if it >= cfg.growth_start:
-            adapt_weights(state.diagrams, cfg.growth_rate, rng)
+            adapt_weights(state.diagrams, rng)
         if trace_cb is not None:
             trace_cb(state, it)
         state.neighbor_map = cell_neighbors(state.diagrams)
@@ -262,7 +262,7 @@ def pure_lloyd_growth(
                 _centroid_move(cell, f)
         recompute_level(diagrams)
         if it >= cfg.growth_start:
-            adapt_weights(diagrams, cfg.growth_rate, rng)
+            adapt_weights(diagrams, rng)
         if trace_cb is not None:
             trace_cb(diagrams, it)
     return diagrams

@@ -192,7 +192,7 @@ def build_treemap(
                          kind, s, level, scale, cvt)
             for (parent, children), s, cvt in zip(groups, seeds, cvts)
         ]
-        state = LevelState.create(level, diagrams, level_cons, cfg)
+        state = LevelState.create(level, diagrams, level_cons)
         if init_preserved is not None:
             count, _ = metrics_mod.preserved_constraints(state.neighbor_map, level_cons)
             init_preserved[level] = count

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import colorsys
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
@@ -25,24 +25,18 @@ TABLEAU20 = [
 ]
 
 
+WIDTH = HEIGHT = 900           # SVG canvas, pixels
+LABEL_MIN_AREA = 0.01          # smaller leaf cells, as a fraction of the root, go unlabeled
+STROKE_BASE = 4.0              # level-1 outline width; each level below is 0.6x thinner
+# strong/medium/weak intrusion depths as fractions of shared-edge length
+GLYPH_SIZES = (0.35, 0.25, 0.15)
+
+
 @dataclass
 class RenderOptions:
-    width: int = 900
-    height: int = 900
     show_unrealized: bool = False
     show_disconnect_icon: bool = False
-    label_min_area: float = 0.01
     seed: int = 0
-    stroke_base: float = 4.0
-    # strong/medium/weak intrusion depths as fractions of shared-edge length
-    glyph_sizes: tuple[float, float, float] = (0.35, 0.25, 0.15)
-
-    def __post_init__(self):
-        a, b, c = self.glyph_sizes
-        if not (a > b > c > 0.0):
-            raise ValueError("glyph sizes must be strictly decreasing and positive")
-        if self.stroke_base <= 0.0:
-            raise ValueError("stroke_base must be positive")
 
 
 def _hex_to_rgb(color: str) -> tuple[float, float, float]:
@@ -120,12 +114,12 @@ class _Mapper:
         return " ".join(pieces)
 
 
-def _glyph_depth_class(bin_index: int, opts: RenderOptions) -> float:
+def _glyph_depth_class(bin_index: int) -> float:
     if bin_index == 0:
-        return opts.glyph_sizes[0]
+        return GLYPH_SIZES[0]
     if bin_index in (1, 2):
-        return opts.glyph_sizes[1]
-    return opts.glyph_sizes[2]
+        return GLYPH_SIZES[1]
+    return GLYPH_SIZES[2]
 
 
 def _tab_vertices(mid, edge_dir, normal, depth, half_base, half_top):
@@ -137,14 +131,14 @@ def _tab_vertices(mid, edge_dir, normal, depth, half_base, half_top):
     ]
 
 
-def _glyph_tabs(cell, other, segment, bin_index: int, opts: RenderOptions):
+def _glyph_tabs(cell, other, segment, bin_index: int):
     """Symmetric trapezoid tab pair on the shared edge, one intruding into
     each cell, shrunk until the tab vertices stay inside the owner polygon."""
     p0, p1, length = segment
     edge_dir = (p1 - p0) / length
     normal = np.array([-edge_dir[1], edge_dir[0]])
     mid = 0.5 * (p0 + p1)
-    depth = min(_glyph_depth_class(bin_index, opts) * length, 0.4 * length)
+    depth = min(_glyph_depth_class(bin_index) * length, 0.4 * length)
     half_base = 0.2 * length
     half_top = 0.1 * length
     tabs = []
@@ -176,14 +170,14 @@ def render_svg(
     levels = sorted(diagrams_by_level)
     deepest = levels[-1]
     leaf_diagrams = diagrams_by_level[deepest]
-    mapper = _Mapper(diagrams_by_level[levels[0]], opts.width, opts.height)
+    mapper = _Mapper(diagrams_by_level[levels[0]], WIDTH, HEIGHT)
     colors = assign_colors(tree, opts.seed)
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{opts.width}" '
-        f'height="{opts.height}" viewBox="0 0 {opts.width} {opts.height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
 
     out.append('<g id="cells">')
@@ -200,7 +194,7 @@ def render_svg(
 
     out.append('<g id="outlines" fill="none" stroke="#222222">')
     for level in levels:
-        width = opts.stroke_base * 0.6 ** (level - 1)
+        width = STROKE_BASE * 0.6 ** (level - 1)
         for d in diagrams_by_level[level]:
             for c in d.cells:
                 if c.polygon is None:
@@ -231,7 +225,7 @@ def render_svg(
         ca = cells_by_id[con.a]
         cb = cells_by_id[con.b]
         cls = f"glyph-{_css_name(con.a)}-{_css_name(con.b)}"
-        for verts in _glyph_tabs(ca, cb, segment, con.bin, opts):
+        for verts in _glyph_tabs(ca, cb, segment, con.bin):
             out.append(f'<path class="{cls}" d="{mapper.path(verts)}"/>')
     out.append("</g>")
 
@@ -271,7 +265,7 @@ def render_svg(
             if c.polygon is None:
                 continue
             frac = c.area / total_area
-            if frac < opts.label_min_area:
+            if frac < LABEL_MIN_AREA:
                 continue
             node = tree.nodes.get(c.node_id)
             label = node.name if node is not None else c.node_id

@@ -736,47 +736,48 @@ def test_lloyd_single_site_jumps_to_centroid():
     assert d.cells[0].site == pytest.approx([0.5, 0.5])
 
 
-def test_lloyd_reseeds_empty_cells():
-    d = power_diagram([(0.4, 0.5), (0.6, 0.5)], square(1.0), weights=[10.0, 0.0])
+def test_lloyd_step_raises_on_an_empty_cell(monkeypatch):
+    d = power_diagram([(0.4, 0.5), (0.6, 0.5)], square(1.0), weights=[10.0, 0.0],
+                      node_ids=["heavy", "dominated"])
     assert d.cells[1].polygon is None
-    lloyd_step([d], [np.random.default_rng(0)])
-    # the dominated site was reseeded; with equal recomputation it may still be
-    # dominated by weight, so only require the loop to terminate cleanly
-    assert d.cells[0].polygon is not None
+    healthy = power_diagram([(0.3, 0.7), (0.45, 0.2)], square(1.0))
+    before = [x.sites for x in (healthy, d)]
+    monkeypatch.setattr(ConvexPolygon, "sample_point", None)   # no reseed
+    with pytest.raises(GeometryError, match="dominated is empty before"):
+        lloyd_step([healthy, d])
+    # the empty cell is found before any site moves
+    assert [x.sites.tobytes() for x in (healthy, d)] == [b.tobytes() for b in before]
+    # the weighted cell's centroid moves far enough right to swallow the other
+    d = power_diagram([(0.3, 0.5), (0.95, 0.5)], square(1.0), weights=[0.4, 0.0],
+                      node_ids=["heavy", "squeezed"])
+    with pytest.raises(GeometryError, match="squeezed is empty after"):
+        lloyd_step([d])
 
 
 def _lloyd_level():
-    """Three diagrams: two whose heavy weight keeps the other cells empty
-    through every reseed, and one on hull candidate lists."""
+    """Three zero-weight diagrams: two on all-pairs lists and one on hull
+    candidate lists."""
     rng = np.random.default_rng(5)
     boundary = regular_polygon(12, radius=40.0, center=(50.0, 50.0))
     return [
-        power_diagram([(40.0, 50.0), (60.0, 50.0)], square(100.0), weights=[1e5, 0.0]),
+        power_diagram([(40.0, 50.0), (60.0, 50.0)], square(100.0)),
         power_diagram([boundary.sample_point(rng) for _ in range(BATCH_MIN_CELLS + 2)], boundary),
-        power_diagram([(10.0, 10.0), (30.0, 20.0), (20.0, 30.0)], square(40.0),
-                      weights=[0.0, 5e3, 0.0]),
+        power_diagram([(10.0, 10.0), (30.0, 20.0), (20.0, 30.0)], square(40.0)),
     ]
 
 
 def test_lloyd_step_on_a_level_equals_one_diagram_at_a_time():
     level, alone = _lloyd_level(), _lloyd_level()
-    assert level[0].cells[1].polygon is None and level[2].cells[0].polygon is None
-    rngs_level = [np.random.default_rng(k) for k in range(3)]
-    rngs_alone = [np.random.default_rng(k) for k in range(3)]
 
     def cell_bytes(diagrams):
-        return [(c.site.tobytes(), c.polygon is None or c.polygon.vertices.tobytes())
+        return [(c.site.tobytes(), c.polygon.vertices.tobytes())
                 for d in diagrams for c in d.cells]
 
     for _ in range(3):
-        lloyd_step(level, rngs_level)
-        for d, rng in zip(alone, rngs_alone):
-            lloyd_step([d], [rng])
+        lloyd_step(level)
+        for d in alone:
+            lloyd_step([d])
         assert cell_bytes(level) == cell_bytes(alone)
-    assert [r.bit_generator.state for r in rngs_level] == [r.bit_generator.state for r in rngs_alone]
-    # only the diagrams with an empty cell drew
-    fresh = [np.random.default_rng(k).bit_generator.state for k in range(3)]
-    assert [r.bit_generator.state == f for r, f in zip(rngs_level, fresh)] == [False, True, False]
 
 
 def test_lloyd_reduces_second_moment():
@@ -820,7 +821,7 @@ def test_adapt_weights_fixpoint_at_targets():
 def test_adapt_weights_converges_75_25():
     d = power_diagram([(0.25, 0.5), (0.75, 0.5)], square(1.0), targets=[0.75, 0.25])
     for _ in range(100):
-        adapt_weights([d], rate=0.7)
+        adapt_weights([d])
     a, b = d.cells
     assert abs(a.area - 0.75) / 0.75 < 0.05
     assert abs(b.area - 0.25) / 0.25 < 0.05
@@ -831,7 +832,7 @@ def test_adapt_weights_revives_dominated_cell():
                       weights=[10.0, 0.0], targets=[0.5, 0.5])
     assert d.cells[1].polygon is None
     for _ in range(50):
-        adapt_weights([d], rate=0.7)
+        adapt_weights([d])
         if d.cells[1].polygon is not None:
             break
     assert d.cells[1].polygon is not None
@@ -843,7 +844,7 @@ def test_adapt_weights_keeps_min_weight_nonnegative():
     sites = np.array([boundary.sample_point(rng) for _ in range(5)])
     d = power_diagram(sites, boundary, targets=[0.4, 0.3, 0.1, 0.1, 0.1])
     for _ in range(30):
-        adapt_weights([d], rate=0.7)
+        adapt_weights([d])
         assert min(c.weight for c in d.cells) >= -1e-12
 
 
@@ -1004,9 +1005,9 @@ def test_batched_recompute_equals_per_cell_under_lloyd_and_growth():
     d = power_diagram(sites, boundary, targets=targets / targets.sum())
     for step in range(30):
         if step < 15:
-            lloyd_step([d], [rng])
+            lloyd_step([d])
         else:
-            adapt_weights([d], rate=0.7, rng=rng)
+            adapt_weights([d], rng=rng)
         _assert_recompute_matches_per_cell(d)
 
 

@@ -114,16 +114,16 @@ def test_cvt_sites_inside():
 
 
 def _spy_lloyd_steps(monkeypatch):
-    """Every lloyd_step call build_cvt makes, as {id(diagram): (its rng, its
-    largest site displacement)}."""
+    """Every lloyd_step call build_cvt makes, as {id(diagram): its largest
+    site displacement}."""
     calls = []
     real = layout_init.lloyd_step
 
-    def spy(diagrams, rngs):
+    def spy(diagrams):
         before = [d.sites for d in diagrams]
-        real(diagrams, rngs)
-        calls.append({id(d): (rng, np.hypot(*(d.sites - b).T).max())
-                      for d, rng, b in zip(diagrams, rngs, before)})
+        real(diagrams)
+        calls.append({id(d): np.hypot(*(d.sites - b).T).max()
+                      for d, b in zip(diagrams, before)})
         return diagrams
 
     monkeypatch.setattr(layout_init, "lloyd_step", spy)
@@ -151,13 +151,11 @@ MIXED_LEVEL = [
 
 def test_cvt_level_equals_one_call_per_parent(monkeypatch):
     calls = _spy_lloyd_steps(monkeypatch)
-    alone, steps, draws = [], [], []
+    alone, steps = [], []
     for parent in MIXED_LEVEL:
         calls.clear()
         alone.append(build_cvt([parent])[0])
         steps.append(len(calls))
-        (rng, _), = calls[0].values()
-        draws.append(rng.random())
     assert len(set(steps)) == len(MIXED_LEVEL)
     calls.clear()
     level = build_cvt(MIXED_LEVEL)
@@ -165,9 +163,8 @@ def test_cvt_level_equals_one_call_per_parent(monkeypatch):
     for cvt, ref in zip(level, alone):
         assert _cvt_bytes(cvt) == _cvt_bytes(ref)
         # it steps until its largest displacement is below 1e-4 scale, and no further
-        disp = [call[id(cvt)][1] for call in calls if id(cvt) in call]
+        disp = [call[id(cvt)] for call in calls if id(cvt) in call]
         assert min(disp[:-1], default=np.inf) >= 1e-4 * cvt.scale > disp[-1]
-    assert [rng.random() for rng, _ in calls[0].values()] == draws
 
 
 def test_cvt_level_recomputes_once_per_lloyd_step(monkeypatch):

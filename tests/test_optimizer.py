@@ -39,10 +39,9 @@ def constraint(a, b, s=0.9, level=1):
     return Constraint(a=a, b=b, similarity=s, bin=0, level=level)
 
 
-def make_state(diagram_or_list, constraints, cfg=None):
+def make_state(diagram_or_list, constraints):
     diagrams = diagram_or_list if isinstance(diagram_or_list, list) else [diagram_or_list]
-    cfg = cfg or OptimizerConfig()
-    return LevelState.create(1, diagrams, constraints, cfg)
+    return LevelState.create(1, diagrams, constraints)
 
 
 # ---------------------------------------------------------------- OptimizerConfig
@@ -84,69 +83,66 @@ def test_queue_partitions_each_level():
 # -------------------------------------------------------------------- move_toward
 
 def test_move_toward_advances_half_the_gap():
-    boundary = square(100.0)
-    d = power_diagram([(20.0, 50.0), (80.0, 50.0)], boundary,
-                      node_ids=["a", "b"], weights=[0.0, 0.0])
-    # tiny weights -> small equivalent radii would still floor the band; use a
-    # far-apart pair so the band floor does not bind
-    cfg = OptimizerConfig(k_min=0.0)
+    # a long strip: the half gap is far above the band floor of the two cells
+    boundary = ConvexPolygon(np.array([[0.0, 0.0], [1000.0, 0.0], [1000.0, 10.0], [0.0, 10.0]]))
+    d = power_diagram([(100.0, 5.0), (900.0, 5.0)], boundary, node_ids=["a", "b"])
     state = make_state(d, [])
     a, b = d.cells
+    assert 0.5 * 800.0 > optimizer.K_MIN * (a.equiv_radius + b.equiv_radius)
     before = a.site.copy()
-    move_toward(a, b, cfg, 0.5, state.inset_for(d))
+    move_toward(a, b, 0.5, state.inset_for(d))
     assert a.site == pytest.approx(before + 0.5 * (b.site - before))
 
 
 def test_move_toward_band_floor_blocks_close_pair():
     boundary = square(100.0)
     d = power_diagram([(48.0, 50.0), (52.0, 50.0)], boundary, node_ids=["a", "b"])
-    cfg = OptimizerConfig()  # k_min = 0.9; equivalent radii are large here
-    state = make_state(d, [])
+    state = make_state(d, [])   # equivalent radii are large here
     a, b = d.cells
     before = a.site.copy()
-    move_toward(a, b, cfg, 0.5, state.inset_for(d))
+    move_toward(a, b, 0.5, state.inset_for(d))
     assert np.array_equal(a.site, before)
 
 
 def test_move_toward_never_overshoots_below_floor():
     boundary = square(100.0)
     d = power_diagram([(10.0, 50.0), (90.0, 50.0)], boundary, node_ids=["a", "b"])
-    cfg = OptimizerConfig()
     state = make_state(d, [])
     a, b = d.cells
-    floor = cfg.k_min * (a.equiv_radius + b.equiv_radius)
-    move_toward(a, b, cfg, 0.99, state.inset_for(d))
+    floor = optimizer.K_MIN * (a.equiv_radius + b.equiv_radius)
+    move_toward(a, b, 0.99, state.inset_for(d))
     assert math.hypot(*(a.site - b.site)) >= floor - 1e-9
 
 
 def test_move_toward_clamped_at_inset_boundary():
-    # target far outside the mover's parent: the site must stop at the margin
+    # target far outside the mover's parent, so far that the band floor stops
+    # the move outside the parent too: the site must stop at the margin
     left = power_diagram([(50.0, 50.0)], square(100.0), node_ids=["a"])
-    right = power_diagram([(190.0, 50.0)], square(100.0, origin=(100.0, 0.0)),
+    right = power_diagram([(390.0, 50.0)], square(100.0, origin=(300.0, 0.0)),
                           node_ids=["b"])
-    cfg = OptimizerConfig(k_min=0.0)
     state = make_state([left, right], [])
     a = left.cells[0]
     b = right.cells[0]
-    move_toward(a, b, cfg, 1.0, state.inset_for(left))
+    assert 390.0 - optimizer.K_MIN * (a.equiv_radius + b.equiv_radius) > 100.0
+    move_toward(a, b, 1.0, state.inset_for(left))
     inset = state.inset_for(left)
     assert inset.contains(a.site)
-    margin = cfg.boundary_margin_fraction * left.scale
+    margin = optimizer.BOUNDARY_MARGIN_FRACTION * left.scale
     assert a.site[0] == pytest.approx(100.0 - margin, abs=1e-9 * left.scale)
 
 
 def test_clamped_moves_stop_on_the_inset_boundary():
     # every clamped site passes inset.contains at tol 0 and lies on the margin,
     # also when the next move starts from there
+    # the target is so far that the band floor stops no move inside the parent
     d = power_diagram([(500.0, 500.0)], make_boundary("circle", 1000.0), node_ids=["a"])
-    cfg = OptimizerConfig(k_min=0.0)
     inset = make_state(d, []).inset_for(d)
     a = d.cells[0]
     for angle in np.linspace(0.0, 2.0 * math.pi, 97):
         a.site = np.array([500.0, 500.0])
         for turn in (0.0, 0.3):
             far = a.site + 2000.0 * np.array([math.cos(angle + turn), math.sin(angle + turn)])
-            move_toward(a, Cell("target", far), cfg, 1.0, inset)
+            move_toward(a, Cell("target", far), 1.0, inset)
             assert inset.contains(a.site)
             assert not inset.contains(a.site, tol=-1e-9 * d.scale)
 
@@ -231,7 +227,7 @@ def test_single_cell_converges_to_boundary_centroid():
     boundary = regular_polygon(6, radius=10.0)
     d = power_diagram([(4.0, 3.0)], boundary, node_ids=["only"])
     cfg = OptimizerConfig(max_iter=40)
-    optimize_level(make_state(d, [], cfg), cfg)
+    optimize_level(make_state(d, []), cfg)
     assert d.cells[0].site == pytest.approx(boundary.centroid, abs=1e-4)
 
 
@@ -240,7 +236,7 @@ def test_optimize_level_runs_exactly_max_iter():
                       node_ids=["a", "b"])
     cfg = OptimizerConfig(max_iter=7)
     seen = []
-    optimize_level(make_state(d, [], cfg), cfg, trace_cb=lambda s, it: seen.append(it))
+    optimize_level(make_state(d, []), cfg, trace_cb=lambda s, it: seen.append(it))
     assert seen == list(range(7))
 
 
@@ -250,7 +246,7 @@ def test_optimize_level_deterministic():
                           square(100.0), node_ids=["a", "b", "c"],
                           targets=[0.5, 0.3, 0.2])
         cfg = OptimizerConfig(max_iter=30)
-        state = make_state(d, [constraint("a", "c")], cfg)
+        state = make_state(d, [constraint("a", "c")])
         optimize_level(state, cfg, np.random.default_rng(5))
         return d.sites.copy()
 
@@ -264,7 +260,7 @@ def test_optimize_level_preserves_partition_and_containment():
     d = power_diagram(sites, boundary, node_ids=[f"n{i}" for i in range(6)],
                       targets=[0.3, 0.2, 0.2, 0.1, 0.1, 0.1])
     cons = [constraint("n0", "n5"), constraint("n1", "n4", 0.7)]
-    cfg = OptimizerConfig(max_iter=25, growth_start_fraction=0.6)
+    cfg = OptimizerConfig(max_iter=50)      # 10 growth iterations
 
     bad = []
 
@@ -280,7 +276,7 @@ def test_optimize_level_preserves_partition_and_containment():
                 if not boundary.contains(v, tol=tol):
                     bad.append(("containment", it))
 
-    optimize_level(make_state(d, cons, cfg), cfg, np.random.default_rng(0), check)
+    optimize_level(make_state(d, cons), cfg, np.random.default_rng(0), check)
     assert bad == []
 
 
@@ -292,7 +288,7 @@ def test_zero_constraints_reduce_to_pure_lloyd_growth():
 
     cfg = OptimizerConfig(max_iter=50)
     d1 = init()
-    optimize_level(make_state(d1, [], cfg), cfg, np.random.default_rng(9))
+    optimize_level(make_state(d1, []), cfg, np.random.default_rng(9))
     d2 = init()
     pure_lloyd_growth([d2], cfg, np.random.default_rng(9))
     assert np.array_equal(d1.sites, d2.sites)  # bit-identical
@@ -303,7 +299,7 @@ def test_growth_drives_areas_toward_targets():
     d = power_diagram([(30.0, 50.0), (70.0, 50.0)], square(100.0),
                       node_ids=["a", "b"], targets=[0.75, 0.25])
     cfg = OptimizerConfig(max_iter=100)
-    optimize_level(make_state(d, [], cfg), cfg)
+    optimize_level(make_state(d, []), cfg)
     a, b = d.cells
     assert abs(a.area - 7500.0) / 7500.0 < 0.05
     assert abs(b.area - 2500.0) / 2500.0 < 0.05
@@ -315,7 +311,7 @@ def test_constraint_becomes_realized_during_optimization():
     d = power_diagram(sites, square(100.0), node_ids=["a", "m", "b"])
     assert ("a", "b") not in cell_neighbors([d])
     cfg = OptimizerConfig(max_iter=60)
-    state = make_state(d, [constraint("a", "b")], cfg)
+    state = make_state(d, [constraint("a", "b")])
     optimize_level(state, cfg, np.random.default_rng(1))
     assert ("a", "b") in state.neighbor_map
 
@@ -334,15 +330,15 @@ def test_level_state_create_builds_neighbor_map():
     boundary = regular_polygon(8, radius=50.0)
     d = power_diagram([boundary.sample_point(rng) for _ in range(7)], boundary,
                       node_ids=[f"n{i}" for i in range(7)])
-    state = LevelState.create(1, [d], [], OptimizerConfig())
+    state = LevelState.create(1, [d], [])
     assert state.neighbor_map
     _same_map(state.neighbor_map, cell_neighbors([d]))
 
 
 def test_insets_are_built_on_first_use(monkeypatch):
+    # the margin is 0.141 here, more than half the small boundary's side
     left = power_diagram([(50.0, 50.0)], square(100.0), node_ids=["a"])
-    right = power_diagram([(150.0, 50.0)], square(10.0, origin=(145.0, 45.0)), node_ids=["b"])
-    cfg = OptimizerConfig(boundary_margin_fraction=0.05)
+    right = power_diagram([(150.0, 50.0)], square(0.2, origin=(149.9, 49.9)), node_ids=["b"])
     built = []
     real = ConvexPolygon.inset
 
@@ -351,9 +347,9 @@ def test_insets_are_built_on_first_use(monkeypatch):
         return real(self, margin)
 
     monkeypatch.setattr(ConvexPolygon, "inset", counting)
-    state = make_state([left, right], [], cfg)
+    state = make_state([left, right], [])
     assert built == [] and state.insets == {}
-    margin = 0.05 * left.scale
+    margin = optimizer.BOUNDARY_MARGIN_FRACTION * left.scale
     inset = state.inset_for(left)
     assert state.inset_for(left) is inset
     assert built == [margin]
@@ -368,7 +364,7 @@ def test_insets_are_built_on_first_use(monkeypatch):
     tree = prepared(gen_synthetic("two_level", {"leaves": 8, "parents": 2}, seed=0))
     constraints = extract_level_constraints(tree, "cosine")
     build_treemap(tree, constraints, make_boundary("circle", 100.0), "match_swap",
-                  "cosine", 0, cfg, init_preserved={}, optimize=False)
+                  "cosine", 0, OptimizerConfig(), init_preserved={}, optimize=False)
 
 
 @pytest.fixture
@@ -389,7 +385,7 @@ def test_optimize_level_refreshes_map_after_each_trace(neighbor_calls):
     d = power_diagram([(20.0, 30.0), (60.0, 70.0), (80.0, 20.0)], square(100.0),
                       node_ids=["a", "b", "c"])
     cfg = OptimizerConfig(max_iter=5)
-    state = make_state(d, [constraint("a", "b")], cfg)
+    state = make_state(d, [constraint("a", "b")])
     assert len(neighbor_calls) == 1          # built once by LevelState.create
     seen = []
     optimize_level(state, cfg, np.random.default_rng(0),
@@ -458,9 +454,9 @@ def test_adapt_weights_on_a_level_equals_one_diagram_at_a_time(monkeypatch):
     monkeypatch.setattr(ConvexPolygon, "sample_point", counting)
     rng_level, rng_alone = np.random.default_rng(7), np.random.default_rng(7)
     for _ in range(3):
-        adapt_weights(level, rate=0.7, rng=rng_level)
+        adapt_weights(level, rng=rng_level)
         for d in alone:
-            adapt_weights([d], rate=0.7, rng=rng_alone)
+            adapt_weights([d], rng=rng_alone)
         assert _level_bytes(level) == _level_bytes(alone)
     assert len(reseeds) >= 2 * 3 * 2          # both dominated cells, every step, both runs
     assert rng_level.bit_generator.state == rng_alone.bit_generator.state
@@ -478,8 +474,8 @@ def test_optimize_level_recomputes_the_level_once_per_move_phase(monkeypatch):
     monkeypatch.setattr(optimizer, "recompute_level", counting)
     for module in (geometry, optimizer):                 # no per-diagram recompute
         monkeypatch.setattr(module, "recompute", None)
-    cfg = OptimizerConfig(max_iter=6, growth_start_fraction=0.5)
-    state = make_state(level, [constraint("c0", "c5"), constraint("b0", "c3")], cfg)
+    cfg = OptimizerConfig(max_iter=10)      # 2 growth iterations
+    state = make_state(level, [constraint("c0", "c5"), constraint("b0", "c3")])
     optimize_level(state, cfg, np.random.default_rng(0))
     assert len(calls) == cfg.max_iter
     assert all(diagrams is state.diagrams for diagrams in calls)

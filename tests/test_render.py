@@ -8,6 +8,8 @@ import pytest
 
 from simmap.geometry import cell_neighbors, power_diagram, square
 from simmap.render import (
+    LABEL_MIN_AREA,
+    STROKE_BASE,
     RenderOptions,
     TABLEAU10,
     TABLEAU20,
@@ -112,19 +114,6 @@ def test_color_assignment_deterministic():
     assert assign_colors(tree, seed=3) == assign_colors(tree, seed=3)
 
 
-# --------------------------------------------------------------- RenderOptions
-
-@pytest.mark.parametrize("sizes", [(0.2, 0.3, 0.1), (0.3, 0.3, 0.1), (0.3, 0.2, 0.0)])
-def test_glyph_sizes_must_decrease(sizes):
-    with pytest.raises(ValueError, match="decreasing"):
-        RenderOptions(glyph_sizes=sizes)
-
-
-def test_stroke_base_must_be_positive():
-    with pytest.raises(ValueError, match="stroke_base"):
-        RenderOptions(stroke_base=0.0)
-
-
 # ------------------------------------------------------------------ render_svg
 
 def render(n_cells=3, constraints=(), **opts_kw):
@@ -177,13 +166,16 @@ def test_labels_present_for_large_cells():
 
 
 def test_tiny_cells_skip_labels():
+    # the radical axis lies at x = 0.9937: the small cell holds 0.63% of the
+    # area, below LABEL_MIN_AREA
     ids = ["big", "small"]
     d = power_diagram([(0.2, 0.5), (0.999, 0.5)], square(1.0), node_ids=ids,
-                      weights=[0.55, 0.0], targets=[0.995, 0.005])
+                      weights=[0.63, 0.0], targets=[0.995, 0.005])
+    assert d.cells[1].area < LABEL_MIN_AREA <= d.cells[0].area
     tree = parse_tree({"name": "r", "children": [
         {"name": "big", "weight": 99.0}, {"name": "small", "weight": 1.0}]})
     tree = propagate_attributes(tree)
-    svg = render_svg({1: [d]}, tree, [], {}, RenderOptions(label_min_area=0.1))
+    svg = render_svg({1: [d]}, tree, [], {}, RenderOptions())
     assert 'class="label-big"' in svg
     assert 'class="label-small"' not in svg
 
@@ -251,12 +243,11 @@ def test_outline_width_decays_with_depth():
                          node_ids=["c", "d"])
     layout = {1: [top], 2: [sub1, sub2]}
     nm = cell_neighbors(layout[2])
-    opts = RenderOptions(stroke_base=4.0)
-    svg = render_svg(layout, tree, [], nm, opts)
+    svg = render_svg(layout, tree, [], nm, RenderOptions())
     w1 = re.search(r'class="outline-g1" [^>]*stroke-width="([0-9.]+)"', svg)
     w2 = re.search(r'class="outline-a" [^>]*stroke-width="([0-9.]+)"', svg)
-    assert float(w1.group(1)) == pytest.approx(4.0)
-    assert float(w2.group(1)) == pytest.approx(4.0 * 0.6)
+    assert float(w1.group(1)) == pytest.approx(STROKE_BASE)
+    assert float(w2.group(1)) == pytest.approx(STROKE_BASE * 0.6)
 
 
 def test_glyph_count_matches_preserved_constraints():
