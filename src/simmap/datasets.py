@@ -20,6 +20,9 @@ def _check(params: dict) -> dict:
         raise DatasetError(f"density must be in [0, 1], got {density}")
     p["leaves"] = leaves
     p["density"] = density
+    parents = int(p.get("parents", 1))
+    if not 1 <= parents <= leaves:
+        raise DatasetError(f"parent count must be in [1, {leaves}], got {parents}")
     return p
 
 
@@ -32,6 +35,8 @@ def _leaf(i: int, rng: np.random.Generator, sim=None) -> dict:
 
 def _add_ring(leaf_ids: list[str], rng: np.random.Generator, seen: set, pairs: list) -> None:
     n = len(leaf_ids)
+    if n < 2:
+        return
     for i in range(n):
         key = tuple(sorted((leaf_ids[i], leaf_ids[(i + 1) % n])))
         if key in seen:
@@ -44,7 +49,7 @@ def _add_random_links(leaf_ids: list[str], count: int, rng: np.random.Generator,
                       seen: set, pairs: list) -> None:
     n = len(leaf_ids)
     attempts = 0
-    while count > 0 and attempts < 2000:
+    while count > 0 and attempts < 2000 and n > 1:
         attempts += 1
         i, j = rng.integers(0, n, size=2)
         if i == j:
@@ -103,9 +108,9 @@ def _gen_m_n(p: dict, rng: np.random.Generator) -> dict:
 
 
 def _gen_two_level(p: dict, rng: np.random.Generator) -> dict:
-    n = p.get("leaves", 17)
-    m = int(p.get("parents", 5))
-    density = p.get("density", 0.7)
+    n = p["leaves"]
+    m = int(p.get("parents", min(5, n)))
+    density = p["density"]
     leaves = [_leaf(i, rng) for i in range(n)]
     groups = np.array_split(np.arange(n), m)
     children = [
@@ -133,8 +138,8 @@ def _gen_two_level(p: dict, rng: np.random.Generator) -> dict:
 
 
 def _gen_dense(p: dict, rng: np.random.Generator) -> dict:
-    n = p.get("leaves", 12)
-    m = int(p.get("parents", 3))
+    n = p["leaves"]
+    m = int(p.get("parents", min(3, n)))
     dim = int(p.get("dim", 12))
     # sparse supports spread the cosine similarities across all five bins
     # instead of piling everything into the strongest ones

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from simmap import cli
+from simmap.datasets import KINDS, DatasetError, gen_synthetic
 from simmap.geometry import power_diagram, square, cell_neighbors
-from simmap.pipeline import PipelineError
+from simmap.pipeline import PipelineError, load_tree
+from simmap.similarity import extract_level_constraints
 
 
 THREE_NODE_DOC = {
@@ -53,6 +55,25 @@ def test_gen_deterministic(capsys):
 
 def test_gen_unknown_kind_is_usage_error(capsys):
     assert cli.main(["--gen", "nope"]) == 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gen_default_parameters_give_valid_documents(kind):
+    # two_level's default 5 parents leave one-leaf groups at 9 leaves and
+    # more parents than leaves below 5; dense's 3 parents likewise below 3
+    for leaves in range(2, 13):
+        tree = load_tree(gen_synthetic(kind, {"leaves": leaves}, seed=0))
+        assert sum(n.is_leaf for n in tree.nodes.values()) == leaves
+        extract_level_constraints(tree, "cosine")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("parents", [0, -2, 4])
+def test_gen_parent_count_outside_one_to_leaves_is_validation_error(kind, parents, capsys):
+    with pytest.raises(DatasetError, match="parent count"):
+        gen_synthetic(kind, {"leaves": 3, "parents": parents}, seed=0)
+    assert cli.main(["--gen", kind, "--leaves", "3", "--parents", str(parents)]) == 2
+    assert "parent count must be in [1, 3]" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------------- run
