@@ -222,8 +222,6 @@ def run(config: RunConfig) -> RunResult:
     trace_lines: list[str] = []
 
     def trace_cb(state, it):
-        if not config.emit_trace:
-            return
         record = {
             "level": state.level,
             "iter": it,
@@ -243,8 +241,8 @@ def run(config: RunConfig) -> RunResult:
     neighbor_maps: dict[int, dict] = {}
     diagrams_by_level = build_treemap(
         tree, constraints, boundary, config.init, config.sim, config.seed,
-        config.optimizer, trace_cb=trace_cb, init_preserved=init_preserved,
-        neighbor_maps=neighbor_maps,
+        config.optimizer, trace_cb=trace_cb if config.emit_trace else None,
+        init_preserved=init_preserved, neighbor_maps=neighbor_maps,
     )
 
     deepest = max(diagrams_by_level) if diagrams_by_level else 0

@@ -31,9 +31,6 @@ class Constraint:
     bin: int
     level: int
 
-    def pair(self) -> tuple[str, str]:
-        return (self.a, self.b)
-
 
 def compute_similarity(u, v, kind: str = "cosine") -> float:
     u = np.asarray(u, dtype=float)

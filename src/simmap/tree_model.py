@@ -33,7 +33,6 @@ class Tree:
     nodes: dict[str, TreeNode]
     root: str
     uniform_depth: int = 0
-    sim_dimension: int | None = None
     explicit_pairs: list[tuple[str, str, float]] = field(default_factory=list)
     # per-level lifted pair similarities, filled by propagate_attributes in pair mode
     level_pairs: dict[int, dict[tuple[str, str], float]] = field(default_factory=dict)
@@ -144,7 +143,6 @@ def parse_tree(document: dict) -> Tree:
         nodes=nodes,
         root=root,
         uniform_depth=depth,
-        sim_dimension=dims.pop() if dims else None,
         explicit_pairs=pairs,
     )
 
