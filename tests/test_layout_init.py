@@ -189,6 +189,19 @@ def test_cvt_level_recomputes_once_per_lloyd_step(monkeypatch):
     assert power_cells == [1] * len(MIXED_LEVEL) + [len(call) for call in calls]
 
 
+def test_cvt_level_of_every_size_and_boundary_has_no_empty_cell():
+    # both sides of BATCH_MIN_CELLS in each boundary; lloyd_step raises
+    # GeometryError on an empty cell instead of reseeding it
+    boundaries = [regular_polygon(64, radius=500.0, center=(500.0, 500.0)), square(1.0),
+                  FAR_TRIANGLE]
+    sizes = (2, 9, 10, 40, 120)
+    level = build_cvt([(b, n, 10 * k + j) for k, b in enumerate(boundaries)
+                       for j, n in enumerate(sizes)])
+    assert [len(cvt.cells) for cvt in level] == list(sizes) * len(boundaries)
+    for cvt in level:
+        assert all(c.polygon is not None for c in cvt.cells)
+
+
 # ---------------------------------------------------------- fit_points_in_polygon
 
 def test_fit_preserves_shape():
