@@ -57,7 +57,9 @@ class LevelState:
     # derived lookups
     cells_by_id: dict[str, Cell] = field(default_factory=dict)
     diagram_of: dict[str, Diagram] = field(default_factory=dict)
-    constraints_by_node: dict[str, list[Constraint]] = field(default_factory=dict)
+    # per node, in constraint order: (similarity, other id, other cell or None, sorted pair)
+    partners: dict[str, list[tuple[float, str, Cell | None, tuple[str, str]]]] = field(default_factory=dict)
+    partner_ids: dict[str, set[str]] = field(default_factory=dict)
     constraint_pairs: set = field(default_factory=set)
     margin: float = 0.0
     insets: dict[int, ConvexPolygon] = field(default_factory=dict)
@@ -72,9 +74,12 @@ class LevelState:
                 state.cells_by_id[c.node_id] = c
                 state.diagram_of[c.node_id] = d
         for con in state.constraints:
-            state.constraint_pairs.add(tuple(sorted((con.a, con.b))))
-            state.constraints_by_node.setdefault(con.a, []).append(con)
-            state.constraints_by_node.setdefault(con.b, []).append(con)
+            pair = tuple(sorted((con.a, con.b)))
+            state.constraint_pairs.add(pair)
+            for node, other in ((con.a, con.b), (con.b, con.a)):
+                entry = (con.similarity, other, state.cells_by_id.get(other), pair)
+                state.partners.setdefault(node, []).append(entry)
+                state.partner_ids.setdefault(node, set()).add(other)
         state.neighbor_map = cell_neighbors(diagrams)
         return state
 
@@ -96,6 +101,15 @@ class LevelState:
             adj.setdefault(b, set()).add(a)
         return adj
 
+    def saturated(self, max_neighbor_count: int) -> set[str]:
+        """Targets no move heads for on the current map: each has at least
+        max_neighbor_count neighbours, and every one is a constraint partner;
+        a target without neighbours counts when max_neighbor_count is 0."""
+        adj = self.adjacency()
+        none: set[str] = set()
+        return {node for node, ids in self.partner_ids.items()
+                if len(nbrs := adj.get(node, none)) >= max_neighbor_count and nbrs <= ids}
+
     def realized_count(self) -> int:
         return sum(1 for p in self.constraint_pairs if p in self.neighbor_map)
 
@@ -116,7 +130,9 @@ def build_level_queue(tree: Tree) -> list[tuple[int, list[tuple[str, list[str]]]
 def _centroid_move(cell: Cell, f: float) -> None:
     if cell.polygon is None:
         return
-    cell.site = cell.site + f * (cell.polygon.centroid - cell.site)
+    sx, sy = cell.site.tolist()
+    cx, cy = cell.polygon.centroid.tolist()
+    cell.site = np.array([sx + f * (cx - sx), sy + f * (cy - sy)])
 
 
 def _clamp_into(old: np.ndarray, new: np.ndarray, inset: ConvexPolygon) -> np.ndarray:
@@ -132,20 +148,20 @@ def _clamp_into(old: np.ndarray, new: np.ndarray, inset: ConvexPolygon) -> np.nd
 
 def move_toward(cell: Cell, target: Cell, f: float, inset: ConvexPolygon) -> None:
     """Advance the site a fraction of the gap toward the target, band-floored."""
-    s = cell.site
-    t = target.site
-    dvec = t - s
-    d = math.hypot(dvec[0], dvec[1])
+    sx, sy = cell.site.tolist()
+    tx, ty = target.site.tolist()
+    dx, dy = tx - sx, ty - sy
+    d = math.hypot(dx, dy)
     if d == 0.0:
         return
     floor = K_MIN * (cell.equiv_radius + target.equiv_radius)
     if d <= floor:
         return
-    new = s + f * dvec
-    nd = (1.0 - f) * d
-    if nd < floor:
-        new = t - dvec / d * floor
-    cell.site = _clamp_into(s, new, inset)
+    if (1.0 - f) * d < floor:
+        new = [tx - dx / d * floor, ty - dy / d * floor]
+    else:
+        new = [sx + f * dx, sy + f * dy]
+    cell.site = _clamp_into(cell.site, np.array(new), inset)
 
 
 def move_orthogonal(cell: Cell, target: Cell, edge_dir: np.ndarray, f: float, inset: ConvexPolygon) -> None:
@@ -174,42 +190,35 @@ def _aligned(cell: Cell, target: Cell, edge_dir: np.ndarray) -> bool:
     return overlap >= 0.5 * smaller
 
 
-def neighborhood_step(cell: Cell, state: LevelState, cfg: OptimizerConfig, f: float,
-                      adjacency: dict[str, set[str]]) -> None:
+def neighborhood_step(cell: Cell, state: LevelState, f: float, saturated: set[str]) -> None:
     """One movement per cell: the first actionable constraint wins, otherwise
-    the site steps toward its polygon centroid."""
-    cons = state.constraints_by_node.get(cell.node_id, [])
-    if cons:
-        def sort_key(con: Constraint):
-            other = con.b if con.a == cell.node_id else con.a
-            oc = state.cells_by_id.get(other)
-            dist = math.hypot(*(oc.site - cell.site)) if oc is not None else 0.0
-            return (-con.similarity, -dist, other)
+    the site steps toward its polygon centroid. Partners are tried by
+    similarity, then distance, both descending, then id; a saturated target
+    is passed over."""
+    partners = state.partners.get(cell.node_id)
+    if partners:
+        sx, sy = cell.site.tolist()
 
-        for con in sorted(cons, key=sort_key):
-            other_id = con.b if con.a == cell.node_id else con.a
-            target = state.cells_by_id.get(other_id)
-            if target is None:
+        def sort_key(partner):
+            similarity, other_id, other, _ = partner
+            if other is None:
+                return (-similarity, -0.0, other_id)
+            ox, oy = other.site.tolist()
+            return (-similarity, -math.hypot(ox - sx, oy - sy), other_id)
+
+        diagram = state.diagram_of[cell.node_id]
+        for _, other_id, target, pair in sorted(partners, key=sort_key):
+            if target is None or other_id in saturated:
                 continue
-            t_neighbors = adjacency.get(other_id, set())
-            constrained = {
-                n for n in t_neighbors
-                if tuple(sorted((other_id, n))) in state.constraint_pairs
-            }
-            if len(constrained) >= cfg.max_neighbor_count and constrained == t_neighbors:
-                continue  # target saturated and fully constrained: skip
-            pair = tuple(sorted((cell.node_id, other_id)))
             segments = state.neighbor_map.get(pair)
-            inset = state.inset_for(state.diagram_of[cell.node_id])
             if segments is None:
-                move_toward(cell, target, f, inset)
+                move_toward(cell, target, f, state.inset_for(diagram))
                 return
-            same_parent = state.diagram_of[cell.node_id] is state.diagram_of[other_id]
-            if not same_parent:
+            if diagram is not state.diagram_of[other_id]:
                 p0, p1, length = _longest_segment(segments)
                 edge_dir = (p1 - p0) / length
                 if not _aligned(cell, target, edge_dir):
-                    move_orthogonal(cell, target, edge_dir, f, inset)
+                    move_orthogonal(cell, target, edge_dir, f, state.inset_for(diagram))
                     return
     _centroid_move(cell, f)
 
@@ -223,7 +232,7 @@ def optimize_level(
     """Run the full iteration budget of the round-robin level optimization.
 
     Each iteration moves every cell on state.neighbor_map, which
-    LevelState.create builds, reading the polygons of the iteration's start,
+    LevelState.create builds, skipping the targets saturated on that map, reading the polygons of the iteration's start,
     then makes one recompute_level call and refreshes the map after trace_cb;
     the trace sees the map the iteration moved on, and the state ends with
     the final map.
@@ -231,11 +240,11 @@ def optimize_level(
     if rng is None:
         rng = np.random.default_rng(0)
     for it in range(cfg.max_iter):
-        adjacency = state.adjacency()
+        saturated = state.saturated(cfg.max_neighbor_count)
         f = cfg.step_at(it)
         for diagram in state.diagrams:
             for cell in diagram.cells:
-                neighborhood_step(cell, state, cfg, f, adjacency)
+                neighborhood_step(cell, state, f, saturated)
         recompute_level(state.diagrams)
         if it >= cfg.growth_start:
             adapt_weights(state.diagrams, rng)

@@ -176,11 +176,10 @@ def test_fulfilled_constraint_falls_back_to_centroid():
     d = power_diagram([(30.0, 50.0), (70.0, 50.0)], square(100.0),
                       node_ids=["a", "b"])
     state = make_state(d, [constraint("a", "b")])
-    adjacency = state.adjacency()
     a = d.cells[0]
     before = a.site.copy()
     centroid = a.polygon.centroid
-    neighborhood_step(a, state, OptimizerConfig(), 0.5, adjacency)
+    neighborhood_step(a, state, 0.5, state.saturated(OptimizerConfig().max_neighbor_count))
     assert a.site == pytest.approx(before + 0.5 * (centroid - before))
 
 
@@ -193,7 +192,7 @@ def test_unrealized_constraint_decreases_distance():
     a = d.cells[0]
     b = d.cells[2]
     before = math.hypot(*(a.site - b.site))
-    neighborhood_step(a, state, OptimizerConfig(), 0.5, state.adjacency())
+    neighborhood_step(a, state, 0.5, state.saturated(OptimizerConfig().max_neighbor_count))
     assert math.hypot(*(a.site - b.site)) < before
 
 
@@ -216,9 +215,83 @@ def test_saturated_target_is_skipped():
     far = d.cells[-1]
     before = far.site.copy()
     centroid = far.polygon.centroid
-    neighborhood_step(far, state, OptimizerConfig(), 0.5, state.adjacency())
+    assert state.saturated(OptimizerConfig().max_neighbor_count) == {"center"}
+    neighborhood_step(far, state, 0.5, state.saturated(OptimizerConfig().max_neighbor_count))
     # the saturation guard rejects the center target -> centroid fallback
     assert far.site == pytest.approx(before + 0.5 * (centroid - before))
+
+
+def _pinned_site(cell, expected):
+    assert cell.site.tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+
+def _nonneighbour_level():
+    """a and b are constrained but separated by m: b has neighbours, all unconstrained."""
+    d = power_diagram([(20.0, 20.0), (50.0, 50.0), (80.0, 80.0)], square(100.0),
+                      node_ids=["a", "m", "b"])
+    return d, make_state(d, [constraint("a", "b")])
+
+
+def test_step_toward_an_unsaturated_non_neighbour_is_pinned():
+    d, state = _nonneighbour_level()
+    a, _, b = d.cells
+    assert ("a", "b") not in state.neighbor_map and state.adjacency()["b"]
+    s, t = a.site.copy(), b.site.copy()
+    floor = optimizer.K_MIN * (a.equiv_radius + b.equiv_radius)
+    d_ab = math.hypot(*(t - s))
+    assert (1.0 - 0.5) * d_ab < floor < d_ab       # half the gap would cross the band floor
+    neighborhood_step(a, state, 0.5, state.saturated(6))
+    _pinned_site(a, t - (t - s) / d_ab * floor)
+
+
+def test_step_slides_a_misaligned_pair_across_a_parent_border():
+    # a spans y in [0, 60], b spans y in [50, 100]: they share 10 of x = 100,
+    # under half of b's extent, so a slides along the border toward b
+    left = power_diagram([(50.0, 30.0), (50.0, 90.0)], square(100.0), node_ids=["a", "a2"])
+    right = power_diagram([(150.0, 10.0), (150.0, 90.0)], square(100.0, origin=(100.0, 0.0)),
+                          node_ids=["b2", "b"])
+    state = make_state([left, right], [constraint("a", "b")])
+    a, b = left.cells[0], right.cells[1]
+    (p0, p1, length), = state.neighbor_map[("a", "b")]
+    edge_dir = (p1 - p0) / length
+    assert not _aligned(a, b, edge_dir)
+    s = a.site.copy()
+    neighborhood_step(a, state, 0.5, state.saturated(6))
+    _pinned_site(a, s + 0.5 * (float((b.site - s) @ edge_dir) * edge_dir))
+    assert a.site[0] == 50.0 and a.site[1] > 30.0
+
+
+def test_step_past_a_saturated_target_moves_to_the_centroid():
+    d, state = _nonneighbour_level()
+    a = d.cells[0]
+    s, c = a.site.copy(), a.polygon.centroid.copy()
+    neighborhood_step(a, state, 0.5, {"b"})
+    _pinned_site(a, s + 0.5 * (c - s))
+
+
+def _isolated_level():
+    """a's only partner, lone, sits alone in a parent that touches no other."""
+    near = power_diagram([(30.0, 50.0), (70.0, 50.0)], square(100.0), node_ids=["a", "a2"])
+    far = power_diagram([(350.0, 50.0)], square(100.0, origin=(300.0, 0.0)), node_ids=["lone"])
+    state = make_state([near, far], [constraint("a", "lone")])
+    assert "lone" not in state.adjacency()
+    return near.cells[0], far.cells[0], state
+
+
+def test_isolated_target_is_saturated_only_at_zero_max_neighbors():
+    a, _, state = _isolated_level()
+    s, c = a.site.copy(), a.polygon.centroid.copy()
+    assert state.saturated(0) == {"lone"}
+    neighborhood_step(a, state, 0.5, state.saturated(0))
+    _pinned_site(a, s + 0.5 * (c - s))
+
+    a, lone, state = _isolated_level()
+    assert state.saturated(1) == set()
+    s, t = a.site.copy(), lone.site.copy()
+    inset = state.inset_for(state.diagram_of["a"])
+    neighborhood_step(a, state, 0.5, state.saturated(1))
+    _pinned_site(a, optimizer._clamp_into(s, s + 0.5 * (t - s), inset))
+    assert a.site[0] > 70.0
 
 
 # ----------------------------------------------------------------- optimize_level
@@ -406,6 +479,134 @@ def test_build_treemap_builds_one_map_per_level_and_iteration(monkeypatch, neigh
                            "cosine", 0, cfg, init_preserved=init_preserved)
     assert sorted(init_preserved) == sorted(levels) == [1, 2]
     assert len(neighbor_calls) == len(levels) * (cfg.max_iter + 1)
+
+
+# ------------------------------------------------- reference neighborhood step
+
+def _reference_move_toward(cell, target, f, inset):
+    s = cell.site
+    t = target.site
+    dvec = t - s
+    d = math.hypot(dvec[0], dvec[1])
+    if d == 0.0:
+        return
+    floor = optimizer.K_MIN * (cell.equiv_radius + target.equiv_radius)
+    if d <= floor:
+        return
+    new = s + f * dvec
+    nd = (1.0 - f) * d
+    if nd < floor:
+        new = t - dvec / d * floor
+    cell.site = optimizer._clamp_into(s, new, inset)
+
+
+def _reference_neighborhood_step(cell, state, cfg, f, adjacency):
+    """The per-cell step on numpy pairs, testing each visited target for
+    saturation against the adjacency; returns the branch it took and the
+    targets it passed over as saturated."""
+    cons = [con for con in state.constraints for node in (con.a, con.b) if node == cell.node_id]
+    skipped = []
+    if cons:
+        def sort_key(con):
+            other = con.b if con.a == cell.node_id else con.a
+            oc = state.cells_by_id.get(other)
+            dist = math.hypot(*(oc.site - cell.site)) if oc is not None else 0.0
+            return (-con.similarity, -dist, other)
+
+        for con in sorted(cons, key=sort_key):
+            other_id = con.b if con.a == cell.node_id else con.a
+            target = state.cells_by_id.get(other_id)
+            if target is None:
+                continue
+            t_neighbors = adjacency.get(other_id, set())
+            constrained = {
+                n for n in t_neighbors
+                if tuple(sorted((other_id, n))) in state.constraint_pairs
+            }
+            if len(constrained) >= cfg.max_neighbor_count and constrained == t_neighbors:
+                skipped.append(other_id)
+                continue
+            pair = tuple(sorted((cell.node_id, other_id)))
+            segments = state.neighbor_map.get(pair)
+            inset = state.inset_for(state.diagram_of[cell.node_id])
+            if segments is None:
+                _reference_move_toward(cell, target, f, inset)
+                return "toward", skipped
+            if state.diagram_of[cell.node_id] is not state.diagram_of[other_id]:
+                p0, p1, length = max(segments, key=lambda seg: seg[2])
+                edge_dir = (p1 - p0) / length
+                if not _aligned(cell, target, edge_dir):
+                    move_orthogonal(cell, target, edge_dir, f, inset)
+                    return "orthogonal", skipped
+    if cell.polygon is not None:
+        cell.site = cell.site + f * (cell.polygon.centroid - cell.site)
+    return "centroid", skipped
+
+
+def _use_reference_step(monkeypatch, cfg):
+    """Route optimize_level's moves through the reference; returns the
+    (branch, skipped targets) log of its calls."""
+    branches = []
+    seen = {}
+
+    def step(cell, state, f, saturated):
+        if seen.get("map") is not state.neighbor_map:
+            seen.update(map=state.neighbor_map, adjacency=state.adjacency())
+        branches.append(_reference_neighborhood_step(cell, state, cfg, f, seen["adjacency"]))
+
+    monkeypatch.setattr(optimizer, "neighborhood_step", step)
+    return branches
+
+
+def _maps_bytes(maps):
+    return {level: [(key, [(p0.tobytes(), p1.tobytes(), ln) for p0, p1, ln in segs])
+                    for key, segs in nm.items()]
+            for level, nm in maps.items()}
+
+
+@pytest.mark.parametrize("max_neighbors", [0, 1, 6])
+@pytest.mark.parametrize("kind, params", [
+    ("m_n", {"leaves": 24, "parents": 3, "density": 0.3}),
+    ("two_level", {"leaves": 24, "parents": 4}),
+])
+def test_generated_levels_match_the_reference_step(monkeypatch, kind, params, max_neighbors):
+    tree = prepared(gen_synthetic(kind, params, seed=2))
+    constraints = extract_level_constraints(tree, "cosine")
+    cfg = OptimizerConfig(max_iter=12, max_neighbor_count=max_neighbors)   # 2 growth iterations
+
+    def layout():
+        maps = {}
+        levels = build_treemap(tree, constraints, make_boundary("circle", 100.0), "match_swap",
+                               "cosine", 0, cfg, neighbor_maps=maps)
+        return [_level_bytes(levels[lvl]) for lvl in sorted(levels)], _maps_bytes(maps)
+
+    fast = layout()
+    branches = _use_reference_step(monkeypatch, cfg)
+    assert layout() == fast
+    assert {"toward", "centroid"} <= {branch for branch, _ in branches}
+    assert any(skipped for _, skipped in branches) == (max_neighbors <= 1)
+
+
+@pytest.mark.parametrize("max_neighbors", [0, 1, 6])
+def test_isolated_target_level_matches_the_reference_step(monkeypatch, max_neighbors):
+    cfg = OptimizerConfig(max_iter=12, max_neighbor_count=max_neighbors)
+
+    def level():
+        near = power_diagram([(20.0, 30.0), (60.0, 70.0), (80.0, 20.0), (40.0, 80.0)],
+                             square(100.0), node_ids=["a", "b", "c", "e"],
+                             targets=[0.4, 0.3, 0.2, 0.1])
+        far = power_diagram([(350.0, 50.0)], square(100.0, origin=(300.0, 0.0)),
+                            node_ids=["lone"])
+        cons = [constraint("a", "lone"), constraint("a", "c", 0.7), constraint("b", "e", 0.5)]
+        state = make_state([near, far], cons)
+        optimize_level(state, cfg, np.random.default_rng(4))
+        return _level_bytes(state.diagrams), _maps_bytes({1: state.neighbor_map})
+
+    fast = level()
+    branches = _use_reference_step(monkeypatch, cfg)
+    assert level() == fast
+    skipped = {target for _, targets in branches for target in targets}
+    assert ("lone" in skipped) == (max_neighbors == 0)
 
 
 # ---------------------------------------------------------- level-wide recompute
