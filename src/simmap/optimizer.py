@@ -201,10 +201,11 @@ def neighborhood_step(cell: Cell, state: LevelState, f: float, saturated: set[st
 
         def sort_key(partner):
             similarity, other_id, other, _ = partner
-            if other is None:
-                return (-similarity, -0.0, other_id)
-            ox, oy = other.site.tolist()
-            return (-similarity, -math.hypot(ox - sx, oy - sy), other_id)
+            dist = 0.0
+            if other is not None:
+                ox, oy = other.site.tolist()
+                dist = math.hypot(ox - sx, oy - sy)
+            return (-similarity, -dist, other_id)
 
         diagram = state.diagram_of[cell.node_id]
         for _, other_id, target, pair in sorted(partners, key=sort_key):
@@ -232,8 +233,9 @@ def optimize_level(
     """Run the full iteration budget of the round-robin level optimization.
 
     Each iteration moves every cell on state.neighbor_map, which
-    LevelState.create builds, skipping the targets saturated on that map, reading the polygons of the iteration's start,
-    then makes one recompute_level call and refreshes the map after trace_cb;
+    LevelState.create builds, past the targets saturated on that map,
+    reading the polygons of the iteration's start, then makes one
+    recompute_level call and refreshes the map after trace_cb;
     the trace sees the map the iteration moved on, and the state ends with
     the final map.
     """
