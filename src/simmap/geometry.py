@@ -49,6 +49,7 @@ class ConvexPolygon:
         if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
             raise GeometryError("polygon needs at least 3 two-dimensional vertices")
         area, centroid, lo, hi, diagonal = _ring_measures(v, np.array([len(v)]))
+        _require_finite(area, centroid)
         if area[0] < 0.0:
             v = v[::-1].copy()
             area, centroid, lo, hi, diagonal = _ring_measures(v, np.array([len(v)]))
@@ -165,22 +166,31 @@ def _ring_measures(flat: np.ndarray, lengths: np.ndarray):
     np.add.reduceat, so a ring's measures are the same bits whatever rings
     share the call. Rings need 3 vertices because reduceat gives an empty
     segment the element at its index, not 0.
+
+    Coordinates beyond about 1e100 overflow the moments; such measures come
+    back inf or nan without a warning, for _require_finite to reject.
     """
     starts, nxt = _cyclic_next(lengths)
     first = flat[starts]
     p = flat - np.repeat(first, lengths, axis=0)
     q = p[nxt]
-    cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
-    terms = np.stack((cross, (p[:, 0] + q[:, 0]) * cross, (p[:, 1] + q[:, 1]) * cross), axis=1)
-    sums = np.add.reduceat(terms, starts, axis=0)
-    area = 0.5 * sums[:, 0]
-    lo = np.minimum.reduceat(flat, starts, axis=0)
-    hi = np.maximum.reduceat(flat, starts, axis=0)
-    diagonal = np.hypot(hi[:, 0] - lo[:, 0], hi[:, 1] - lo[:, 1])
-    solid = np.abs(area) > 1e-12 * diagonal * diagonal
-    centroid = first.copy()
-    centroid[solid] += sums[solid, 1:] / (6.0 * area[solid, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
+        terms = np.stack((cross, (p[:, 0] + q[:, 0]) * cross, (p[:, 1] + q[:, 1]) * cross), axis=1)
+        sums = np.add.reduceat(terms, starts, axis=0)
+        area = 0.5 * sums[:, 0]
+        lo = np.minimum.reduceat(flat, starts, axis=0)
+        hi = np.maximum.reduceat(flat, starts, axis=0)
+        diagonal = np.hypot(hi[:, 0] - lo[:, 0], hi[:, 1] - lo[:, 1])
+        solid = np.abs(area) > 1e-12 * diagonal * diagonal
+        centroid = first.copy()
+        centroid[solid] += sums[solid, 1:] / (6.0 * area[solid, None])
     return area, centroid, lo, hi, diagonal
+
+
+def _require_finite(area: np.ndarray, centroid: np.ndarray) -> None:
+    if not (np.isfinite(area).all() and np.isfinite(centroid).all()):
+        raise GeometryError("polygon measures are not finite")
 
 
 def _finish_rings(flat: np.ndarray, lengths: np.ndarray, ref_diag) -> list:
@@ -189,9 +199,9 @@ def _finish_rings(flat: np.ndarray, lengths: np.ndarray, ref_diag) -> list:
     ref_diag is one reference diagonal for all rings or one per ring. Each
     vertex within 1e-12 ref_diag of its cyclic successor is dropped; a ring
     left with fewer than 3 vertices, or with |signed area| <= 1e-14
-    ref_diag^2, is None; a CCW ring with area <= 1e-12 diagonal^2
-    raises GeometryError (before any polygon is returned); a clockwise ring
-    goes through ConvexPolygon.
+    ref_diag^2, is None; a CCW ring with area <= 1e-12 diagonal^2, or any
+    ring with a measure that is not finite, raises GeometryError (before any
+    polygon is returned); a clockwise ring goes through ConvexPolygon.
 
     A ring's polygon does not depend on which rings share the call: one
     _ring_measures call measures every ring, and a CCW ring's polygon
@@ -214,6 +224,7 @@ def _finish_rings(flat: np.ndarray, lengths: np.ndarray, ref_diag) -> list:
     flat.flags.writeable = False
     lengths = lengths[rows]
     area, centroid, lo, hi, diagonal = _ring_measures(flat, lengths)
+    _require_finite(area, centroid)
     ref = ref_diag[rows]
     sized = ~(np.abs(area) <= 1e-14 * ref * ref)
     ccw = sized & ~(area < 0.0)

@@ -3,7 +3,6 @@ initialization and optimization -> metrics -> SVG."""
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,6 +31,10 @@ from .optimizer import LevelState, OptimizerConfig, build_level_queue, optimize_
 from .render import RenderOptions, render_svg
 from .similarity import Constraint, extract_level_constraints, group_matrix
 from .tree_model import Tree, parse_tree, propagate_attributes, uniform_depth
+
+
+MIN_BOUNDARY_SIZE = 1e-100
+MAX_BOUNDARY_SIZE = 1e100
 
 
 class PipelineError(RuntimeError):
@@ -68,8 +71,10 @@ class RunResult:
 
 
 def make_boundary(spec: str, size: float) -> ConvexPolygon:
-    if not (math.isfinite(size) and size > 0.0):
-        raise ValueError(f"boundary size must be finite and positive, not {size!r}")
+    # polygon measures hold size**3 terms, which leave the normal doubles outside these bounds
+    if not MIN_BOUNDARY_SIZE <= size <= MAX_BOUNDARY_SIZE:
+        raise ValueError(f"boundary size must lie in [{MIN_BOUNDARY_SIZE:g}, "
+                         f"{MAX_BOUNDARY_SIZE:g}], not {size!r}")
     if spec == "square":
         return square(size)
     if spec == "circle":

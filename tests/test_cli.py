@@ -153,9 +153,14 @@ def test_negative_count_is_usage_error(three_node, flag, capsys):
     assert cli.main(["--input", three_node, flag, "-1"]) == 1
 
 
-@pytest.mark.parametrize("size", ["-5", "0", "nan", "inf"])
+@pytest.mark.parametrize("size", ["-5", "0", "nan", "inf", "1e150", "1e-200"])
 def test_bad_boundary_size_is_validation_error(three_node, size, capsys):
     assert cli.main(["--input", three_node, "--boundary-size", size]) == 2
+
+
+@pytest.mark.parametrize("size", ["1e100", "1e-100"])
+def test_boundary_size_at_either_end_of_its_range_runs(three_node, size, capsys):
+    assert cli.main(["--input", three_node, "--boundary-size", size, "--iters", "5"]) == 0
 
 
 def test_malformed_json_is_validation_error(tmp_path, capsys):

@@ -197,6 +197,16 @@ def test_polygon_rejects_degenerate():
         ConvexPolygon(np.array([[0, 0], [1, 0]]))
 
 
+@pytest.mark.parametrize("size", [1e150, 1e200])
+def test_polygon_with_overflowing_measures_is_rejected(size):
+    # the moments hold size**3 terms: inf or nan, raised on without a RuntimeWarning
+    ring = np.array([[0.0, 0.0], [size, 0.0], [size, size], [0.0, size]])
+    with pytest.raises(GeometryError, match="not finite"):
+        ConvexPolygon(ring)
+    with pytest.raises(GeometryError, match="not finite"):
+        _finish_rings(ring, np.array([4]), math.hypot(size, size))
+
+
 def test_polygon_is_immutable_with_cached_measures():
     ring = np.array([[0.0, 0.0], [0.0, 1.0], [2.0, 1.0], [2.0, 0.0]])  # clockwise
     poly = ConvexPolygon(ring)
