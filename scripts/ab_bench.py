@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Compare a base revision with the working tree on one benchmark workload.
 
-    python3 scripts/ab_bench.py BASE_REV --workload W --seed S [--pairs 10] [--seconds 25]
+    python3 scripts/ab_bench.py BASE_REV --workload W --seed S [--pairs 10]
 
 BASE_REV is exported with `git archive` into a temporary directory, so no git
 metadata is touched. Each pair runs `bench/run.py --trace 0` once from that
-directory and once from the working tree, uncommitted changes included; even
-pairs run the base first, odd pairs the change. The script prints every
-pair's end-to-end metrics and then, per metric, each side's median and
-quartiles, the change's wins out of the pairs (a tie is nobody's win), and
-whether the change wins at least 9 in 10 pairs with a median better than the
-base's by more than the base's interquartile range. The metrics and their
+directory and once from the working tree, uncommitted changes included, at
+bench/run.py's own run length; even pairs run the base first, odd pairs the
+change. The script prints every pair's end-to-end metrics and then, per
+metric, each side's median and quartiles, the change's wins out of the pairs
+(a tie is nobody's win), and whether the change wins at least 9 in 10 pairs
+with a median better than the base's by more than the base's interquartile
+range. The metrics and their
 better direction are those listed in BENCHMARK.json.
 
 Exits 1 if any run fails or reports "correct": false.
@@ -32,14 +33,17 @@ def export(rev: str, dest: pathlib.Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest)
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
 
 
 def run_bench(tree: pathlib.Path, args) -> dict | None:
     """The metrics of one bench/run.py run from `tree`, or None if it failed."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
-         "--seconds", str(args.seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -66,7 +70,6 @@ def main() -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25.0)
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -86,7 +89,7 @@ def main() -> int:
                 runs[side].append(result)
             print(f"pair {pair + 1}/{args.pairs} done, {order[0]} first", file=sys.stderr, flush=True)
 
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs, "
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, "
           f"base {args.base_rev} vs working tree")
     names = [m["name"] for m in metrics]
     for pair, (b, c) in enumerate(zip(runs["base"], runs["change"]), 1):
