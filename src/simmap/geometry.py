@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 
 class GeometryError(ValueError):
@@ -300,6 +299,7 @@ def _power_neighbours(sites: np.ndarray, weights: np.ndarray):
     size = float(np.abs(c).max()) or 1.0
     c = c / size
     lift = np.einsum("ij,ij->i", c, c) - weights / (size * size)
+    from scipy.spatial import ConvexHull, QhullError
     try:
         hull = ConvexHull(np.column_stack((c, lift)))
     except QhullError:

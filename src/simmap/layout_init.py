@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import ConvexPolygon, Diagram, cell_neighbors, lloyd_step, power_diagram
 from .similarity import Constraint, SimilarityMatrix
@@ -123,6 +122,7 @@ def match_assignment(positions: ProjectedPositions, cvt: Diagram) -> Assignment:
     ])
     diff = pts[:, None, :] - centroids[None, :, :]
     cost = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(cost)
     mapping = {positions.node_ids[r]: int(c) for r, c in zip(rows, cols)}
     return Assignment(mapping=mapping, strategy="match_swap")

@@ -3,9 +3,9 @@ constraint-realized edges, dashed unrealized links, disconnect markers, labels."
 from __future__ import annotations
 
 import colorsys
+import html
 import re
 from dataclasses import dataclass
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
@@ -37,6 +37,19 @@ class RenderOptions:
     show_unrealized: bool = False
     show_disconnect_icon: bool = False
     seed: int = 0
+
+
+def _quoteattr(value: str) -> str:
+    """`value` escaped and quoted as an XML attribute, byte for byte as
+    xml.sax.saxutils.quoteattr does; importing that module loads
+    urllib.request and http.client."""
+    value = html.escape(value, quote=False)
+    value = value.replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"%s"' % value.replace('"', "&quot;")
 
 
 def _hex_to_rgb(color: str) -> tuple[float, float, float]:
@@ -188,7 +201,7 @@ def render_svg(
             out.append(
                 f'<path class="cell-{_css_name(c.node_id)}" '
                 f'd="{mapper.path(c.polygon.vertices)}" '
-                f'fill={quoteattr(colors.get(c.node_id, "#cccccc"))} stroke="none"/>'
+                f'fill={_quoteattr(colors.get(c.node_id, "#cccccc"))} stroke="none"/>'
             )
     out.append("</g>")
 
@@ -273,7 +286,7 @@ def render_svg(
             size = max(8.0, 0.25 * (c.area ** 0.5) * mapper.s)
             out.append(
                 f'<text class="label-{_css_name(c.node_id)}" x="{_fmt(x)}" y="{_fmt(y)}" '
-                f'font-size="{_fmt(size)}">{escape(label)}</text>'
+                f'font-size="{_fmt(size)}">{html.escape(label, quote=False)}</text>'
             )
     out.append("</g>")
 

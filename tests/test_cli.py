@@ -1,6 +1,9 @@
 """End-to-end command-line behavior: generation, runs, artifacts, exit codes."""
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,3 +270,44 @@ def test_trace_roundtrip_rebuilds_final_diagram(tmp_path, capsys):
     )
     assert realized == metrics["leaf"]["constraints_preserved"]
     assert realized == final["realized"]
+
+
+# ---------------------------------------------------------------- import cost
+
+# Run in a fresh interpreter: prints, after each stage, which of the modules
+# that simmap must not load at import time are loaded.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+HEAVY = ("scipy", "xml.sax", "http.client", "urllib.request")
+
+def heavy():
+    return sorted(m for m in sys.modules
+                  if any(m == h or m.startswith(h + ".") for h in HEAVY))
+
+import simmap
+stages = {"import": heavy()}
+from simmap import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["--gen", "m_n", "--leaves", "6", "--seed", "1"])
+stages["gen"] = heavy()
+import numpy as np
+from simmap.geometry import power_diagram, square
+sites = np.random.default_rng(0).uniform(0.0, 1.0, size=(12, 2))
+power_diagram(sites, square(1.0))
+stages["power_diagram"] = heavy()
+print(json.dumps(stages))
+"""
+
+
+def test_import_and_gen_load_no_scipy_or_xml_sax():
+    # scipy loads on first use: Qhull candidate lists from 10 cells up, and
+    # the match_swap assignment
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout)
+    assert stages["import"] == []
+    assert stages["gen"] == []
+    assert "scipy.spatial" in stages["power_diagram"]

@@ -1,10 +1,14 @@
 """SVG output: color assignment, stable element classes, glyphs, determinism."""
 import colorsys
+import html
 import re
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from simmap.geometry import cell_neighbors, power_diagram, square
 from simmap.render import (
@@ -13,6 +17,7 @@ from simmap.render import (
     RenderOptions,
     TABLEAU10,
     TABLEAU20,
+    _quoteattr,
     assign_colors,
     render_svg,
 )
@@ -184,6 +189,29 @@ def test_byte_identical_across_calls():
     cons = [constraint("c0", "c1", 0.7)]
     assert render(4, cons, show_unrealized=True) == render(
         4, cons, show_unrealized=True)
+
+
+# render escapes with html.escape and _quoteattr, not xml.sax.saxutils, whose
+# import loads urllib.request and http.client; the bytes must not change
+MARKUP_TEXT = st.text(alphabet=st.sampled_from("\"'&<>\n\r\t a#1\u00e9"), max_size=12)
+
+
+@given(MARKUP_TEXT)
+def test_escaping_matches_saxutils(text):
+    assert _quoteattr(text) == quoteattr(text)
+    assert html.escape(text, quote=False) == escape(text)
+
+
+def test_explicit_color_and_label_are_escaped():
+    tree = propagate_attributes(parse_tree({"name": "r", "children": [
+        {"name": "x<&>y", "id": "odd", "color": "a\"b'c&d", "weight": 1.0},
+        {"name": "plain", "weight": 1.0},
+    ]}))
+    d = power_diagram([(0.25, 0.5), (0.75, 0.5)], square(1.0),
+                      node_ids=["odd", "plain"], targets=[0.5, 0.5])
+    svg = render_svg({1: [d]}, tree, [], {}, RenderOptions())
+    assert 'fill="a&quot;b\'c&amp;d" stroke="none"/>' in svg
+    assert '>x&lt;&amp;&gt;y</text>' in svg
 
 
 def test_constraints_do_not_move_cell_outlines():
