@@ -70,6 +70,28 @@ def _resolve_seed(args) -> int:
     return 0
 
 
+def _compare_plan(parser, args):
+    """(strategies, seeds) for --compare, or (None, None) without it; seeds is
+    None when --seeds is absent. A malformed value of either flag is a usage
+    error."""
+    if args.compare is None:
+        if args.seeds is not None:
+            parser.error("--seeds needs --compare")
+        return None, None
+    strategies = [s for s in args.compare.split(",") if s]
+    if not strategies:
+        parser.error("--compare needs at least one strategy")
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        parser.error(f"--compare: unknown strategies {unknown}")
+    if args.seeds is None:
+        return strategies, None
+    seeds = [s for s in args.seeds.split(",") if s]
+    if not seeds or not all(s.isdecimal() for s in seeds):
+        parser.error("--seeds takes a comma-separated list of non-negative integers")
+    return strategies, [int(s) for s in seeds]
+
+
 def _make_config(args) -> RunConfig:
     return RunConfig(
         input=args.input,
@@ -96,6 +118,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if min(args.iters, args.max_neighbors) < 0:
             parser.error("--iters and --max-neighbors must be >= 0")
+        strategies, seeds = _compare_plan(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
@@ -124,17 +147,8 @@ def main(argv=None) -> int:
             return EXIT_USAGE
 
         config = _make_config(args)
-        if args.compare:
-            strategies = [s for s in args.compare.split(",") if s]
-            if not strategies:
-                print("error: --compare needs at least one strategy", file=sys.stderr)
-                return EXIT_USAGE
-            unknown = [s for s in strategies if s not in STRATEGIES]
-            if unknown:
-                print(f"error: unknown strategies {unknown}", file=sys.stderr)
-                return EXIT_USAGE
-            seeds = [int(s) for s in (args.seeds or str(config.seed)).split(",") if s]
-            rows = compare(config, strategies, seeds)
+        if strategies is not None:
+            rows = compare(config, strategies, seeds or [config.seed])
             print(format_compare(rows))
             return 0
 

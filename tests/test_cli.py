@@ -151,6 +151,17 @@ def test_bad_compare_strategy_is_usage_error(three_node, capsys):
     assert cli.main(["--input", three_node, "--compare", "match_swap,bogus"]) == 1
 
 
+@pytest.mark.parametrize("extra, flag", [
+    (["--compare", ""], "--compare"),
+    (["--compare", "match_swap", "--seeds", "0,x"], "--seeds"),
+    (["--compare", "match_swap", "--seeds", "-1"], "--seeds"),
+    (["--seeds", "1,2"], "--seeds"),
+], ids=["empty_compare", "non_integer_seed", "negative_seed", "seeds_without_compare"])
+def test_bad_compare_or_seeds_is_usage_error_naming_the_flag(three_node, extra, flag, capsys):
+    assert cli.main(["--input", three_node, "--iters", "5"] + extra) == 1
+    assert f"error: {flag}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--iters", "--max-neighbors"])
 def test_negative_count_is_usage_error(three_node, flag, capsys):
     assert cli.main(["--input", three_node, flag, "-1"]) == 1
