@@ -5,8 +5,10 @@ Runs `simmap --seed 0` on the four shipped datasets at default settings, on
 two generated two_level documents (120 leaves, 12 parents, gen seeds 0 and 1)
 with `--init proj_scale --iters 40`, and on the gen seed 0 document again with
 the default init and `--iters 40` (as gen0_match_swap), whose 12 parents each
-take a 10-cell CVT with hull candidate lists. Prints one line per output file,
-`<name>.metrics.json <prefix>` and `<name>.svg <prefix>`, 14 lines in all.
+take a 10-cell CVT with hull candidate lists, and on the dense dataset with
+`--boundary square --init random_cvt` (as dense_square), whose root boundary
+has 4 vertices instead of the circle's 64. Prints one line per output file,
+`<name>.metrics.json <prefix>` and `<name>.svg <prefix>`, 16 lines in all.
 Two commits whose lines are equal produced byte-identical layouts, which is
 how a change that must not alter any output is checked.
 
@@ -65,6 +67,8 @@ def main() -> int:
             runs.append((name, ["--input", str(out / f"{name}.json"),
                                 "--init", "proj_scale", "--iters", "40"]))
         runs.append(("gen0_match_swap", ["--input", str(out / "gen0.json"), "--iters", "40"]))
+        runs.append(("dense_square", ["--input", str(ROOT / "datasets" / "dense.json"),
+                                      "--boundary", "square", "--init", "random_cvt"]))
         for name, run_args in runs:
             _cli([*run_args, "--seed", "0", "--out", str(out / name)])
             for suffix in (".metrics.json", ".svg"):
