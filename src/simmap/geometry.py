@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -143,7 +143,7 @@ def _flatten(rings: list) -> tuple[np.ndarray, np.ndarray]:
 
 def _cyclic_next(lengths: np.ndarray):
     """(starts, nxt): each ring's first index, each vertex's successor in its ring."""
-    ends = np.cumsum(lengths)
+    ends = lengths.cumsum()
     starts = ends - lengths
     live = lengths > 0
     nxt = np.arange(1, lengths.sum() + 1)
@@ -151,7 +151,7 @@ def _cyclic_next(lengths: np.ndarray):
     return starts, nxt
 
 
-def _ring_measures(flat: np.ndarray, lengths: np.ndarray):
+def _ring_measures(flat: np.ndarray, lengths: np.ndarray, cyclic=None):
     """(area, centroid, lo, hi, diagonal) of each ring stacked in `flat`, ring
     k of lengths[k] >= 3 vertices: its signed area, positive for a CCW ring,
     its centroid, the (rings, 2) min and max corners of its bounding box, and
@@ -168,11 +168,12 @@ def _ring_measures(flat: np.ndarray, lengths: np.ndarray):
 
     Coordinates beyond about 1e100 overflow the moments; such measures come
     back inf or nan without a warning, for _require_finite to reject.
+    `cyclic` is _cyclic_next(lengths), if the caller has it.
     """
-    starts, nxt = _cyclic_next(lengths)
-    first = flat[starts]
+    starts, nxt = _cyclic_next(lengths) if cyclic is None else cyclic
+    first = flat.take(starts, axis=0)
     p = flat - np.repeat(first, lengths, axis=0)
-    q = p[nxt]
+    q = p.take(nxt, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
         terms = np.stack((cross, (p[:, 0] + q[:, 0]) * cross, (p[:, 1] + q[:, 1]) * cross), axis=1)
@@ -205,24 +206,34 @@ def _finish_rings(flat: np.ndarray, lengths: np.ndarray, ref_diag) -> list:
     A ring's polygon does not depend on which rings share the call: one
     _ring_measures call measures every ring, and a CCW ring's polygon
     carries the measures ConvexPolygon takes of its vertices, bit for bit.
-    The polygons' vertices are read-only slices of one array.
+    The polygons' vertices are read-only slices of one array: `flat` itself
+    when no vertex is dropped, so the caller hands it over.
     """
     n = len(lengths)
-    ref_diag = np.broadcast_to(ref_diag, (n,))
-    nxt = _cyclic_next(lengths)[1]
-    gap = np.hypot(flat[:, 0] - flat[nxt, 0], flat[:, 1] - flat[nxt, 1])
+    ref_diag = np.full(n, ref_diag)
+    starts, nxt = _cyclic_next(lengths)
+    succ = flat.take(nxt, axis=0)
+    gap = np.hypot(flat[:, 0] - succ[:, 0], flat[:, 1] - succ[:, 1])
     keep = gap > np.repeat(1e-12 * np.maximum(ref_diag, 1e-300), lengths)
-    owner = np.repeat(np.arange(n), lengths)
-    lengths = np.bincount(owner[keep], minlength=n)
+    # a one-vertex ring is its own successor, so only a two-vertex ring can
+    # keep every vertex and still need dropping
+    whole = bool(keep.all()) and not (lengths == 2).any()
+    if not whole:
+        owner = np.repeat(np.arange(n), lengths)
+        lengths = np.bincount(owner[keep], minlength=n)
     valid = lengths >= 3
     rows = np.flatnonzero(valid)
     polys: list = [None] * n
     if len(rows) == 0:
         return polys
-    flat = flat[keep & valid[owner]]
+    if whole:
+        cyclic = starts[rows], nxt
+    else:
+        flat = flat[keep & valid[owner]]
+        cyclic = None
     flat.flags.writeable = False
     lengths = lengths[rows]
-    area, centroid, lo, hi, diagonal = _ring_measures(flat, lengths)
+    area, centroid, lo, hi, diagonal = _ring_measures(flat, lengths, cyclic)
     _require_finite(area, centroid)
     ref = ref_diag[rows]
     sized = ~(np.abs(area) <= 1e-14 * ref * ref)
@@ -230,14 +241,16 @@ def _finish_rings(flat: np.ndarray, lengths: np.ndarray, ref_diag) -> list:
     if np.any(ccw & (area <= 1e-12 * diagonal * diagonal)):
         raise GeometryError("polygon area is degenerate")
     centroid.flags.writeable = False
-    rings = [flat[end - m:end] for end, m in zip(np.cumsum(lengths).tolist(), lengths.tolist())]
-    for row, ring, a, c, aabb, diag, is_ccw, is_sized in zip(
-            rows.tolist(), rings, area.tolist(), centroid, np.hstack((lo, hi)).tolist(),
-            diagonal.tolist(), ccw.tolist(), sized.tolist()):
+    ends = lengths.cumsum().tolist()
+    measured = ConvexPolygon._measured
+    for row, start, end, a, c, aabb, diag, is_ccw, is_sized in zip(
+            rows.tolist(), [0, *ends], ends, area.tolist(), centroid,
+            map(tuple, np.hstack((lo, hi)).tolist()), diagonal.tolist(), ccw.tolist(),
+            sized.tolist()):
         if is_ccw:
-            polys[row] = ConvexPolygon._measured(ring, a, c, tuple(aabb), diag)
+            polys[row] = measured(flat[start:end], a, c, aabb, diag)
         elif is_sized:
-            polys[row] = ConvexPolygon(ring)
+            polys[row] = ConvexPolygon(flat[start:end])
     return polys
 
 
@@ -305,15 +318,27 @@ def _power_neighbours(sites: np.ndarray, weights: np.ndarray):
     except QhullError:
         return _all_pairs(n)
     facets = hull.simplices[hull.equations[:, 2] < 0.0]
-    edges = facets[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    keys = np.unique(np.concatenate((edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0])))
-    owner, other = np.divmod(keys, n)
-    return other, np.bincount(owner, minlength=n)
+    turned = facets[:, [1, 2, 0]]
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[facets, turned] = True
+    adjacent[turned, facets] = True
+    # nonzero walks the rows in order, each row's columns ascending
+    return adjacent.nonzero()[1], adjacent.sum(axis=1)
 
 
+@lru_cache(maxsize=2 * BATCH_MIN_CELLS)
 def _all_pairs(n: int):
-    """(candidates, degree) in which every site's list holds all other sites."""
-    return np.nonzero(~np.eye(n, dtype=bool))[1], np.full(n, n - 1)
+    """(candidates, degree) in which every site's list holds all other sites;
+    read-only, and the same arrays for every call with the same n."""
+    candidates, degree = np.nonzero(~np.eye(n, dtype=bool))[1], np.full(n, n - 1)
+    candidates.flags.writeable = False
+    degree.flags.writeable = False
+    return candidates, degree
+
+
+# (i_in, i_out, start, j_out) of a one-run clip, relative to the run's start
+# before i_out and j_out add the run's length
+_CROSSING_ENDS = np.array([-1, -1, 0, 0])
 
 
 def _clip_rings(rings: np.ndarray, lengths: np.ndarray, normals: np.ndarray,
@@ -329,8 +354,17 @@ def _clip_rings(rings: np.ndarray, lengths: np.ndarray, normals: np.ndarray,
 
     Each round reads the columns up to the longest live ring; padding columns
     stay finite and are masked out, never cleared. Vertex heights d come from
-    a stacked np.matmul, which runs the same BLAS kernel per ring as
-    `v @ normal`; an elementwise x * n0 + y * n1 rounds differently. Edge
+    one stacked np.matmul per round, against the normals shaped once per call
+    as (rounds, rings, 2, 1), with the offset subtracted in place; matmul runs
+    the same BLAS kernel per ring as `v @ normal`, while an elementwise
+    x * n0 + y * n1 rounds differently. A one-run ring's crossing end points
+    and its rotated vertices are gathered with np.take from the flattened
+    stack, at the ring's row base plus column, and the end points' heights
+    from d the same way; the row bases are refreshed when a Sutherland-Hodgman
+    pass widens the stack. A gather copies values without arithmetic, and
+    each height and crossing is the same IEEE operation on the same operands
+    as for the ring clipped alone, so the result has the same bits whichever
+    rings share the call and however they are gathered. Edge
     a -> b crosses at v_a + t (v_b - v_a), t = d_a / (d_a - d_b). A ring whose
     inside vertices form one cyclic run becomes the entering crossing, the
     run and the leaving crossing. A ring convex only up to rounding can have
@@ -344,36 +378,45 @@ def _clip_rings(rings: np.ndarray, lengths: np.ndarray, normals: np.ndarray,
     stack = np.zeros((n, rings.shape[1] + rounds, 2))
     stack[:, :rings.shape[1]] = rings
     lengths = np.array(lengths, dtype=np.intp)
+    normals = normals.reshape(rounds, n, 2, 1)
+    offsets = offsets.reshape(rounds, n, 1)
     cols = np.arange(stack.shape[1])
+    # ring i's vertex j is vertices[vbase[i] + j]
+    vertices = stack.reshape(-1, 2)
+    vbase = np.arange(n) * stack.shape[1]
     for r in range(rounds):
         width = int(lengths.max())
         if width == 0:
             break
         v = stack[:, :width]
-        d = np.matmul(v, normals[r][:, :, None])[:, :, 0] - offsets[r][:, None]
-        inside = (d <= 0.0) & (cols[:width] < lengths[:, None])
-        count = inside.sum(axis=1)
+        d = np.matmul(v, normals[r])[:, :, 0]
+        d -= offsets[r]
+        inside = d <= 0.0
+        inside &= cols[:width] < lengths[:, None]
+        count = np.add.reduce(inside, axis=1)
         lengths[count == 0] = 0
-        cut = np.flatnonzero((count > 0) & (count < lengths))
+        cut = (count < lengths).nonzero()[0]
         if len(cut) == 0:
             continue
-        v, d, inside, m, count = v[cut], d[cut], inside[cut], lengths[cut], count[cut]
-        k = np.arange(len(cut))
+        ins, m, count = inside[cut], lengths[cut], count[cut]
+        hbase = cut * width     # ring cut[k]'s vertex j has height d.flat[hbase[k] + j]
         # an inside vertex whose cyclic predecessor is outside starts a run
-        prev = np.empty_like(inside)
-        prev[:, 1:] = inside[:, :-1]
-        prev[:, 0] = inside[k, m - 1]
-        starts = inside & ~prev
-        runs = starts.sum(axis=1)
-        multi = runs > 1
-        if multi.any():
-            rows, mv, md, mi, mm = cut[multi], v[multi], d[multi], inside[multi], m[multi]
+        prev = np.empty_like(ins)
+        prev[:, 1:] = ins[:, :-1]
+        prev[:, 0] = inside.take(hbase + m - 1)
+        starts = ins > prev
+        if np.count_nonzero(starts) > len(cut):
+            runs = np.add.reduce(starts, axis=1)
+            multi = runs > 1
+            rows, mv, md, mi, mm = cut[multi], v[cut[multi]], d[cut[multi]], ins[multi], m[multi]
             lengths[rows] = count[multi] + 2 * runs[multi]  # each run gains two crossings
             # keep room for the later rounds' one-run clips
             need = int(lengths.max()) + rounds - r - 1
             if need > stack.shape[1]:
                 stack = np.concatenate((stack, np.zeros((n, need - stack.shape[1], 2))), axis=1)
                 cols = np.arange(stack.shape[1])
+                vertices = stack.reshape(-1, 2)
+                vbase = np.arange(n) * stack.shape[1]
             j = np.arange(len(rows))[:, None]
             nxt = (cols[:width] + 1) % mm[:, None]
             flip = (mi != mi[j, nxt]) & (cols[:width] < mm[:, None])
@@ -384,28 +427,32 @@ def _clip_rings(rings: np.ndarray, lengths: np.ndarray, normals: np.ndarray,
             row, slot = np.nonzero(keep)
             at = np.cumsum(keep, axis=1)[row, slot] - 1
             stack[rows[row], at] = slots.reshape(len(rows), -1, 2)[row, slot]
-            cut, v, d, m, count, starts = (a[~multi] for a in (cut, v, d, m, count, starts))
+            cut, m, count, starts, hbase = (a[~multi] for a in (cut, m, count, starts, hbase))
             if len(cut) == 0:
                 continue
-            k = np.arange(len(cut))
         # One-run rings keep this path, not the Sutherland-Hodgman pass: sent
         # through it, rotated to start at the entering crossing, they gave the
         # same bits, but init_sweep's ref_wall_s rose 28% on a 2-CPU VM
         # (1.63-1.70 s -> 2.07-2.23 s, 4 alternating pairs).
-        start = starts.argmax(axis=1)
-        # (i_in, start, i_out, j_out): the two edges that cross the half-plane
-        ends = start[:, None] + np.array([-1, 0, -1, 0])
-        ends[:, 2:] += count[:, None]
+        # (i_in, i_out, start, j_out): edges i_in -> start and i_out -> j_out
+        # cross the half-plane
+        ends = starts.argmax(axis=1)[:, None] + _CROSSING_ENDS
+        ends[:, 1::2] += count[:, None]
         ends %= m[:, None]
-        de = d[k[:, None], ends]
-        ve = v[k[:, None], ends]
-        t = de[:, 0::2] / (de[:, 0::2] - de[:, 1::2])
-        crossing = ve[:, 0::2] + t[:, :, None] * (ve[:, 1::2] - ve[:, 0::2])
+        de = d.take(ends + hbase[:, None])
+        first = vbase[cut][:, None]
+        ve = vertices.take(ends + first, axis=0)
+        t = de[:, :2] / (de[:, :2] - de[:, 2:])
+        crossing = ve[:, :2] + t[:, :, None] * (ve[:, 2:] - ve[:, :2])
         new_m = count + 2
-        new_width = max(width, int(new_m.max()))
-        ring = v[k[:, None], (start[:, None] + cols[:new_width] - 1) % m[:, None]]
-        ring[k, 0] = crossing[:, 0]
-        ring[k, count + 1] = crossing[:, 1]
+        new_width = int(new_m.max())
+        # the ring from i_in on: crossing, run, crossing, then padding
+        order = ends[:, :1] + cols[:new_width]
+        order %= m[:, None]
+        order += first
+        ring = vertices.take(order, axis=0)
+        ring[:, 0] = crossing[:, 0]
+        ring[np.arange(len(cut)), count + 1] = crossing[:, 1]
         stack[cut, :new_width] = ring
         lengths[cut] = new_m
     return stack[cols < lengths[:, None]], lengths

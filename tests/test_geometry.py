@@ -183,6 +183,98 @@ def test_clip_rings_equals_scalar_reference(seed, n, rounds):
             assert got[i].tobytes() == np.asarray(v, dtype=float).tobytes(), i
 
 
+def _dented_edge(ring, k, depth):
+    """(ring, normal, height): `ring` with the midpoint of its edge k -> k + 1
+    inserted after vertex k and moved inward by `depth`, the edge's outward
+    unit normal, and the edge's height along it. A line of that normal
+    between the dent and the edge leaves two inside runs."""
+    a, b = ring[k], ring[(k + 1) % len(ring)]
+    edge = b - a
+    normal = np.array([edge[1], -edge[0]]) / math.hypot(*edge)
+    dent = 0.5 * (a + b) - depth * normal
+    return np.insert(ring, k + 1, dent, axis=0), normal, float(a @ normal)
+
+
+def _random_half_plane(rng, ring):
+    """A zero half-plane (one in five) or a random line across `ring`'s
+    heights, which may keep or empty it whole."""
+    if rng.integers(5) == 0:
+        return np.zeros(2), 0.0
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    normal = 10 ** rng.uniform(-1, 1) * np.array([math.cos(angle), math.sin(angle)])
+    heights = ring @ normal
+    span = heights.max() - heights.min()
+    return normal, rng.uniform(heights.min() - 0.1 * span, heights.max() + 0.1 * span)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 16), st.booleans())
+def test_clip_rings_equals_scalar_reference_on_mixed_widths(seed, n, rounds, dent_big):
+    """A 64-gon shares the stack with 3- to 8-vertex rings and dented squares
+    for up to 16 rounds, and equals the scalar reference bit for bit.
+
+    With dent_big, the 64-gon gets a dent on one edge; rounds before r0
+    each cut off one corner far from the dent, adding a vertex, and round
+    r0 cuts the dented edge, whose two runs make the ring two vertices
+    longer than the stack's spare columns allow, so the stack widens in
+    mid-call. The small rings meet random, zero and emptying half-planes
+    in every round."""
+    rng = np.random.default_rng(seed)
+    radius = 10 ** rng.uniform(-1, 3)
+    big = regular_polygon(64, radius=radius, center=rng.uniform(-50.0, 50.0, size=2)).vertices
+    r0 = int(rng.integers(rounds))
+    if dent_big:
+        k = int(rng.integers(64))
+        rows = []
+        for r in range(r0):
+            # corners 3 apart, clear of the dented edge k -> k + 1
+            before, corner, after = (big[(k + 3 * r + j) % 64] for j in (3, 4, 5))
+            unit = corner - big.mean(axis=0)
+            unit = unit / math.hypot(*unit)
+            top, below = float(corner @ unit), max(float(before @ unit), float(after @ unit))
+            rows.append((unit, below + rng.uniform(0.1, 0.9) * (top - below)))
+        big, normal, height = _dented_edge(big, k, 2.0 ** -int(rng.integers(8, 30)) * radius)
+        dent = float(big[k + 1] @ normal)
+        rows.append((normal, height - rng.uniform(0.1, 0.9) * (height - dent)))
+        rows += [_random_half_plane(rng, big) for _ in range(rounds - r0 - 1)]
+    else:
+        rows = [_random_half_plane(rng, big) for _ in range(rounds)]
+    rings, planes = [big], [rows]
+    for _ in range(n):
+        dented = rng.random() < 0.3
+        if dented:
+            depth = 2.0 ** -int(rng.integers(5, 40))
+            ring = _dented_ring(depth)
+            rows = [(np.array([0.0, 1.0]), 1.0 - rng.uniform(0.1, 0.9) * depth)]
+        else:
+            ring = random_convex_boundary(rng).vertices
+            rows = []
+        rows += [_random_half_plane(rng, ring) for _ in range(rounds - len(rows))]
+        rings.append(ring)
+        planes.append(rows)
+    width = max(len(v) for v in rings)
+    stack = np.zeros((len(rings), width, 2))
+    for i, v in enumerate(rings):
+        stack[i, :len(v)] = v
+    normals = np.array([[rows[r][0] for rows in planes] for r in range(rounds)])
+    offsets = np.array([[rows[r][1] for rows in planes] for r in range(rounds)])
+    flat, lengths = _clip_rings(stack, np.array([len(v) for v in rings]), normals, offsets)
+    assert lengths.sum() == len(flat)
+    got = np.split(flat, np.cumsum(lengths)[:-1])
+    for i, (v, rows) in enumerate(zip(rings, planes)):
+        for normal, offset in rows:
+            v = _clip_array(v, normal, offset)
+            if v is None:
+                break
+        if v is None:
+            assert lengths[i] == 0, i
+        else:
+            assert got[i].tobytes() == np.asarray(v, dtype=float).tobytes(), i
+    if dent_big and r0 == rounds - 1:
+        # r0 corner cuts and the two-run cut: longer than the stack's width
+        assert lengths[0] == 65 + r0 + 2 > width + rounds
+
+
 # -------------------------------------------------------------- ConvexPolygon
 
 def test_polygon_enforces_ccw():
@@ -1175,6 +1267,62 @@ def test_hidden_site_has_no_candidates_and_an_empty_cell(hull_calls):
     _assert_recompute_matches_per_cell(d)
     _assert_matches_all_pairs(d)
     assert set(hull_calls) == {len(sites)}
+
+
+def _power_neighbours_by_unique(sites, weights):
+    """Reference: _power_neighbours' (candidates, degree) read off the sorted
+    unique keys owner * n + other of both directions of every lower-facet
+    edge, with the same lift and the same Qhull fallback."""
+    from scipy.spatial import ConvexHull, QhullError
+    n = len(sites)
+    c = sites - sites.mean(axis=0)
+    size = float(np.abs(c).max()) or 1.0
+    c = c / size
+    lift = np.einsum("ij,ij->i", c, c) - weights / (size * size)
+    try:
+        hull = ConvexHull(np.column_stack((c, lift)))
+    except QhullError:
+        return np.nonzero(~np.eye(n, dtype=bool))[1], np.full(n, n - 1)
+    facets = hull.simplices[hull.equations[:, 2] < 0.0]
+    edges = facets[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys = np.unique(np.concatenate((edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0])))
+    owner, other = np.divmod(keys, n)
+    return other, np.bincount(owner, minlength=n)
+
+
+def _power_neighbour_inputs():
+    """(sites, weights): random weighted sites of 10 to 60 cells, the
+    hidden-site input and the cocircular grid."""
+    rng = np.random.default_rng(23)
+    boundary = square(10.0)
+    for n in (10, 11, 17, 30, 45, 60):
+        for weight_frac in (0.0, 0.05, 0.3):
+            sites = np.array([boundary.sample_point(rng) for _ in range(n)])
+            yield sites, rng.uniform(0.0, (weight_frac * boundary.diagonal) ** 2, size=n)
+    yield _hidden_site_inputs()[1:]
+    grid = np.array([(x + 0.5, y + 0.5) for y in range(4) for x in range(4)], dtype=float)
+    yield grid, np.zeros(len(grid))
+
+
+def test_power_neighbours_equal_unique_reference():
+    hidden = 0
+    for sites, weights in _power_neighbour_inputs():
+        candidates, degree = _power_neighbours(sites, weights)
+        expected_candidates, expected_degree = _power_neighbours_by_unique(sites, weights)
+        assert np.array_equal(candidates, expected_candidates)
+        assert np.array_equal(degree, expected_degree)
+        hidden += int(np.sum(degree == 0))
+    assert hidden > 0
+
+
+def test_all_pairs_is_cached_and_read_only():
+    for n in range(1, BATCH_MIN_CELLS):
+        candidates, degree = geometry._all_pairs(n)
+        assert np.array_equal(candidates, np.nonzero(~np.eye(n, dtype=bool))[1])
+        assert np.array_equal(degree, np.full(n, n - 1))
+        assert not candidates.flags.writeable and not degree.flags.writeable
+        again = geometry._all_pairs(n)
+        assert again[0] is candidates and again[1] is degree
 
 
 def _mixed_level():
