@@ -64,9 +64,12 @@ def _resolve_seed(args) -> int:
     env = os.environ.get("SIMMAP_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise TreeValidationError(f"SIMMAP_SEED is not an integer: {env!r}") from exc
+        if seed < 0:
+            raise TreeValidationError(f"SIMMAP_SEED must be >= 0, not {env!r}")
+        return seed
     return 0
 
 
@@ -118,6 +121,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if min(args.iters, args.max_neighbors) < 0:
             parser.error("--iters and --max-neighbors must be >= 0")
+        if args.seed is not None and args.seed < 0:
+            parser.error("--seed must be >= 0")
         strategies, seeds = _compare_plan(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -80,7 +80,10 @@ def make_boundary(spec: str, size: float) -> ConvexPolygon:
     if spec == "circle":
         return regular_polygon(64, radius=size / 2.0, center=(size / 2.0, size / 2.0))
     if spec.startswith("polygon:"):
-        n = int(spec.split(":", 1)[1])
+        try:
+            n = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"boundary spec {spec!r}: N in polygon:N must be an integer") from None
         if n < 3:
             raise ValueError("polygon boundary needs at least 3 sides")
         return regular_polygon(n, radius=size / 2.0, center=(size / 2.0, size / 2.0))

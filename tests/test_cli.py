@@ -167,6 +167,25 @@ def test_negative_count_is_usage_error(three_node, flag, capsys):
     assert cli.main(["--input", three_node, flag, "-1"]) == 1
 
 
+@pytest.mark.parametrize("gen", [False, True], ids=["run", "gen"])
+def test_negative_seed_is_usage_error_naming_the_flag(three_node, gen, capsys):
+    source = ["--gen", "m_n"] if gen else ["--input", three_node]
+    assert cli.main(source + ["--seed", "-1"]) == 1
+    assert "error: --seed" in capsys.readouterr().err
+
+
+def test_negative_env_seed_is_validation_error_naming_the_variable(three_node, monkeypatch, capsys):
+    monkeypatch.setenv("SIMMAP_SEED", "-3")
+    assert cli.main(["--input", three_node]) == 2
+    assert "input error: SIMMAP_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["polygon:x", "polygon:", "polygon:5.5"])
+def test_malformed_polygon_boundary_is_validation_error_naming_the_spec(three_node, spec, capsys):
+    assert cli.main(["--input", three_node, "--boundary", spec]) == 2
+    assert f"input error: boundary spec {spec!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("size", ["-5", "0", "nan", "inf", "1e150", "1e-200"])
 def test_bad_boundary_size_is_validation_error(three_node, size, capsys):
     assert cli.main(["--input", three_node, "--boundary-size", size]) == 2
