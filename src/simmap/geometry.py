@@ -326,6 +326,8 @@ def _power_neighbours(sites: np.ndarray, weights: np.ndarray):
     return adjacent.nonzero()[1], adjacent.sum(axis=1)
 
 
+# every recompute of a diagram below BATCH_MIN_CELLS cells asks for its
+# size's lists; the bound keeps Qhull fallbacks of many sizes from piling up
 @lru_cache(maxsize=2 * BATCH_MIN_CELLS)
 def _all_pairs(n: int):
     """(candidates, degree) in which every site's list holds all other sites;

@@ -215,8 +215,8 @@ def test_clip_rings_equals_scalar_reference_on_mixed_widths(seed, n, rounds, den
 
     With dent_big, the 64-gon gets a dent on one edge; rounds before r0
     each cut off one corner far from the dent, adding a vertex, and round
-    r0 cuts the dented edge, whose two runs make the ring two vertices
-    longer than the stack's spare columns allow, so the stack widens in
+    r0 cuts the dented edge into two runs, adding two vertices where the
+    stack keeps one spare column per round, so the stack widens in
     mid-call. The small rings meet random, zero and emptying half-planes
     in every round."""
     rng = np.random.default_rng(seed)
