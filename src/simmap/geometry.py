@@ -275,13 +275,8 @@ class Cell:
 class Diagram:
     boundary: ConvexPolygon
     cells: list[Cell]
-    level: int = 0
+    scale: float
     parent_node: str | None = None
-    scale: float = field(default=0.0)
-
-    def __post_init__(self):
-        if self.scale <= 0.0:
-            self.scale = self.boundary.diagonal
 
     @property
     def sites(self) -> np.ndarray:
@@ -552,7 +547,6 @@ def power_diagram(
     weights=None,
     node_ids=None,
     targets=None,
-    level: int = 0,
     parent_node: str | None = None,
     scale: float = 0.0,
 ) -> Diagram:
@@ -575,7 +569,7 @@ def power_diagram(
         Cell(node_id=ids[i], site=pts[i].copy(), weight=float(w[i]), target_area_fraction=float(t[i]))
         for i in range(n)
     ]
-    diagram = Diagram(boundary=boundary, cells=cells, level=level, parent_node=parent_node, scale=ref)
+    diagram = Diagram(boundary=boundary, cells=cells, scale=ref, parent_node=parent_node)
     return recompute(diagram)
 
 

@@ -158,8 +158,7 @@ def init_diagram(
             assignment = swap_improve(assignment, local, cvt)
         sites = np.array([cvt.cells[assignment.mapping[c]].site for c in children])
     return power_diagram(
-        sites, boundary, node_ids=children, targets=targets,
-        level=level, parent_node=parent, scale=scale,
+        sites, boundary, node_ids=children, targets=targets, parent_node=parent, scale=scale,
     )
 
 
