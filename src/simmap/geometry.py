@@ -5,11 +5,13 @@ weights): in a diagram of BATCH_MIN_CELLS cells or more, against each cell's
 regular-triangulation neighbours from the lower convex hull of the sites
 lifted to (x, y, x^2 + y^2 - w) (Aurenhammer, "Power diagrams: properties,
 algorithms and applications", SIAM J. Comput. 1987), else against all other
-sites. `_clip_rings` is the one clipper: it clips a padded stack of rings in
-rounds, one half-plane per ring per round. `recompute_level` clips all cells
-of a level in one call, as many rounds as its longest candidate list, and
-`ConvexPolygon.inset` is a call of its own; a ring's result does not depend
-on which rings share the call. `_finish_rings` builds
+sites. `_clip_rings` is the one clipper: it clips a stack of rings, each
+started from one of a few boundaries, in rounds, one half-plane per ring per
+round. `recompute_level` clips all cells of a level in one call: round r
+clips each cell against its r-th candidate, a list shorter than the longest
+is padded with the cell's own index, and a hidden site's cell comes out
+empty. `ConvexPolygon.inset` is a call of its own; a ring's result
+does not depend on which rings share the call. `_finish_rings` builds
 every polygon from the stacked rings, and one `_ring_measures` call, the
 only shoelace, takes every ring's area, centroid and bounding box relative
 to the ring's first vertex. Neighbors are found by testing only the edge
@@ -120,8 +122,8 @@ class ConvexPolygon:
         normals, offsets, _, length = self._edge_frame
         k = length > 0.0
         # round r keeps {x : normals[:, k_r] . x - offsets[k_r] >= margin * length[k_r]}
-        flat, lengths = _clip_rings(self.vertices[None], np.array([len(self.vertices)]),
-                                    -normals.T[k][:, None], (-offsets[k] - margin * length[k])[:, None])
+        flat, lengths = _clip_rings([self.vertices], [0], -normals.T[k][:, None],
+                                    (-offsets[k] - margin * length[k])[:, None])
         return _finish_rings(flat, lengths, self.diagonal)[0]
 
     def sample_point(self, rng: np.random.Generator) -> np.ndarray:
@@ -338,21 +340,22 @@ def _all_pairs(n: int):
 _CROSSING_ENDS = np.array([-1, -1, 0, 0])
 
 
-def _clip_rings(rings: np.ndarray, lengths: np.ndarray, normals: np.ndarray,
-                offsets: np.ndarray):
-    """Clip every ring of a padded stack in rounds, the package's one clipper;
-    returns the rings as _flatten's (vertices, lengths), for _finish_rings.
+def _clip_rings(rings: list, owner, normals: np.ndarray, offsets: np.ndarray):
+    """Clip rows of rings in rounds, the package's one clipper; returns the
+    rows' rings as _flatten's (vertices, lengths), for _finish_rings.
 
-    Ring i is rings[i, :lengths[i]]; round r clips it by
-    {x : normals[r, i] . x <= offsets[r, i]}, for normals of shape
-    (rounds, rings, 2) and offsets (rounds, rings). A zero normal and offset
-    keep a ring whole; an emptied ring gets length 0. The arguments are not
-    changed.
+    Row i starts as rings[owner[i]], or empty where owner[i] is -1, and round
+    r clips it by {x : normals[r, i] . x <= offsets[r, i]}, for normals of
+    shape (rounds, rows, 2) and offsets (rounds, rows). A zero normal and
+    offset keep a ring whole; an emptied ring gets length 0. The arguments
+    are not changed.
 
-    Each round reads the columns up to the longest live ring; padding columns
+    The rows are taken at once into one stack, each start ring padded with
+    zeros to the widest ring plus a spare column per round. Each round reads
+    the columns up to the longest live ring; padding columns
     stay finite and are masked out, never cleared. Vertex heights d come from
     one stacked np.matmul per round, against the normals shaped once per call
-    as (rounds, rings, 2, 1), with the offset subtracted in place; matmul runs
+    as (rounds, rows, 2, 1), with the offset subtracted in place; matmul runs
     the same BLAS kernel per ring as `v @ normal`, while an elementwise
     x * n0 + y * n1 rounds differently. A one-run ring's crossing end points
     and its rotated vertices are gathered with np.take from the flattened
@@ -361,7 +364,7 @@ def _clip_rings(rings: np.ndarray, lengths: np.ndarray, normals: np.ndarray,
     pass widens the stack. A gather copies values without arithmetic, and
     each height and crossing is the same IEEE operation on the same operands
     as for the ring clipped alone, so the result has the same bits whichever
-    rings share the call and however they are gathered. Edge
+    rows share the call and however they are gathered. Edge
     a -> b crosses at v_a + t (v_b - v_a), t = d_a / (d_a - d_b). A ring whose
     inside vertices form one cyclic run becomes the entering crossing, the
     run and the leaving crossing. A ring convex only up to rounding can have
@@ -372,9 +375,13 @@ def _clip_rings(rings: np.ndarray, lengths: np.ndarray, normals: np.ndarray,
     for each round left; a Sutherland-Hodgman pass grows it when needed.
     """
     rounds, n = offsets.shape
-    stack = np.zeros((n, rings.shape[1] + rounds, 2))
-    stack[:, :rings.shape[1]] = rings
-    lengths = np.array(lengths, dtype=np.intp)
+    sizes = [len(v) for v in rings]
+    # start ring k padded, and a last, empty row that owner -1 takes
+    padded = np.zeros((len(rings) + 1, max(sizes) + rounds, 2))
+    for k, v in enumerate(rings):
+        padded[k, :len(v)] = v
+    stack = padded.take(owner, axis=0)
+    lengths = np.array(sizes + [0], dtype=np.intp).take(owner)
     normals = normals.reshape(rounds, n, 2, 1)
     offsets = offsets.reshape(rounds, n, 1)
     cols = np.arange(stack.shape[1])
@@ -455,20 +462,39 @@ def _clip_rings(rings: np.ndarray, lengths: np.ndarray, normals: np.ndarray,
     return stack[cols < lengths[:, None]], lengths
 
 
-def _power_cells(sites: np.ndarray, weights: np.ndarray,
-                 candidates: np.ndarray, degree: np.ndarray, live: np.ndarray,
-                 boundaries: list[ConvexPolygon], sizes: list[int]):
-    """Every cell's ring as _clip_rings returns it, from one _clip_rings call.
+def recompute_level(diagrams: list[Diagram]) -> list[Diagram]:
+    """Refresh every cell polygon of a level's diagrams in place, with one
+    _clip_rings and one _finish_rings call for the whole level.
 
-    The first sizes[0] rings start from boundaries[0], and so on. Ring i is
-    clipped against the bisectors of its candidate list (given as
-    _power_neighbours gives them, indexing the stacked sites) in order: in
-    round r against its r-th candidate, so there are as many rounds as the
-    longest list. A shorter list is padded with the cell's own index, whose
-    half-plane has a zero normal and offset. A cell not `live` is empty.
+    A cell is clipped from its own diagram's boundary against its own
+    diagram's sites: its _power_neighbours list from BATCH_MIN_CELLS cells
+    up, else all other sites. A list shorter than the longest is padded with
+    the cell's own index, whose half-plane has a zero normal and offset, and
+    round r clips every cell against its r-th candidate. A hidden site, one
+    with no candidate in a diagram of two or more cells, comes out empty.
+    If a ring raises GeometryError, no cell is updated. Every polygon, its
+    measures, and which cells are empty are bit-identical to clipping the
+    cell's ring alone against its candidate half-planes in ascending j and
+    constructing its polygon, whatever diagrams share the call.
     """
-    n = len(sites)
-    rounds = int(degree.max())
+    if not diagrams:
+        return diagrams
+    cells = [c for d in diagrams for c in d.cells]
+    sites = np.array([c.site for c in cells])
+    weights = np.array([c.weight for c in cells])
+    sizes = [len(d.cells) for d in diagrams]
+    lists, first = [], 0
+    for k, size in enumerate(sizes):
+        if size >= BATCH_MIN_CELLS:
+            candidates, degree = _power_neighbours(sites[first:first + size], weights[first:first + size])
+            owner = np.where(degree > 0, k, -1)
+        else:
+            candidates, degree = _all_pairs(size)
+            owner = np.full(size, k)
+        lists.append((candidates + first, degree, owner))
+        first += size
+    candidates, degree, owner = (np.concatenate(parts) for parts in zip(*lists))
+    n, rounds = len(cells), int(degree.max())
     # [r, i]: cell i's r-th candidate, or i itself past the end of its list
     cand = np.tile(np.arange(n), (rounds, 1))
     cand[np.arange(len(candidates)) - np.repeat(np.cumsum(degree) - degree, degree),
@@ -478,48 +504,8 @@ def _power_cells(sites: np.ndarray, weights: np.ndarray,
     # unlike p_j . p_j - p_i . p_i, keeps its precision far from the origin
     other = sites[cand]
     gap, mid = other - sites, other + sites
-    normals = 2.0 * gap
     offsets = gap[..., 0] * mid[..., 0] + gap[..., 1] * mid[..., 1] - weights[cand] + weights
-    ring_sizes = [len(b.vertices) for b in boundaries]
-    rings = np.zeros((n, max(ring_sizes), 2))
-    first = 0
-    for b, size in zip(boundaries, sizes):
-        rings[first:first + size, :len(b.vertices)] = b.vertices
-        first += size
-    return _clip_rings(rings, np.repeat(ring_sizes, sizes) * live, normals, offsets)
-
-
-def recompute_level(diagrams: list[Diagram]) -> list[Diagram]:
-    """Refresh every cell polygon of a level's diagrams in place, with one
-    _power_cells (so one _clip_rings) and one _finish_rings call for the
-    whole level.
-
-    A cell is clipped from its own diagram's boundary against its own
-    diagram's sites: its _power_neighbours list (empty for a hidden site,
-    whose cell is empty) from BATCH_MIN_CELLS cells up, else all other
-    sites. If a ring raises GeometryError, no cell is updated. Every polygon,
-    its measures, and which cells are empty are bit-identical to
-    clipping the cell's ring alone against its candidate half-planes in
-    ascending j and constructing its polygon, whatever diagrams share the call.
-    """
-    if not diagrams:
-        return diagrams
-    cells = [c for d in diagrams for c in d.cells]
-    sites = np.array([c.site for c in cells])
-    weights = np.array([c.weight for c in cells])
-    sizes = [len(d.cells) for d in diagrams]
-    lists, first = [], 0
-    for size in sizes:
-        if size >= BATCH_MIN_CELLS:
-            candidates, degree = _power_neighbours(sites[first:first + size], weights[first:first + size])
-            lists.append((candidates + first, degree, degree > 0))
-        else:
-            candidates, degree = _all_pairs(size)
-            lists.append((candidates + first, degree, np.ones(size, dtype=bool)))
-        first += size
-    candidates, degree, live = (np.concatenate(parts) for parts in zip(*lists))
-    flat, lengths = _power_cells(sites, weights, candidates, degree, live,
-                                 [d.boundary for d in diagrams], sizes)
+    flat, lengths = _clip_rings([d.boundary.vertices for d in diagrams], owner, 2.0 * gap, offsets)
     scales = np.repeat([d.scale for d in diagrams], sizes)
     for cell, polygon in zip(cells, _finish_rings(flat, lengths, scales)):
         cell.polygon = polygon

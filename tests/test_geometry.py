@@ -130,14 +130,16 @@ def _dented_ring(depth):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(0, 8))
 def test_clip_rings_equals_scalar_reference(seed, n, rounds):
-    """Every ring of a stack of convex rings of 3 to 8 vertices and dented
-    rings, clipped in rounds by _clip_rings, equals the ring clipped alone by
-    the scalar reference, half-plane by half-plane, bit for bit. A dented
-    ring's first half-plane cuts its two runs apart, and every ring may meet
-    whole-ring (zero) half-planes and half-planes that empty it."""
+    """Every row of a stack started from convex rings of 3 to 8 vertices and
+    dented rings, clipped in rounds by _clip_rings, equals its start ring
+    clipped alone by the scalar reference, half-plane by half-plane, bit for
+    bit. A dented ring's first half-plane cuts its two runs apart, and every
+    row may meet whole-ring (zero) half-planes and half-planes that empty it.
+    About one ring in three starts a second row, and one row, with owner -1,
+    starts and ends empty."""
     rng = np.random.default_rng(seed)
-    rings, planes = [], []
-    for _ in range(n):
+    rings, owner, planes = [], [], []
+    for k in range(n):
         dented = rng.random() < 0.3
         if dented:
             depth = 2.0 ** -int(rng.integers(5, 40))
@@ -146,37 +148,40 @@ def test_clip_rings_equals_scalar_reference(seed, n, rounds):
             ring = ConvexPolygon(rng.uniform(-3.0, 3.0, size=(3, 2))).vertices
         else:
             ring = random_convex_boundary(rng).vertices
-        rows = []
-        for r in range(rounds):
-            kind = rng.integers(5)
-            if dented and r == 0:
-                normal = np.array([0.0, 1.0])
-                offset = 1.0 - rng.uniform(0.1, 0.9) * depth
-            elif kind == 0:
-                normal, offset = np.zeros(2), 0.0
-            else:
-                angle = rng.uniform(0.0, 2.0 * math.pi)
-                normal = 10 ** rng.uniform(-1, 1) * np.array([math.cos(angle), math.sin(angle)])
-                heights = ring @ normal
-                span = heights.max() - heights.min()
-                offset = rng.uniform(heights.min() - 0.1 * span, heights.max() + 0.1 * span)
-            rows.append((normal, offset))
         rings.append(ring)
-        planes.append(rows)
-    width = max(len(v) for v in rings)
-    stack = np.zeros((n, width, 2))
-    for i, v in enumerate(rings):
-        stack[i, :len(v)] = v
-    normals = np.array([[planes[i][r][0] for i in range(n)] for r in range(rounds)]).reshape(rounds, n, 2)
-    offsets = np.array([[planes[i][r][1] for i in range(n)] for r in range(rounds)]).reshape(rounds, n)
-    flat, lengths = _clip_rings(stack, np.array([len(v) for v in rings]), normals, offsets)
+        for _ in range(1 + (rng.random() < 0.3)):
+            rows = []
+            for r in range(rounds):
+                kind = rng.integers(5)
+                if dented and r == 0:
+                    normal = np.array([0.0, 1.0])
+                    offset = 1.0 - rng.uniform(0.1, 0.9) * depth
+                elif kind == 0:
+                    normal, offset = np.zeros(2), 0.0
+                else:
+                    angle = rng.uniform(0.0, 2.0 * math.pi)
+                    normal = 10 ** rng.uniform(-1, 1) * np.array([math.cos(angle), math.sin(angle)])
+                    heights = ring @ normal
+                    span = heights.max() - heights.min()
+                    offset = rng.uniform(heights.min() - 0.1 * span, heights.max() + 0.1 * span)
+                rows.append((normal, offset))
+            owner.append(k)
+            planes.append(rows)
+    hidden = int(rng.integers(len(owner) + 1))
+    owner.insert(hidden, -1)
+    planes.insert(hidden, planes[0])
+    m = len(owner)
+    normals = np.array([[planes[i][r][0] for i in range(m)] for r in range(rounds)]).reshape(rounds, m, 2)
+    offsets = np.array([[planes[i][r][1] for i in range(m)] for r in range(rounds)]).reshape(rounds, m)
+    flat, lengths = _clip_rings(rings, np.array(owner), normals, offsets)
     assert lengths.sum() == len(flat)
     got = np.split(flat, np.cumsum(lengths)[:-1])
-    for i, v in enumerate(rings):
+    for i, k in enumerate(owner):
+        v = rings[k] if k >= 0 else None
         for normal, offset in planes[i]:
-            v = _clip_array(v, normal, offset)
             if v is None:
                 break
+            v = _clip_array(v, normal, offset)
         if v is None:
             assert lengths[i] == 0, i
         else:
@@ -252,20 +257,21 @@ def test_clip_rings_equals_scalar_reference_on_mixed_widths(seed, n, rounds, den
         rows += [_random_half_plane(rng, ring) for _ in range(rounds - len(rows))]
         rings.append(ring)
         planes.append(rows)
+    # a second row on the 64-gon and on a small ring, and an empty row
+    owner = [*range(len(rings)), 0, int(rng.integers(1, len(rings))), -1]
+    planes += [[_random_half_plane(rng, rings[k]) for _ in range(rounds)] for k in owner[-3:]]
     width = max(len(v) for v in rings)
-    stack = np.zeros((len(rings), width, 2))
-    for i, v in enumerate(rings):
-        stack[i, :len(v)] = v
     normals = np.array([[rows[r][0] for rows in planes] for r in range(rounds)])
     offsets = np.array([[rows[r][1] for rows in planes] for r in range(rounds)])
-    flat, lengths = _clip_rings(stack, np.array([len(v) for v in rings]), normals, offsets)
+    flat, lengths = _clip_rings(rings, np.array(owner), normals, offsets)
     assert lengths.sum() == len(flat)
     got = np.split(flat, np.cumsum(lengths)[:-1])
-    for i, (v, rows) in enumerate(zip(rings, planes)):
+    for i, (k, rows) in enumerate(zip(owner, planes)):
+        v = rings[k] if k >= 0 else None
         for normal, offset in rows:
-            v = _clip_array(v, normal, offset)
             if v is None:
                 break
+            v = _clip_array(v, normal, offset)
         if v is None:
             assert lengths[i] == 0, i
         else:
@@ -382,8 +388,7 @@ def test_ray_exit_zero_direction_and_origin_on_the_edge():
 
 def _clip_once(vertices, normal, offset):
     """One _clip_rings round on one ring, by {x : normal . x <= offset}."""
-    return _clip_rings(vertices[None], np.array([len(vertices)]),
-                       np.asarray(normal, dtype=float).reshape(1, 1, 2),
+    return _clip_rings([vertices], [0], np.asarray(normal, dtype=float).reshape(1, 1, 2),
                        np.array([[offset]], dtype=float))
 
 
@@ -1065,7 +1070,7 @@ def _assert_recompute_matches_per_cell(diagram):
 @pytest.fixture
 def hull_calls(monkeypatch):
     """Sizes of the diagrams recompute gives hull candidate lists; every
-    other diagram gets all-pairs lists in the same _power_cells call."""
+    other diagram gets all-pairs lists in the same _clip_rings call."""
     calls = []
     hull = geometry._power_neighbours
 
@@ -1357,13 +1362,13 @@ def test_recompute_level_equals_per_cell(monkeypatch, hull_calls):
             c.polygon = None
     hull_calls.clear()
     kernel_calls = []
-    power_cells = geometry._power_cells
+    clip_rings = geometry._clip_rings
 
-    def spy(sites, *args):
-        kernel_calls.append(len(sites))
-        return power_cells(sites, *args)
+    def spy(rings, owner, *args):
+        kernel_calls.append(len(owner))
+        return clip_rings(rings, owner, *args)
 
-    monkeypatch.setattr(geometry, "_power_cells", spy)
+    monkeypatch.setattr(geometry, "_clip_rings", spy)
     assert geometry.recompute_level(level) is level
     assert kernel_calls == [sum(len(d.cells) for d in level)]
     assert hull_calls == [len(d.cells) for d in level if len(d.cells) >= BATCH_MIN_CELLS]

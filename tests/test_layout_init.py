@@ -174,19 +174,19 @@ def test_cvt_level_recomputes_once_per_lloyd_step(monkeypatch):
         calls.clear()
         build_cvt([parent])
         steps.append(len(calls))
-    power_cells = []
-    real = geometry._power_cells
+    clips = []
+    real = geometry._clip_rings
 
-    def spy(*args):
-        power_cells.append(len(args[-1]))
-        return real(*args)
+    def spy(rings, *args):
+        clips.append(len(rings))
+        return real(rings, *args)
 
-    monkeypatch.setattr(geometry, "_power_cells", spy)
+    monkeypatch.setattr(geometry, "_clip_rings", spy)
     calls.clear()
     build_cvt(MIXED_LEVEL)
     assert len(calls) == max(steps)
     # one per start diagram, then one per step for the CVTs still relaxing
-    assert power_cells == [1] * len(MIXED_LEVEL) + [len(call) for call in calls]
+    assert clips == [1] * len(MIXED_LEVEL) + [len(call) for call in calls]
 
 
 def test_cvt_level_of_every_size_and_boundary_has_no_empty_cell():
