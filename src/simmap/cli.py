@@ -123,6 +123,9 @@ def main(argv=None) -> int:
             parser.error("--iters and --max-neighbors must be >= 0")
         if args.seed is not None and args.seed < 0:
             parser.error("--seed must be >= 0")
+        for flag in ("leaves", "parents", "density"):
+            if getattr(args, flag) is not None and not args.gen:
+                parser.error(f"--{flag} needs --gen")
         strategies, seeds = _compare_plan(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -64,6 +64,13 @@ class Tree:
         return node.id
 
 
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise TreeValidationError(f"{where}: {value!r} is not a number") from None
+
+
 def parse_tree(document: dict) -> Tree:
     """Parse the nested-dict input format into a validated Tree.
 
@@ -80,15 +87,23 @@ def parse_tree(document: dict) -> Tree:
         if nid in nodes:
             raise TreeValidationError(f"duplicate node id: {nid!r}")
         children_docs = obj.get("children") or []
+        if not isinstance(children_docs, (list, tuple)):
+            raise TreeValidationError(f"node {nid!r}: children must be a list")
         sim = obj.get("similarity")
         if sim is not None:
             if children_docs:
                 raise TreeValidationError(f"node {nid!r}: similarity vector allowed on leaves only")
-            sim = np.asarray(sim, dtype=float)
+            try:
+                sim = np.asarray(sim, dtype=float)
+            except (TypeError, ValueError):
+                raise TreeValidationError(f"node {nid!r}: similarity must be a flat vector") from None
             if sim.ndim != 1 or sim.size < 1:
                 raise TreeValidationError(f"node {nid!r}: similarity must be a flat vector")
             if not np.all((sim >= 0.0) & (sim <= 1.0)):     # NaN fails both
                 raise TreeValidationError(f"node {nid!r}: similarity values must lie in [0,1]")
+        color = obj.get("color")
+        if color is not None and not isinstance(color, str):
+            raise TreeValidationError(f"node {nid!r}: color must be a string")
         weight = obj.get("weight")
         if weight is None:
             weight = 1.0 if not children_docs else 0.0
@@ -96,12 +111,14 @@ def parse_tree(document: dict) -> Tree:
             id=nid,
             name=name,
             parent=parent,
-            weight=float(weight),
+            weight=_number(weight, f"node {nid!r}: weight"),
             sim_vector=sim,
             depth=depth,
-            color=obj.get("color"),
+            color=color,
         )
-        for child in children_docs:
+        for k, child in enumerate(children_docs):
+            if not isinstance(child, dict) or "name" not in child:
+                raise TreeValidationError(f"node {nid!r}: child {k} must be an object with a 'name'")
             cid = visit(child, nid, depth + 1)
             nodes[nid].children.append(cid)
         return nid
@@ -122,10 +139,12 @@ def parse_tree(document: dict) -> Tree:
     leaf_ids = {n.id for n in leaves}
     pairs: list[tuple[str, str, float]] = []
     seen = set()
+    if not isinstance(pairs_raw, (list, tuple)):
+        raise TreeValidationError("pairs must be a list")
     for entry in pairs_raw:
-        if len(entry) != 3:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise TreeValidationError(f"malformed pair entry: {entry!r}")
-        a, b, s = str(entry[0]), str(entry[1]), float(entry[2])
+        a, b, s = str(entry[0]), str(entry[1]), _number(entry[2], f"pair entry {entry!r}")
         if a == b:
             raise TreeValidationError(f"pair links node {a!r} to itself")
         if a not in leaf_ids or b not in leaf_ids:

@@ -162,6 +162,12 @@ def test_bad_compare_or_seeds_is_usage_error_naming_the_flag(three_node, extra, 
     assert f"error: {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--leaves", "5"), ("--parents", "2"), ("--density", "0.5")])
+def test_gen_parameter_without_gen_is_usage_error_naming_the_flag(three_node, flag, value, capsys):
+    assert cli.main(["--input", three_node, "--iters", "5", flag, value]) == 1
+    assert f"error: {flag} needs --gen" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--iters", "--max-neighbors"])
 def test_negative_count_is_usage_error(three_node, flag, capsys):
     assert cli.main(["--input", three_node, flag, "-1"]) == 1
@@ -227,6 +233,25 @@ def test_non_finite_leaf_is_validation_error(leaf, tmp_path, capsys):
     prefix = tmp_path / "out"
     assert cli.main(["--input", str(path), "--out", str(prefix), "--iters", "5"]) == 2
     assert not os.path.exists(f"{prefix}.metrics.json")
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"name": "r", "children": [1, 2]}, "node 'r': child 0"),
+    ({"name": "r", "children": "ab"}, "node 'r': children"),
+    ({"name": "r", "children": [{"name": "a"}, {"weight": 1.0}]}, "node 'r': child 1"),
+    ({"name": "r", "children": [{"name": "a"}, {"name": "b"}], "pairs": [5]}, "pair entry: 5"),
+    ({"name": "r", "children": [{"name": "a"}, {"name": "b"}], "pairs": [["a", "b", None]]},
+     "pair entry ['a', 'b', None]"),
+    ({"name": "r", "children": [{"name": "a", "color": 5}, {"name": "b"}]}, "node 'a': color"),
+], ids=["number_children", "string_children", "nameless_child", "number_pair",
+        "null_similarity_pair", "number_color"])
+def test_malformed_document_is_validation_error_naming_the_node_or_entry(doc, named, tmp_path,
+                                                                         capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--input", str(path), "--iters", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and named in err
 
 
 def test_bad_env_seed_is_validation_error(three_node, monkeypatch, capsys):
