@@ -130,16 +130,16 @@ def _dented_ring(depth):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(0, 8))
 def test_clip_rings_equals_scalar_reference(seed, n, rounds):
-    """Every row of a stack started from convex rings of 3 to 8 vertices and
-    dented rings, clipped in rounds by _clip_rings, equals its start ring
-    clipped alone by the scalar reference, half-plane by half-plane, bit for
-    bit. A dented ring's first half-plane cuts its two runs apart, and every
-    row may meet whole-ring (zero) half-planes and half-planes that empty it.
-    About one ring in three starts a second row, and one row, with owner -1,
-    starts and ends empty."""
+    """Every ring of a stack of convex rings of 3 to 8 vertices and dented
+    rings, clipped in rounds by _clip_rings, equals the ring clipped alone by
+    the scalar reference, half-plane by half-plane, bit for bit. A dented
+    ring's first half-plane cuts its two runs apart, and every ring may meet
+    whole-ring (zero) half-planes and half-planes that empty it. About one
+    ring in three starts a second row, and a last row, with owner -1, starts
+    and ends empty."""
     rng = np.random.default_rng(seed)
-    rings, owner, planes = [], [], []
-    for k in range(n):
+    rings, planes = [], []
+    for _ in range(n):
         dented = rng.random() < 0.3
         if dented:
             depth = 2.0 ** -int(rng.integers(5, 40))
@@ -148,28 +148,25 @@ def test_clip_rings_equals_scalar_reference(seed, n, rounds):
             ring = ConvexPolygon(rng.uniform(-3.0, 3.0, size=(3, 2))).vertices
         else:
             ring = random_convex_boundary(rng).vertices
+        rows = []
+        for r in range(rounds):
+            kind = rng.integers(5)
+            if dented and r == 0:
+                normal = np.array([0.0, 1.0])
+                offset = 1.0 - rng.uniform(0.1, 0.9) * depth
+            elif kind == 0:
+                normal, offset = np.zeros(2), 0.0
+            else:
+                angle = rng.uniform(0.0, 2.0 * math.pi)
+                normal = 10 ** rng.uniform(-1, 1) * np.array([math.cos(angle), math.sin(angle)])
+                heights = ring @ normal
+                span = heights.max() - heights.min()
+                offset = rng.uniform(heights.min() - 0.1 * span, heights.max() + 0.1 * span)
+            rows.append((normal, offset))
         rings.append(ring)
-        for _ in range(1 + (rng.random() < 0.3)):
-            rows = []
-            for r in range(rounds):
-                kind = rng.integers(5)
-                if dented and r == 0:
-                    normal = np.array([0.0, 1.0])
-                    offset = 1.0 - rng.uniform(0.1, 0.9) * depth
-                elif kind == 0:
-                    normal, offset = np.zeros(2), 0.0
-                else:
-                    angle = rng.uniform(0.0, 2.0 * math.pi)
-                    normal = 10 ** rng.uniform(-1, 1) * np.array([math.cos(angle), math.sin(angle)])
-                    heights = ring @ normal
-                    span = heights.max() - heights.min()
-                    offset = rng.uniform(heights.min() - 0.1 * span, heights.max() + 0.1 * span)
-                rows.append((normal, offset))
-            owner.append(k)
-            planes.append(rows)
-    hidden = int(rng.integers(len(owner) + 1))
-    owner.insert(hidden, -1)
-    planes.insert(hidden, planes[0])
+        planes.append(rows)
+    owner = [*range(n), *(k for k in range(n) if rng.random() < 0.3), -1]
+    planes += [[_random_half_plane(rng, rings[k]) for _ in range(rounds)] for k in owner[n:]]
     m = len(owner)
     normals = np.array([[planes[i][r][0] for i in range(m)] for r in range(rounds)]).reshape(rounds, m, 2)
     offsets = np.array([[planes[i][r][1] for i in range(m)] for r in range(rounds)]).reshape(rounds, m)
@@ -257,7 +254,7 @@ def test_clip_rings_equals_scalar_reference_on_mixed_widths(seed, n, rounds, den
         rows += [_random_half_plane(rng, ring) for _ in range(rounds - len(rows))]
         rings.append(ring)
         planes.append(rows)
-    # a second row on the 64-gon and on a small ring, and an empty row
+    # a second row on the 64-gon and on a small ring, and an empty last row
     owner = [*range(len(rings)), 0, int(rng.integers(1, len(rings))), -1]
     planes += [[_random_half_plane(rng, rings[k]) for _ in range(rounds)] for k in owner[-3:]]
     width = max(len(v) for v in rings)
