@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print sha256 prefixes of the CLI's outputs on a fixed set of inputs.
+"""Print sha256 prefixes of the CLI's outputs and final layouts on fixed inputs.
 
 Runs `simmap --seed 0` on the four shipped datasets at default settings, on
 two generated two_level documents (120 leaves, 12 parents, gen seeds 0 and 1)
@@ -7,13 +7,19 @@ with `--init proj_scale --iters 40`, and on the gen seed 0 document again with
 the default init and `--iters 40` (as gen0_match_swap), whose 12 parents each
 take a 10-cell CVT with hull candidate lists, and on the dense dataset with
 `--boundary square --init random_cvt` (as dense_square), whose root boundary
-has 4 vertices instead of the circle's 64. Prints one line per output file,
-`<name>.metrics.json <prefix>` and `<name>.svg <prefix>`, 16 lines in all.
-Two commits whose lines are equal produced byte-identical layouts, which is
-how a change that must not alter any output is checked.
+has 4 vertices instead of the circle's 64. Each run is the CLI's own
+configuration, `cli._make_config` of the parsed flags, passed to
+`pipeline.run`. Prints three lines per run, 24 in all:
+
+- `<name>.metrics.json <prefix>` and `<name>.svg <prefix>`, the output files.
+  These are rounded: metrics.json to 10 digits, the SVG to 4 decimals, so a
+  change in the last bits of a layout can leave them equal.
+- `<name>.layout <prefix>`, of the raw float64 bytes of every final site,
+  weight and polygon vertex, in level, diagram and cell order. Equal layout
+  lines mean bit-identical layouts.
 
 The lines of the current code are committed in scripts/output_hashes.txt. With
---check, the script also compares its lines with that file, lists each file
+--check, the script also compares its lines with that file, lists each line
 whose prefix differs, and exits 1 if any does. A change that alters outputs
 on purpose rewrites the file:
 
@@ -21,30 +27,41 @@ on purpose rewrites the file:
     python3 scripts/output_hashes.py > scripts/output_hashes.txt
 """
 import argparse
+import contextlib
 import hashlib
 import os
 import pathlib
-import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from simmap import cli, pipeline  # noqa: E402
+
 RECORDED = ROOT / "scripts" / "output_hashes.txt"
 SHIPPED = ["borders", "dense", "m_n", "two_level"]
 GEN_SEEDS = [0, 1]
 PREFIX_LEN = 16
 
 
-def _cli(args: list[str]) -> None:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    subprocess.run([sys.executable, "-m", "simmap.cli", *args], env=env,
-                   check=True, stdout=subprocess.DEVNULL)
+def _prefix(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:PREFIX_LEN]
 
 
-def _prefix(path: pathlib.Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:PREFIX_LEN]
+def _layout_bytes(diagrams_by_level: dict) -> bytes:
+    """Every final site, weight and polygon vertex as raw float64 bytes."""
+    parts = []
+    for level in sorted(diagrams_by_level):
+        for diagram in diagrams_by_level[level]:
+            for cell in diagram.cells:
+                parts.append(np.asarray(cell.site, dtype=np.float64).tobytes())
+                parts.append(np.float64(cell.weight).tobytes())
+                if cell.polygon is not None:
+                    parts.append(np.asarray(cell.polygon.vertices, dtype=np.float64).tobytes())
+    return b"".join(parts)
 
 
 def main() -> int:
@@ -62,17 +79,25 @@ def main() -> int:
                 for name in SHIPPED]
         for gen_seed in GEN_SEEDS:
             name = f"gen{gen_seed}"
-            _cli(["--gen", "two_level", "--leaves", "120", "--parents", "12",
-                  "--seed", str(gen_seed), "--out", str(out / name)])
+            gen_args = ["--gen", "two_level", "--leaves", "120", "--parents", "12",
+                        "--seed", str(gen_seed), "--out", str(out / name)]
+            with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+                status = cli.main(gen_args)
+            if status != 0:
+                raise SystemExit(f"simmap {' '.join(gen_args)} failed")
             runs.append((name, ["--input", str(out / f"{name}.json"),
                                 "--init", "proj_scale", "--iters", "40"]))
         runs.append(("gen0_match_swap", ["--input", str(out / "gen0.json"), "--iters", "40"]))
         runs.append(("dense_square", ["--input", str(ROOT / "datasets" / "dense.json"),
                                       "--boundary", "square", "--init", "random_cvt"]))
         for name, run_args in runs:
-            _cli([*run_args, "--seed", "0", "--out", str(out / name)])
+            config = cli._make_config(cli.build_parser().parse_args(
+                [*run_args, "--seed", "0", "--out", str(out / name)]))
+            result = pipeline.run(config)
             for suffix in (".metrics.json", ".svg"):
-                prefixes[name + suffix] = _prefix(out / f"{name}{suffix}")
+                prefixes[name + suffix] = _prefix((out / f"{name}{suffix}").read_bytes())
+            prefixes[name + ".layout"] = _prefix(_layout_bytes(result.diagrams_by_level))
+            for suffix in (".metrics.json", ".svg", ".layout"):
                 print(f"{name}{suffix} {prefixes[name + suffix]}", flush=True)
     if not args.check:
         return 0
