@@ -10,8 +10,8 @@ started from one of a few boundaries, in rounds, one half-plane per ring per
 round. `recompute_level` clips all cells of a level in one call: round r
 clips each cell against its r-th candidate, a list shorter than the longest
 is padded with the cell's own index, and a hidden site's cell comes out
-empty. `ConvexPolygon.inset` is a call of its own; a ring's result
-does not depend on which rings share the call. `_finish_rings` builds
+empty; it is the clipper's one caller. A ring's result does not depend on
+which rings share the call. `_finish_rings` builds
 every polygon from the stacked rings, and one `_ring_measures` call, the
 only shoelace, takes every ring's area, centroid and bounding box relative
 to the ring's first vertex. Neighbors are found by testing only the edge
@@ -113,18 +113,6 @@ class ConvexPolygon:
             return math.inf
         room = origin @ normals - offsets + (tol - slack) * length
         return max(0.0, float(np.min(room[leaving] / -rate[leaving])))
-
-    def inset(self, margin: float):
-        """Shrink by moving each edge inward by `margin`; None if it vanishes.
-
-        One _clip_rings round per edge of nonzero length, in edge order.
-        """
-        normals, offsets, _, length = self._edge_frame
-        k = length > 0.0
-        # round r keeps {x : normals[:, k_r] . x - offsets[k_r] >= margin * length[k_r]}
-        flat, lengths = _clip_rings([self.vertices], [0], -normals.T[k][:, None],
-                                    (-offsets[k] - margin * length[k])[:, None])
-        return _finish_rings(flat, lengths, self.diagonal)[0]
 
     def sample_point(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform interior point via rejection sampling from the bounding box."""
@@ -341,8 +329,9 @@ _CROSSING_ENDS = np.array([-1, -1, 0, 0])
 
 
 def _clip_rings(rings: list, owner, normals: np.ndarray, offsets: np.ndarray):
-    """Clip rows of rings in rounds, the package's one clipper; returns the
-    rows' rings as _flatten's (vertices, lengths), for _finish_rings.
+    """Clip rows of rings in rounds, the package's one clipper, called by
+    recompute_level; returns the rows' rings as _flatten's (vertices,
+    lengths), for _finish_rings.
 
     Row i starts as rings[owner[i]], or empty where owner[i] is -1, and round
     r clips it by {x : normals[r, i] . x <= offsets[r, i]}, for normals of

@@ -13,7 +13,6 @@ import numpy as np
 
 from .geometry import (
     Cell,
-    ConvexPolygon,
     Diagram,
     adapt_weights,
     cell_neighbors,
@@ -61,14 +60,10 @@ class LevelState:
     partners: dict[str, list[tuple[float, str, Cell | None, tuple[str, str]]]] = field(default_factory=dict)
     partner_ids: dict[str, set[str]] = field(default_factory=dict)
     constraint_pairs: set = field(default_factory=set)
-    margin: float = 0.0
-    insets: dict[int, ConvexPolygon] = field(default_factory=dict)
 
     @classmethod
     def create(cls, level: int, diagrams: list[Diagram], constraints: list[Constraint]) -> "LevelState":
-        scale = max(d.scale for d in diagrams)
-        state = cls(level=level, diagrams=diagrams, constraints=list(constraints),
-                    margin=BOUNDARY_MARGIN_FRACTION * scale)
+        state = cls(level=level, diagrams=diagrams, constraints=list(constraints))
         for d in diagrams:
             for c in d.cells:
                 state.cells_by_id[c.node_id] = c
@@ -82,17 +77,6 @@ class LevelState:
                 state.partner_ids.setdefault(node, set()).add(other)
         state.neighbor_map = cell_neighbors(diagrams)
         return state
-
-    def inset_for(self, diagram: Diagram) -> ConvexPolygon:
-        """The diagram's boundary moved inward by the margin, built on first use."""
-        inset = self.insets.get(id(diagram))
-        if inset is None:
-            inset = diagram.boundary.inset(self.margin)
-            if inset is None:
-                center = diagram.boundary.centroid
-                inset = ConvexPolygon(center + 0.99 * (diagram.boundary.vertices - center))
-            self.insets[id(diagram)] = inset
-        return inset
 
     def adjacency(self) -> dict[str, set[str]]:
         adj: dict[str, set[str]] = {}
@@ -135,19 +119,27 @@ def _centroid_move(cell: Cell, f: float) -> None:
     cell.site = np.array([sx + f * (cx - sx), sy + f * (cy - sy)])
 
 
-def _clamp_into(old: np.ndarray, new: np.ndarray, inset: ConvexPolygon) -> np.ndarray:
-    """Stop a move at the margin-inset boundary along the movement ray, at a
-    point inset.contains accepts; a start outside the inset does not move."""
-    if inset.contains(new):
+def _clamp_into(old: np.ndarray, new: np.ndarray, diagram: Diagram) -> np.ndarray:
+    """Keep a move at least the margin m = BOUNDARY_MARGIN_FRACTION * scale
+    inside the diagram's boundary, by signed distance from every edge line.
+
+    A new point that passes boundary.contains(., -m) is kept; otherwise the
+    move stops where its ray leaves that set, at a point contains accepts. A
+    start that fails the test does not move, so no site moves in a parent
+    narrower than 2m.
+    """
+    boundary, tol = diagram.boundary, -BOUNDARY_MARGIN_FRACTION * diagram.scale
+    if boundary.contains(new, tol):
         return new
-    if not inset.contains(old):
+    if not boundary.contains(old, tol):
         return old
     d = new - old
-    return old + inset.ray_exit(old, d) * d
+    return old + boundary.ray_exit(old, d, tol) * d
 
 
-def move_toward(cell: Cell, target: Cell, f: float, inset: ConvexPolygon) -> None:
-    """Advance the site a fraction of the gap toward the target, band-floored."""
+def move_toward(cell: Cell, target: Cell, f: float, diagram: Diagram) -> None:
+    """Advance the site a fraction of the gap toward the target, band-floored,
+    clamped by _clamp_into in the cell's diagram."""
     sx, sy = cell.site.tolist()
     tx, ty = target.site.tolist()
     dx, dy = tx - sx, ty - sy
@@ -161,16 +153,17 @@ def move_toward(cell: Cell, target: Cell, f: float, inset: ConvexPolygon) -> Non
         new = [tx - dx / d * floor, ty - dy / d * floor]
     else:
         new = [sx + f * dx, sy + f * dy]
-    cell.site = _clamp_into(cell.site, np.array(new), inset)
+    cell.site = _clamp_into(cell.site, np.array(new), diagram)
 
 
-def move_orthogonal(cell: Cell, target: Cell, edge_dir: np.ndarray, f: float, inset: ConvexPolygon) -> None:
+def move_orthogonal(cell: Cell, target: Cell, edge_dir: np.ndarray, f: float, diagram: Diagram) -> None:
     """Slide along the shared parent edge direction, leaving the perpendicular
-    offset to that edge unchanged."""
+    offset to that edge unchanged, clamped by _clamp_into in the cell's
+    diagram."""
     s = cell.site
     comp = float((target.site - s) @ edge_dir) * edge_dir
     new = s + f * comp
-    cell.site = _clamp_into(s, new, inset)
+    cell.site = _clamp_into(s, new, diagram)
 
 
 def _longest_segment(segments) -> tuple[np.ndarray, np.ndarray, float]:
@@ -213,13 +206,13 @@ def neighborhood_step(cell: Cell, state: LevelState, f: float, saturated: set[st
                 continue
             segments = state.neighbor_map.get(pair)
             if segments is None:
-                move_toward(cell, target, f, state.inset_for(diagram))
+                move_toward(cell, target, f, diagram)
                 return
             if diagram is not state.diagram_of[other_id]:
                 p0, p1, length = _longest_segment(segments)
                 edge_dir = (p1 - p0) / length
                 if not _aligned(cell, target, edge_dir):
-                    move_orthogonal(cell, target, edge_dir, f, state.inset_for(diagram))
+                    move_orthogonal(cell, target, edge_dir, f, diagram)
                     return
     _centroid_move(cell, f)
 

@@ -343,10 +343,11 @@ def _rotated_ngon(sides, radius, center, phase):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from(["square", *range(3, 65)]), st.booleans(),
        st.booleans(), st.booleans())
-def test_ray_exit_point_is_inside_and_on_the_boundary(seed, sides, far, inset, fit_tol):
+def test_ray_exit_point_is_inside_and_on_the_boundary(seed, sides, far, margin, fit_tol):
     """contains accepts the exit point, which lies within 1e-9 diagonal of the
-    (tol-offset) boundary. The exit is backed off by 64 eps max |vertex|,
-    under 1e-9 diagonal for these sizes: at 1e6 the polygons span 100 or more."""
+    (tol-offset) boundary, also with a margin of 0.1 radius in tol. The exit
+    is backed off by 64 eps max |vertex|, under 1e-9 diagonal for these
+    sizes: at 1e6 the polygons span 100 or more."""
     rng = np.random.default_rng(seed)
     if far:
         radius = 10 ** rng.uniform(2, 4)
@@ -358,12 +359,14 @@ def test_ray_exit_point_is_inside_and_on_the_boundary(seed, sides, far, inset, f
         poly = square(2 * radius, origin=center - radius)
     else:
         poly = _rotated_ngon(sides, radius, center, rng.uniform(0, 2 * math.pi))
-    if inset:
-        poly = poly.inset(0.1 * radius)
     diag = poly.diagonal
     tol = -1e-9 * diag if fit_tol else 0.0
+    if margin:
+        tol -= 0.1 * radius
     for _ in range(20):
         origin = poly.sample_point(rng)
+        while not poly.contains(origin, tol):
+            origin = poly.sample_point(rng)
         angle = rng.uniform(0, 2 * math.pi)
         direction = 10 ** rng.uniform(-3, 3) * radius * np.array([math.cos(angle), math.sin(angle)])
         t = poly.ray_exit(origin, direction, tol)
@@ -418,13 +421,6 @@ def test_clip_halfplane_keeps_both_runs_of_a_dented_ring():
     assert lengths.tolist() == [7] and np.array_equal(flat, expected)
     polygon, = _finish_rings(flat, lengths, ConvexPolygon(ring).diagonal)
     assert np.array_equal(polygon.vertices, expected)
-
-
-def test_inset_square():
-    sq = square(1.0)
-    inner = sq.inset(0.1)
-    assert inner.area == pytest.approx(0.64)
-    assert sq.inset(0.6) is None  # margin swallows the polygon
 
 
 # ------------------------------------------------------------------- measures

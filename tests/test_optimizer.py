@@ -3,12 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simmap import geometry, optimizer, pipeline
 from simmap.datasets import gen_synthetic
 from simmap.geometry import (
     Cell,
     ConvexPolygon,
+    Diagram,
+    _clip_rings,
+    _finish_rings,
     adapt_weights,
     cell_neighbors,
     power_diagram,
@@ -86,31 +91,28 @@ def test_move_toward_advances_half_the_gap():
     # a long strip: the half gap is far above the band floor of the two cells
     boundary = ConvexPolygon(np.array([[0.0, 0.0], [1000.0, 0.0], [1000.0, 10.0], [0.0, 10.0]]))
     d = power_diagram([(100.0, 5.0), (900.0, 5.0)], boundary, node_ids=["a", "b"])
-    state = make_state(d, [])
     a, b = d.cells
     assert 0.5 * 800.0 > optimizer.K_MIN * (a.equiv_radius + b.equiv_radius)
     before = a.site.copy()
-    move_toward(a, b, 0.5, state.inset_for(d))
+    move_toward(a, b, 0.5, d)
     assert a.site == pytest.approx(before + 0.5 * (b.site - before))
 
 
 def test_move_toward_band_floor_blocks_close_pair():
     boundary = square(100.0)
     d = power_diagram([(48.0, 50.0), (52.0, 50.0)], boundary, node_ids=["a", "b"])
-    state = make_state(d, [])   # equivalent radii are large here
-    a, b = d.cells
+    a, b = d.cells              # equivalent radii are large here
     before = a.site.copy()
-    move_toward(a, b, 0.5, state.inset_for(d))
+    move_toward(a, b, 0.5, d)
     assert np.array_equal(a.site, before)
 
 
 def test_move_toward_never_overshoots_below_floor():
     boundary = square(100.0)
     d = power_diagram([(10.0, 50.0), (90.0, 50.0)], boundary, node_ids=["a", "b"])
-    state = make_state(d, [])
     a, b = d.cells
     floor = optimizer.K_MIN * (a.equiv_radius + b.equiv_radius)
-    move_toward(a, b, 0.99, state.inset_for(d))
+    move_toward(a, b, 0.99, d)
     assert math.hypot(*(a.site - b.site)) >= floor - 1e-9
 
 
@@ -120,31 +122,134 @@ def test_move_toward_clamped_at_inset_boundary():
     left = power_diagram([(50.0, 50.0)], square(100.0), node_ids=["a"])
     right = power_diagram([(390.0, 50.0)], square(100.0, origin=(300.0, 0.0)),
                           node_ids=["b"])
-    state = make_state([left, right], [])
     a = left.cells[0]
     b = right.cells[0]
     assert 390.0 - optimizer.K_MIN * (a.equiv_radius + b.equiv_radius) > 100.0
-    move_toward(a, b, 1.0, state.inset_for(left))
-    inset = state.inset_for(left)
-    assert inset.contains(a.site)
+    move_toward(a, b, 1.0, left)
     margin = optimizer.BOUNDARY_MARGIN_FRACTION * left.scale
+    assert left.boundary.contains(a.site, -margin)
     assert a.site[0] == pytest.approx(100.0 - margin, abs=1e-9 * left.scale)
 
 
 def test_clamped_moves_stop_on_the_inset_boundary():
-    # every clamped site passes inset.contains at tol 0 and lies on the margin,
-    # also when the next move starts from there
+    # every clamped site passes contains at the margin and lies on the margin
+    # line, also when the next move starts from there
     # the target is so far that the band floor stops no move inside the parent
     d = power_diagram([(500.0, 500.0)], make_boundary("circle", 1000.0), node_ids=["a"])
-    inset = make_state(d, []).inset_for(d)
+    margin = optimizer.BOUNDARY_MARGIN_FRACTION * d.scale
     a = d.cells[0]
     for angle in np.linspace(0.0, 2.0 * math.pi, 97):
         a.site = np.array([500.0, 500.0])
         for turn in (0.0, 0.3):
             far = a.site + 2000.0 * np.array([math.cos(angle + turn), math.sin(angle + turn)])
-            move_toward(a, Cell("target", far), 1.0, inset)
-            assert inset.contains(a.site)
-            assert not inset.contains(a.site, tol=-1e-9 * d.scale)
+            move_toward(a, Cell("target", far), 1.0, d)
+            assert d.boundary.contains(a.site, -margin)
+            assert not d.boundary.contains(a.site, tol=-margin - 1e-9 * d.scale)
+
+
+def _reference_inset(polygon, margin):
+    """The polygon with each edge moved inward by margin, None if it vanishes:
+    one _clip_rings round per edge of nonzero length, in edge order."""
+    normals, offsets, _, length = polygon._edge_frame
+    k = length > 0.0
+    # round r keeps {x : normals[:, k_r] . x - offsets[k_r] >= margin * length[k_r]}
+    flat, lengths = _clip_rings([polygon.vertices], [0], -normals.T[k][:, None],
+                                (-offsets[k] - margin * length[k])[:, None])
+    return _finish_rings(flat, lengths, polygon.diagonal)[0]
+
+
+def _reference_clamp(old, new, inset):
+    """A move clamped to the reference inset along its ray."""
+    if inset.contains(new):
+        return new
+    if not inset.contains(old):
+        return old
+    d = new - old
+    return old + inset.ray_exit(old, d) * d
+
+
+def _convex_boundary(rng, center, radius):
+    """The hull ring of 5-11 points on a random ellipse about center."""
+    while True:
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=int(rng.integers(5, 12))))
+        if np.min(np.diff(angles, append=angles[0] + 2.0 * math.pi)) > 0.05:
+            break
+    axes = radius * rng.uniform(0.3, 1.0, size=2)
+    ring = np.stack((axes[0] * np.cos(angles), axes[1] * np.sin(angles)), axis=1)
+    return ConvexPolygon(ring + center)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["circle", "square", "hexagon", "random"]),
+       st.booleans())
+def test_clamp_equals_the_reference_inset_clamp(seed, shape, far):
+    """_clamp_into's point passes contains at the margin and lies within
+    1e-9 scale of the clamp into the reference inset polygon, for starts and
+    ends off the margin line by more than 1e-9 scale, half of them drawn in
+    the band between the boundary and 2.5 margins inside it."""
+    rng = np.random.default_rng(seed)
+    center = (1e6 * np.array([math.cos(seed), math.sin(seed)]) if far
+              else rng.uniform(-50.0, 50.0, size=2))
+    radius = 10 ** rng.uniform(1, 3)
+    boundary = {
+        "circle": lambda: regular_polygon(64, radius, center),
+        "square": lambda: square(2.0 * radius, origin=center - radius),
+        "hexagon": lambda: regular_polygon(6, radius, center),
+        "random": lambda: _convex_boundary(rng, center, radius),
+    }[shape]()
+    diagram = Diagram(boundary=boundary, cells=[], scale=boundary.diagonal)
+    margin = optimizer.BOUNDARY_MARGIN_FRACTION * diagram.scale
+    inset = _reference_inset(boundary, margin)
+    normals, offsets, _, length = boundary._edge_frame
+    v = boundary.vertices
+
+    def off_the_margin_line(p):
+        height = np.min((p @ normals - offsets) / length)
+        return abs(height - margin) > 1e-9 * diagram.scale
+
+    def draw_point():
+        while True:
+            if rng.uniform() < 0.5:
+                p = boundary.sample_point(rng)
+            else:
+                # on an edge, then inward along the edge's normal
+                k = int(rng.integers(len(v)))
+                on_edge = v[k] + rng.uniform() * (v[(k + 1) % len(v)] - v[k])
+                p = on_edge + rng.uniform(0.0, 2.5) * margin * normals[:, k] / length[k]
+            if off_the_margin_line(p):
+                return p
+
+    clamped = 0
+    for _ in range(40):
+        old = draw_point()
+        while True:
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            new = old + 10 ** rng.uniform(-3, 0.5) * radius * np.array([math.cos(angle),
+                                                                         math.sin(angle)])
+            if off_the_margin_line(new):
+                break
+        got = optimizer._clamp_into(old, new, diagram)
+        expected = _reference_clamp(old, new, inset)
+        if boundary.contains(old, -margin):
+            assert boundary.contains(got, -margin)
+        assert np.hypot(*(got - expected)) <= 1e-9 * diagram.scale
+        clamped += got is not new and got is not old
+    assert clamped > 0
+
+
+def test_parent_narrower_than_twice_the_margin_keeps_a_toward_move_site():
+    # the level's scale, as for any diagram of a pipeline level, is the root's
+    # diagonal: its margin 0.141 is more than half the small parent's side
+    left = power_diagram([(50.0, 50.0)], square(100.0), node_ids=["b"])
+    small = power_diagram([(149.95, 50.0), (150.05, 50.0)], square(0.2, origin=(149.9, 49.9)),
+                          node_ids=["a", "a2"], scale=left.scale)
+    a, b = small.cells[0], left.cells[0]
+    margin = optimizer.BOUNDARY_MARGIN_FRACTION * small.scale
+    assert 2.0 * margin > 0.2
+    assert math.hypot(*(b.site - a.site)) > optimizer.K_MIN * (a.equiv_radius + b.equiv_radius)
+    before = a.site.copy()
+    move_toward(a, b, 0.5, small)
+    assert np.array_equal(a.site, before)
 
 
 # ----------------------------------------------------------------- move_orthogonal
@@ -152,12 +257,11 @@ def test_clamped_moves_stop_on_the_inset_boundary():
 def test_move_orthogonal_reduces_along_edge_offset():
     boundary = square(100.0)
     d = power_diagram([(30.0, 20.0), (70.0, 80.0)], boundary, node_ids=["a", "b"])
-    state = make_state(d, [])
     a, b = d.cells
     edge_dir = np.array([0.0, 1.0])  # slide vertically only
     x_before = a.site[0]
     off_before = abs(a.site[1] - b.site[1])
-    move_orthogonal(a, b, edge_dir, 0.5, state.inset_for(d))
+    move_orthogonal(a, b, edge_dir, 0.5, d)
     assert a.site[0] == pytest.approx(x_before)  # perpendicular part unchanged
     assert abs(a.site[1] - b.site[1]) < off_before
 
@@ -288,9 +392,8 @@ def test_isolated_target_is_saturated_only_at_zero_max_neighbors():
     a, lone, state = _isolated_level()
     assert state.saturated(1) == set()
     s, t = a.site.copy(), lone.site.copy()
-    inset = state.inset_for(state.diagram_of["a"])
     neighborhood_step(a, state, 0.5, state.saturated(1))
-    _pinned_site(a, optimizer._clamp_into(s, s + 0.5 * (t - s), inset))
+    _pinned_site(a, optimizer._clamp_into(s, s + 0.5 * (t - s), state.diagram_of["a"]))
     assert a.site[0] > 70.0
 
 
@@ -408,38 +511,6 @@ def test_level_state_create_builds_neighbor_map():
     _same_map(state.neighbor_map, cell_neighbors([d]))
 
 
-def test_insets_are_built_on_first_use(monkeypatch):
-    # the margin is 0.141 here, more than half the small boundary's side
-    left = power_diagram([(50.0, 50.0)], square(100.0), node_ids=["a"])
-    right = power_diagram([(150.0, 50.0)], square(0.2, origin=(149.9, 49.9)), node_ids=["b"])
-    built = []
-    real = ConvexPolygon.inset
-
-    def counting(self, margin):
-        built.append(margin)
-        return real(self, margin)
-
-    monkeypatch.setattr(ConvexPolygon, "inset", counting)
-    state = make_state([left, right], [])
-    assert built == [] and state.insets == {}
-    margin = optimizer.BOUNDARY_MARGIN_FRACTION * left.scale
-    inset = state.inset_for(left)
-    assert state.inset_for(left) is inset
-    assert built == [margin]
-    assert inset.vertices.tobytes() == real(left.boundary, margin).vertices.tobytes()
-    # the margin swallows the small boundary: 0.99 of it about its centroid
-    assert real(right.boundary, margin) is None
-    center = right.boundary.centroid
-    expected = center + 0.99 * (right.boundary.vertices - center)
-    assert state.inset_for(right).vertices.tobytes() == ConvexPolygon(expected).vertices.tobytes()
-
-    monkeypatch.setattr(ConvexPolygon, "inset", None)    # optimize=False needs no inset
-    tree = prepared(gen_synthetic("two_level", {"leaves": 8, "parents": 2}, seed=0))
-    constraints = extract_level_constraints(tree, "cosine")
-    build_treemap(tree, constraints, make_boundary("circle", 100.0), "match_swap",
-                  "cosine", 0, OptimizerConfig(), init_preserved={}, optimize=False)
-
-
 @pytest.fixture
 def neighbor_calls(monkeypatch):
     """Count cell_neighbors calls made through the optimizer module."""
@@ -483,7 +554,7 @@ def test_build_treemap_builds_one_map_per_level_and_iteration(monkeypatch, neigh
 
 # ------------------------------------------------- reference neighborhood step
 
-def _reference_move_toward(cell, target, f, inset):
+def _reference_move_toward(cell, target, f, diagram):
     s = cell.site
     t = target.site
     dvec = t - s
@@ -497,7 +568,7 @@ def _reference_move_toward(cell, target, f, inset):
     nd = (1.0 - f) * d
     if nd < floor:
         new = t - dvec / d * floor
-    cell.site = optimizer._clamp_into(s, new, inset)
+    cell.site = optimizer._clamp_into(s, new, diagram)
 
 
 def _reference_neighborhood_step(cell, state, cfg, f, adjacency):
@@ -528,15 +599,15 @@ def _reference_neighborhood_step(cell, state, cfg, f, adjacency):
                 continue
             pair = tuple(sorted((cell.node_id, other_id)))
             segments = state.neighbor_map.get(pair)
-            inset = state.inset_for(state.diagram_of[cell.node_id])
+            diagram = state.diagram_of[cell.node_id]
             if segments is None:
-                _reference_move_toward(cell, target, f, inset)
+                _reference_move_toward(cell, target, f, diagram)
                 return "toward", skipped
             if state.diagram_of[cell.node_id] is not state.diagram_of[other_id]:
                 p0, p1, length = max(segments, key=lambda seg: seg[2])
                 edge_dir = (p1 - p0) / length
                 if not _aligned(cell, target, edge_dir):
-                    move_orthogonal(cell, target, edge_dir, f, inset)
+                    move_orthogonal(cell, target, edge_dir, f, diagram)
                     return "orthogonal", skipped
     if cell.polygon is not None:
         cell.site = cell.site + f * (cell.polygon.centroid - cell.site)
