@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,6 +10,9 @@ import numpy as np
 
 class TreeValidationError(ValueError):
     """Invalid input hierarchy."""
+
+
+_HEX_COLOR = re.compile(r"#[0-9A-Fa-f]{6}")
 
 
 @dataclass
@@ -102,8 +106,8 @@ def parse_tree(document: dict) -> Tree:
             if not np.all((sim >= 0.0) & (sim <= 1.0)):     # NaN fails both
                 raise TreeValidationError(f"node {nid!r}: similarity values must lie in [0,1]")
         color = obj.get("color")
-        if color is not None and not isinstance(color, str):
-            raise TreeValidationError(f"node {nid!r}: color must be a string")
+        if color is not None and not (isinstance(color, str) and _HEX_COLOR.fullmatch(color)):
+            raise TreeValidationError(f"node {nid!r}: color must be a #rrggbb string, not {color!r}")
         weight = obj.get("weight")
         if weight is None:
             weight = 1.0 if not children_docs else 0.0

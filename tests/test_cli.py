@@ -243,8 +243,11 @@ def test_non_finite_leaf_is_validation_error(leaf, tmp_path, capsys):
     ({"name": "r", "children": [{"name": "a"}, {"name": "b"}], "pairs": [["a", "b", None]]},
      "pair entry ['a', 'b', None]"),
     ({"name": "r", "children": [{"name": "a", "color": 5}, {"name": "b"}]}, "node 'a': color"),
+    ({"name": "r", "children": [{"name": "p", "color": "zzz", "children": [{"name": "a"}]},
+                                {"name": "b"}]}, "node 'p': color"),
+    ({"name": "r", "children": [{"name": "a", "color": "#12"}, {"name": "b"}]}, "node 'a': color"),
 ], ids=["number_children", "string_children", "nameless_child", "number_pair",
-        "null_similarity_pair", "number_color"])
+        "null_similarity_pair", "number_color", "non_hex_parent_color", "short_leaf_color"])
 def test_malformed_document_is_validation_error_naming_the_node_or_entry(doc, named, tmp_path,
                                                                          capsys):
     path = tmp_path / "bad.json"

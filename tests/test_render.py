@@ -204,9 +204,10 @@ def test_escaping_matches_saxutils(text):
 
 def test_explicit_color_and_label_are_escaped():
     tree = propagate_attributes(parse_tree({"name": "r", "children": [
-        {"name": "x<&>y", "id": "odd", "color": "a\"b'c&d", "weight": 1.0},
+        {"name": "x<&>y", "id": "odd", "weight": 1.0},
         {"name": "plain", "weight": 1.0},
     ]}))
+    tree.nodes["odd"].color = "a\"b'c&d"   # parse_tree admits only #rrggbb; render escapes any string
     d = power_diagram([(0.25, 0.5), (0.75, 0.5)], square(1.0),
                       node_ids=["odd", "plain"], targets=[0.5, 0.5])
     svg = render_svg({1: [d]}, tree, [], {}, RenderOptions())
