@@ -19,6 +19,10 @@ from .tree_model import TreeValidationError
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
+# the flags of a layout run, which --gen does not read
+_RUN_FLAGS = ("input", "init", "sim", "iters", "max_neighbors", "boundary", "boundary_size",
+              "emit_trace", "emit_constraints", "emit_geometry", "show_unrealized",
+              "show_disconnect", "compare", "seeds")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,6 +130,9 @@ def main(argv=None) -> int:
         for flag in ("leaves", "parents", "density"):
             if getattr(args, flag) is not None and not args.gen:
                 parser.error(f"--{flag} needs --gen")
+        for dest in _RUN_FLAGS:
+            if args.gen and getattr(args, dest) != parser.get_default(dest):
+                parser.error(f"--{dest.replace('_', '-')} does not apply to --gen")
         strategies, seeds = _compare_plan(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

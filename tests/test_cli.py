@@ -168,6 +168,20 @@ def test_gen_parameter_without_gen_is_usage_error_naming_the_flag(three_node, fl
     assert f"error: {flag} needs --gen" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--input", "x.json"), ("--init", "proj_scale"), ("--sim", "jaccard"), ("--iters", "3"),
+    ("--max-neighbors", "2"), ("--boundary", "square"), ("--boundary-size", "10"),
+    ("--emit-trace", None), ("--emit-constraints", None), ("--emit-geometry", None),
+    ("--show-unrealized", None), ("--show-disconnect", None), ("--compare", "match_swap"),
+    ("--seeds", "1"),
+])
+def test_run_flag_with_gen_is_usage_error_naming_the_flag(flag, value, capsys):
+    extra = [flag] if value is None else [flag, value]
+    assert cli.main(["--gen", "m_n", "--leaves", "3"] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {flag} does not apply to --gen" in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--iters", "--max-neighbors"])
 def test_negative_count_is_usage_error(three_node, flag, capsys):
     assert cli.main(["--input", three_node, flag, "-1"]) == 1
