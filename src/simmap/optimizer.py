@@ -59,7 +59,6 @@ class LevelState:
     # per node, in constraint order: (similarity, other id, other cell or None, sorted pair)
     partners: dict[str, list[tuple[float, str, Cell | None, tuple[str, str]]]] = field(default_factory=dict)
     partner_ids: dict[str, set[str]] = field(default_factory=dict)
-    constraint_pairs: set = field(default_factory=set)
 
     @classmethod
     def create(cls, level: int, diagrams: list[Diagram], constraints: list[Constraint]) -> "LevelState":
@@ -70,7 +69,6 @@ class LevelState:
                 state.diagram_of[c.node_id] = d
         for con in state.constraints:
             pair = tuple(sorted((con.a, con.b)))
-            state.constraint_pairs.add(pair)
             for node, other in ((con.a, con.b), (con.b, con.a)):
                 entry = (con.similarity, other, state.cells_by_id.get(other), pair)
                 state.partners.setdefault(node, []).append(entry)
@@ -93,9 +91,6 @@ class LevelState:
         none: set[str] = set()
         return {node for node, ids in self.partner_ids.items()
                 if len(nbrs := adj.get(node, none)) >= max_neighbor_count and nbrs <= ids}
-
-    def realized_count(self) -> int:
-        return sum(1 for p in self.constraint_pairs if p in self.neighbor_map)
 
 
 def build_level_queue(tree: Tree) -> list[tuple[int, list[tuple[str, list[str]]]]]:

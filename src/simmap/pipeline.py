@@ -240,7 +240,8 @@ def run(config: RunConfig) -> RunResult:
                 c.node_id: round(float(c.weight), 10)
                 for d in state.diagrams for c in d.cells
             },
-            "realized": state.realized_count(),
+            "realized": metrics_mod.preserved_constraints(
+                state.neighbor_map, state.constraints)[0],
         }
         trace_lines.append(json.dumps(record, sort_keys=True))
 

@@ -576,6 +576,7 @@ def _reference_neighborhood_step(cell, state, cfg, f, adjacency):
     saturation against the adjacency; returns the branch it took and the
     targets it passed over as saturated."""
     cons = [con for con in state.constraints for node in (con.a, con.b) if node == cell.node_id]
+    constraint_pairs = {tuple(sorted((con.a, con.b))) for con in state.constraints}
     skipped = []
     if cons:
         def sort_key(con):
@@ -592,7 +593,7 @@ def _reference_neighborhood_step(cell, state, cfg, f, adjacency):
             t_neighbors = adjacency.get(other_id, set())
             constrained = {
                 n for n in t_neighbors
-                if tuple(sorted((other_id, n))) in state.constraint_pairs
+                if tuple(sorted((other_id, n))) in constraint_pairs
             }
             if len(constrained) >= cfg.max_neighbor_count and constrained == t_neighbors:
                 skipped.append(other_id)
