@@ -7,9 +7,12 @@ with `--init proj_scale --iters 40`, and on the gen seed 0 document again with
 the default init and `--iters 40` (as gen0_match_swap), whose 12 parents each
 take a 10-cell CVT with hull candidate lists, and on the dense dataset with
 `--boundary square --init random_cvt` (as dense_square), whose root boundary
-has 4 vertices instead of the circle's 64. Each run is the CLI's own
-configuration, `cli._make_config` of the parsed flags, passed to
-`pipeline.run`. Prints three lines per run, 24 in all:
+has 4 vertices instead of the circle's 64, and on a generated m_n document
+(30 leaves, 1 parent, gen seed 0) with the default init and `--iters 60` (as
+one_parent), whose root takes a 30-cell assignment and hull candidate lists
+inside the 64-gon. Each run is the CLI's own configuration,
+`cli._make_config` of the parsed flags, passed to `pipeline.run`. Prints
+three lines per run, 27 in all:
 
 - `<name>.metrics.json <prefix>` and `<name>.svg <prefix>`, the output files.
   These are rounded: metrics.json to 10 digits, the SVG to 4 decimals, so a
@@ -64,6 +67,16 @@ def _layout_bytes(diagrams_by_level: dict) -> bytes:
     return b"".join(parts)
 
 
+def _generate(prefix: pathlib.Path, kind: str, leaves: str, parents: str, seed: int) -> None:
+    """Write `simmap --gen` output to <prefix>.json."""
+    gen_args = ["--gen", kind, "--leaves", leaves, "--parents", parents,
+                "--seed", str(seed), "--out", str(prefix)]
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+        status = cli.main(gen_args)
+    if status != 0:
+        raise SystemExit(f"simmap {' '.join(gen_args)} failed")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", help="keep the outputs here (default: a temporary directory)")
@@ -79,17 +92,14 @@ def main() -> int:
                 for name in SHIPPED]
         for gen_seed in GEN_SEEDS:
             name = f"gen{gen_seed}"
-            gen_args = ["--gen", "two_level", "--leaves", "120", "--parents", "12",
-                        "--seed", str(gen_seed), "--out", str(out / name)]
-            with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
-                status = cli.main(gen_args)
-            if status != 0:
-                raise SystemExit(f"simmap {' '.join(gen_args)} failed")
+            _generate(out / name, "two_level", "120", "12", gen_seed)
             runs.append((name, ["--input", str(out / f"{name}.json"),
                                 "--init", "proj_scale", "--iters", "40"]))
         runs.append(("gen0_match_swap", ["--input", str(out / "gen0.json"), "--iters", "40"]))
         runs.append(("dense_square", ["--input", str(ROOT / "datasets" / "dense.json"),
                                       "--boundary", "square", "--init", "random_cvt"]))
+        _generate(out / "one_parent", "m_n", "30", "1", 0)
+        runs.append(("one_parent", ["--input", str(out / "one_parent.json"), "--iters", "60"]))
         for name, run_args in runs:
             config = cli._make_config(cli.build_parser().parse_args(
                 [*run_args, "--seed", "0", "--out", str(out / name)]))
