@@ -1,5 +1,8 @@
 """Initial cell-to-node assignment: MDS projection, CVT construction,
-Kuhn-Munkres matching, constraint-driven swapping, plus the two baselines."""
+minimum-cost matching, constraint-driven swapping, plus the two baselines.
+
+The matching is solved here in pure Python, so scipy loads only for the Qhull
+candidate lists of diagrams from 10 cells up (geometry.BATCH_MIN_CELLS)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -122,10 +125,63 @@ def match_assignment(positions: ProjectedPositions, cvt: Diagram) -> Assignment:
     ])
     diff = pts[:, None, :] - centroids[None, :, :]
     cost = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
-    from scipy.optimize import linear_sum_assignment
-    rows, cols = linear_sum_assignment(cost)
-    mapping = {positions.node_ids[r]: int(c) for r, c in zip(rows, cols)}
+    cols = _min_cost_assignment(cost.tolist())
+    mapping = {nid: c for nid, c in zip(positions.node_ids, cols)}
     return Assignment(mapping=mapping, strategy="match_swap")
+
+
+def _min_cost_assignment(cost: list[list[float]]) -> list[int]:
+    """Column of each row in a minimum-cost assignment of a square matrix.
+
+    Shortest augmenting paths (D. F. Crouse, "On implementing 2D rectangular
+    assignment algorithms", IEEE TAES 52(4), 2016), step for step as
+    scipy.optimize.linear_sum_assignment runs them: the same scan order, ties
+    and float operations, so the same columns, ties included.
+    """
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        # a reversed scan list makes a constant matrix's answer the identity
+        remaining = list(range(n - 1, -1, -1))
+        spc = [float("inf")] * n
+        rows_seen, cols_seen = [], []
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            rows_seen.append(i)
+            row, ui = cost[i], u[i]
+            lowest, index = float("inf"), -1
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                shortest = spc[j]
+                if r < shortest:
+                    path[j] = i
+                    spc[j] = shortest = r
+                # the last of equal lowest costs with no row wins, else the first
+                if shortest < lowest or (shortest == lowest and row4col[j] == -1):
+                    lowest, index = shortest, it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def cvt_adjacency(cvt: Diagram) -> set[tuple[int, int]]:

@@ -363,6 +363,14 @@ from simmap import cli
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["--gen", "m_n", "--leaves", "6", "--seed", "1"])
 stages["gen"] = heavy()
+from simmap import pipeline
+from simmap.datasets import gen_synthetic
+from simmap.optimizer import OptimizerConfig
+pipeline.run(pipeline.RunConfig(input=gen_synthetic("m_n", {"leaves": 6}, 1)))
+stages["run_6"] = heavy()
+pipeline.run(pipeline.RunConfig(input=gen_synthetic("m_n", {"leaves": 30, "parents": 1}, 0),
+                                optimizer=OptimizerConfig(max_iter=5)))
+stages["run_30"] = heavy()
 import numpy as np
 from simmap.geometry import power_diagram, square
 sites = np.random.default_rng(0).uniform(0.0, 1.0, size=(12, 2))
@@ -373,8 +381,8 @@ print(json.dumps(stages))
 
 
 def test_import_and_gen_load_no_scipy_or_xml_sax():
-    # scipy loads on first use: Qhull candidate lists from 10 cells up, and
-    # the match_swap assignment
+    # scipy loads on first use, and only for Qhull candidate lists from 10
+    # cells up: the match_swap assignment needs none
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, src],
                           capture_output=True, text=True)
@@ -382,4 +390,7 @@ def test_import_and_gen_load_no_scipy_or_xml_sax():
     stages = json.loads(proc.stdout)
     assert stages["import"] == []
     assert stages["gen"] == []
+    assert stages["run_6"] == []
+    assert "scipy.spatial" in stages["run_30"]
+    assert "scipy.optimize" not in stages["run_30"]
     assert "scipy.spatial" in stages["power_diagram"]

@@ -320,6 +320,40 @@ def test_match_equals_bruteforce_minimum():
         assert got == pytest.approx(_bruteforce_total_cost(pts, centroids))
 
 
+def _squared_distances_to_coincident_points(rng, n):
+    """Points drawn from a third as many spots, as identical similarity
+    vectors project, against centroids half of which coincide."""
+    spots = rng.uniform(-1.0, 1.0, size=(max(1, n // 3), 2))
+    pts = spots[rng.integers(0, len(spots), n)]
+    centroids = rng.uniform(-1.0, 1.0, size=(n, 2))
+    centroids[: n // 2] = centroids[0]
+    diff = pts[:, None, :] - centroids[None, :, :]
+    return diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
+
+
+COST_MATRICES = {
+    "uniform": lambda rng, n: rng.random((n, n)),
+    "integers_0_2": lambda rng, n: rng.integers(0, 3, size=(n, n)).astype(float),
+    "repeated_rows": lambda rng, n: np.tile(rng.random(n), (n, 1)),
+    "constant": lambda rng, n: np.full((n, n), rng.random()),
+    "coincident_points": _squared_distances_to_coincident_points,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COST_MATRICES))
+def test_min_cost_assignment_equals_scipy_ties_included(kind):
+    from scipy.optimize import linear_sum_assignment  # the reference only
+    rng = np.random.default_rng(sorted(COST_MATRICES).index(kind))
+    for n in range(1, 26):
+        for _ in range(4):
+            cost = COST_MATRICES[kind](rng, n)
+            rows, cols = linear_sum_assignment(cost)
+            assert rows.tolist() == list(range(n))
+            assert layout_init._min_cost_assignment(cost.tolist()) == cols.tolist(), (kind, n)
+    if kind == "constant":
+        assert cols.tolist() == list(range(25))
+
+
 # ----------------------------------------------------------------- swap_improve
 
 def grid_cvt():
