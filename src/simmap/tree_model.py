@@ -210,6 +210,10 @@ def uniform_depth(tree: Tree) -> Tree:
 def propagate_attributes(tree: Tree) -> Tree:
     """Bottom-up aggregation: weight = sum of children, vector = mean of children.
 
+    A parent whose children's weights sum past the float range, or a child
+    whose share of its parent's weight rounds to 0, is a TreeValidationError
+    naming that node.
+
     In explicit-pair mode, leaf pair similarities are lifted level-by-level
     using the max over descendant pairs, so one strong cross-parent link
     survives aggregation.
@@ -223,6 +227,12 @@ def propagate_attributes(tree: Tree) -> Tree:
             continue
         kids = [tree.nodes[c] for c in node.children]
         node.weight = sum(k.weight for k in kids)
+        if node.weight == math.inf:
+            raise TreeValidationError(f"node {node.id!r}: children's weights sum past the float range")
+        for k in kids:
+            if k.weight / node.weight == 0.0:
+                raise TreeValidationError(
+                    f"node {k.id!r}: weight {k.weight!r} is a share of 0 of its parent {node.id!r}")
         if all(k.sim_vector is not None for k in kids):
             node.sim_vector = np.mean([k.sim_vector for k in kids], axis=0)
     if tree.pair_mode:

@@ -260,8 +260,16 @@ def test_non_finite_leaf_is_validation_error(leaf, tmp_path, capsys):
     ({"name": "r", "children": [{"name": "p", "color": "zzz", "children": [{"name": "a"}]},
                                 {"name": "b"}]}, "node 'p': color"),
     ({"name": "r", "children": [{"name": "a", "color": "#12"}, {"name": "b"}]}, "node 'a': color"),
+    ({"name": "r", "children": [{"name": "a", "weight": 1.0}, {"name": "b", "weight": 1e308},
+                                {"name": "c", "weight": 1e308}]}, "node 'r': children's weights"),
+    ({"name": "r", "children": [{"name": "a", "weight": 5e-324}, {"name": "b", "weight": 1e10}]},
+     "node 'a': weight 5e-324 is a share of 0"),
+    ({"name": "r", "children": [{"name": "g", "children": [{"name": "a", "weight": 1e308},
+                                                           {"name": "b", "weight": 1e308}]},
+                                {"name": "c", "weight": 1.0}]}, "node 'g': children's weights"),
 ], ids=["number_children", "string_children", "nameless_child", "number_pair",
-        "null_similarity_pair", "number_color", "non_hex_parent_color", "short_leaf_color"])
+        "null_similarity_pair", "number_color", "non_hex_parent_color", "short_leaf_color",
+        "root_weight_overflow", "leaf_share_underflow", "group_weight_overflow"])
 def test_malformed_document_is_validation_error_naming_the_node_or_entry(doc, named, tmp_path,
                                                                          capsys):
     path = tmp_path / "bad.json"
