@@ -67,9 +67,9 @@ def _layout_bytes(diagrams_by_level: dict) -> bytes:
     return b"".join(parts)
 
 
-def _generate(prefix: pathlib.Path, kind: str, leaves: str, parents: str, seed: int) -> None:
+def _generate(prefix: pathlib.Path, kind: str, leaves: int, parents: int, seed: int) -> None:
     """Write `simmap --gen` output to <prefix>.json."""
-    gen_args = ["--gen", kind, "--leaves", leaves, "--parents", parents,
+    gen_args = ["--gen", kind, "--leaves", str(leaves), "--parents", str(parents),
                 "--seed", str(seed), "--out", str(prefix)]
     with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
         status = cli.main(gen_args)
@@ -92,13 +92,13 @@ def main() -> int:
                 for name in SHIPPED]
         for gen_seed in GEN_SEEDS:
             name = f"gen{gen_seed}"
-            _generate(out / name, "two_level", "120", "12", gen_seed)
+            _generate(out / name, "two_level", 120, 12, gen_seed)
             runs.append((name, ["--input", str(out / f"{name}.json"),
                                 "--init", "proj_scale", "--iters", "40"]))
         runs.append(("gen0_match_swap", ["--input", str(out / "gen0.json"), "--iters", "40"]))
         runs.append(("dense_square", ["--input", str(ROOT / "datasets" / "dense.json"),
                                       "--boundary", "square", "--init", "random_cvt"]))
-        _generate(out / "one_parent", "m_n", "30", "1", 0)
+        _generate(out / "one_parent", "m_n", 30, 1, 0)
         runs.append(("one_parent", ["--input", str(out / "one_parent.json"), "--iters", "60"]))
         for name, run_args in runs:
             config = cli._make_config(cli.build_parser().parse_args(

@@ -125,8 +125,7 @@ def match_assignment(positions: ProjectedPositions, cvt: Diagram) -> Assignment:
     ])
     diff = pts[:, None, :] - centroids[None, :, :]
     cost = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
-    cols = _min_cost_assignment(cost.tolist())
-    mapping = {nid: c for nid, c in zip(positions.node_ids, cols)}
+    mapping = dict(zip(positions.node_ids, _min_cost_assignment(cost.tolist())))
     return Assignment(mapping=mapping, strategy="match_swap")
 
 
