@@ -33,6 +33,14 @@ def _leaf(i: int, rng: np.random.Generator, sim=None) -> dict:
     return doc
 
 
+def _groups(leaves: list[dict], m: int) -> list[dict]:
+    """The leaves split in order into m groups whose sizes differ by at most 1."""
+    return [
+        {"name": f"group{g}", "id": f"G{g}", "children": [leaves[i] for i in idx]}
+        for g, idx in enumerate(np.array_split(np.arange(len(leaves)), m))
+    ]
+
+
 def _add_ring(leaf_ids: list[str], rng: np.random.Generator, seen: set, pairs: list) -> None:
     n = len(leaf_ids)
     if n < 2:
@@ -91,18 +99,10 @@ def _gen_m_n(p: dict, rng: np.random.Generator) -> dict:
     m = int(p.get("parents", 1))
     leaves = [_leaf(i, rng) for i in range(n)]
     leaf_ids = [doc["id"] for doc in leaves]
-    if m <= 1:
-        children = leaves
-    else:
-        groups = np.array_split(np.arange(n), m)
-        children = [
-            {"name": f"group{g}", "id": f"G{g}", "children": [leaves[i] for i in idx]}
-            for g, idx in enumerate(groups)
-        ]
     return {
         "name": "synthetic m-n",
         "id": "root",
-        "children": children,
+        "children": leaves if m <= 1 else _groups(leaves, m),
         "pairs": _ring_plus_chords(leaf_ids, p["density"], rng),
     }
 
@@ -111,18 +111,13 @@ def _gen_two_level(p: dict, rng: np.random.Generator) -> dict:
     n = p["leaves"]
     m = int(p.get("parents", min(5, n)))
     density = p["density"]
-    leaves = [_leaf(i, rng) for i in range(n)]
-    groups = np.array_split(np.arange(n), m)
-    children = [
-        {"name": f"group{g}", "id": f"G{g}", "children": [leaves[i] for i in idx]}
-        for g, idx in enumerate(groups)
-    ]
+    children = _groups([_leaf(i, rng) for i in range(n)], m)
     # ring plus chords inside each group, plus cross-parent links per density
     chord = float(p.get("chord", 0.6))
     pairs: list = []
     seen: set = set()
-    for idx in groups:
-        ids = [f"L{i}" for i in idx]
+    for group in children:
+        ids = [leaf["id"] for leaf in group["children"]]
         _add_ring(ids, rng, seen, pairs)
         _add_random_links(ids, max(1, int(round(chord * len(ids)))), rng, seen, pairs)
     all_ids = [f"L{i}" for i in range(n)]
@@ -149,9 +144,4 @@ def _gen_dense(p: dict, rng: np.random.Generator) -> dict:
         support = rng.choice(dim, size=nnz, replace=False)
         vectors[i, support] = rng.uniform(0.2, 1.0, size=nnz)
     leaves = [_leaf(i, rng, sim=vectors[i]) for i in range(n)]
-    groups = np.array_split(np.arange(n), m)
-    children = [
-        {"name": f"group{g}", "id": f"G{g}", "children": [leaves[i] for i in idx]}
-        for g, idx in enumerate(groups)
-    ]
-    return {"name": "synthetic dense", "id": "root", "children": children}
+    return {"name": "synthetic dense", "id": "root", "children": _groups(leaves, m)}

@@ -554,8 +554,10 @@ def cell_neighbors(level_diagrams: list[Diagram]) -> dict:
     Two cells are neighbors iff they own edges i < j such that both endpoints
     of j lie within tol = 1e-6 * scale of i's supporting line and the part of
     j projected onto i is longer than tol. Returns
-    {(id_a, id_b): [(p0, p1, length), ...]} with id_a < id_b, the segment
-    p0 -> p1 lying on edge i; pairs appear in (i, j) order.
+    {(id_a, id_b): (p0, p1, length)} with id_a < id_b: one contact per pair,
+    its longest shared segment p0 -> p1 lying on edge i (the first in (i, j)
+    order among equal lengths); pairs appear in the (i, j) order of their
+    first contact.
 
     Only edge pairs whose bounding boxes, each grown by tol, overlap are
     tested; they are found by a sort-and-sweep over x, then filtered on y.
@@ -574,7 +576,7 @@ def cell_neighbors(level_diagrams: list[Diagram]) -> dict:
             if c.polygon is not None:
                 rings.append(c.polygon.vertices)
                 owners.append(owner_index.setdefault(str(c.node_id), len(owner_index)))
-    result: dict[tuple[str, str], list] = {}
+    result: dict[tuple[str, str], tuple] = {}
     if not rings:
         return result
     A, lengths = _flatten(rings)
@@ -622,7 +624,8 @@ def cell_neighbors(level_diagrams: list[Diagram]) -> dict:
     P1 = A[i] + Uh[i] * hi[:, None]
     for k in range(len(i)):
         key = tuple(sorted((owner_ids[owner[i[k]]], owner_ids[owner[j[k]]])))
-        result.setdefault(key, []).append((P0[k], P1[k], float(overlap[k])))
+        if key not in result or overlap[k] > result[key][2]:
+            result[key] = (P0[k], P1[k], float(overlap[k]))
     return result
 
 

@@ -161,10 +161,6 @@ def move_orthogonal(cell: Cell, target: Cell, edge_dir: np.ndarray, f: float, di
     cell.site = _clamp_into(s, new, diagram)
 
 
-def _longest_segment(segments) -> tuple[np.ndarray, np.ndarray, float]:
-    return max(segments, key=lambda seg: seg[2])
-
-
 def _aligned(cell: Cell, target: Cell, edge_dir: np.ndarray) -> bool:
     """Projections onto the shared edge overlap >= 50% of the smaller extent."""
     if cell.polygon is None or target.polygon is None:
@@ -199,12 +195,12 @@ def neighborhood_step(cell: Cell, state: LevelState, f: float, saturated: set[st
         for _, other_id, target, pair in sorted(partners, key=sort_key):
             if target is None or other_id in saturated:
                 continue
-            segments = state.neighbor_map.get(pair)
-            if segments is None:
+            contact = state.neighbor_map.get(pair)
+            if contact is None:
                 move_toward(cell, target, f, diagram)
                 return
             if diagram is not state.diagram_of[other_id]:
-                p0, p1, length = _longest_segment(segments)
+                p0, p1, length = contact
                 edge_dir = (p1 - p0) / length
                 if not _aligned(cell, target, edge_dir):
                     move_orthogonal(cell, target, edge_dir, f, diagram)

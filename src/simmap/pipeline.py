@@ -140,18 +140,16 @@ def init_diagram(
         raise ValueError(f"unknown init strategy: {strategy!r}")
     parent_weight = tree.nodes[parent].weight
     targets = [tree.nodes[c].weight / parent_weight for c in children]
-    matrix = group_matrix(tree, children, level, kind)
-    rng = np.random.default_rng(seed)
 
     if strategy == "proj_scale":
-        positions = mds_project(matrix)
+        positions = mds_project(group_matrix(tree, children, level, kind))
         sites = proj_scale_init(positions, boundary)
-        sites = _distinct_sites(sites, boundary, rng)
+        sites = _distinct_sites(sites, boundary, np.random.default_rng(seed))
     else:
         if strategy == "random_cvt":
             assignment = random_assignment(children, cvt, seed=seed)
         else:
-            positions = mds_project(matrix)
+            positions = mds_project(group_matrix(tree, children, level, kind))
             assignment = match_assignment(positions, cvt)
             members = set(children)
             local = [c for c in level_constraints if c.a in members and c.b in members]
@@ -177,8 +175,10 @@ def build_treemap(
 ):
     """Create and jointly optimize all diagrams, level by level, top down.
 
-    If given, init_preserved receives each level's preserved-constraint count
-    before optimization, and neighbor_maps each level's final neighbor map.
+    A cell whose target area (its share of its parent's area) underflows
+    to 0.0 raises PipelineError naming it. If given, init_preserved receives
+    each level's preserved-constraint count before optimization, and
+    neighbor_maps each level's final neighbor map.
     """
     boundaries: dict[str, ConvexPolygon] = {tree.root: root_boundary}
     scale = root_boundary.diagonal
@@ -199,6 +199,10 @@ def build_treemap(
                          kind, s, level, scale, cvt)
             for (parent, children), s, cvt in zip(groups, seeds, cvts)
         ]
+        for d in diagrams:
+            for c in d.cells:
+                if c.target_area_fraction * d.boundary.area == 0.0:
+                    raise PipelineError(f"cell {c.node_id!r}: target area underflows to 0.0")
         state = LevelState.create(level, diagrams, level_cons)
         if init_preserved is not None:
             count, _ = metrics_mod.preserved_constraints(state.neighbor_map, level_cons)

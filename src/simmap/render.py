@@ -13,16 +13,13 @@ from .geometry import Diagram
 from .similarity import Constraint
 from .tree_model import Tree
 
-TABLEAU10 = [
-    "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
-    "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
-]
 TABLEAU20 = [
     "#1f77b4", "#aec7e8", "#ff7f0e", "#ffbb78", "#2ca02c", "#98df8a",
     "#d62728", "#ff9896", "#9467bd", "#c5b0d5", "#8c564b", "#c49c94",
     "#e377c2", "#f7b6d2", "#7f7f7f", "#c7c7c7", "#bcbd22", "#dbdb8d",
     "#17becf", "#9edae5",
 ]
+TABLEAU10 = TABLEAU20[::2]
 
 
 WIDTH = HEIGHT = 900           # SVG canvas, pixels
@@ -234,11 +231,10 @@ def render_svg(
     out.append('<g id="glyphs" fill="#ffffff" fill-opacity="0.65" stroke="#222222" stroke-width="1">')
     for con in preserved:
         key = tuple(sorted((con.a, con.b)))
-        segment = max(neighbor_map[key], key=lambda s: s[2])
         ca = cells_by_id[con.a]
         cb = cells_by_id[con.b]
         cls = f"glyph-{_css_name(con.a)}-{_css_name(con.b)}"
-        for verts in _glyph_tabs(ca, cb, segment, con.bin):
+        for verts in _glyph_tabs(ca, cb, neighbor_map[key], con.bin):
             out.append(f'<path class="{cls}" d="{mapper.path(verts)}"/>')
     out.append("</g>")
 

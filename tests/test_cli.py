@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: generation, runs, artifacts, exit codes."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -54,6 +55,19 @@ def test_gen_deterministic(capsys):
     first = capsys.readouterr().out
     cli.main(["--gen", "two_level", "--leaves", "8", "--seed", "7"])
     assert capsys.readouterr().out == first
+
+
+def test_make_datasets_reproduces_the_shipped_files(tmp_path, monkeypatch, capsys):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("make_datasets", root / "scripts" / "make_datasets.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    script.main()
+    names = [fname for fname, *_ in script.SYNTHETIC] + ["borders.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (root / "datasets" / name).read_bytes(), name
 
 
 def test_gen_unknown_kind_is_usage_error(capsys):
@@ -277,6 +291,15 @@ def test_malformed_document_is_validation_error_naming_the_node_or_entry(doc, na
     assert cli.main(["--input", str(path), "--iters", "5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and named in err
+
+
+def test_target_area_underflow_is_numeric_failure_naming_the_cell(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"name": "root", "children": [{"name": "a", "weight": 1e-200},
+                                                             {"name": "b", "weight": 1}]}))
+    assert cli.main(["--input", str(path), "--boundary-size", "1e-100", "--iters", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "'a'" in err
 
 
 def test_bad_env_seed_is_validation_error(three_node, monkeypatch, capsys):

@@ -603,7 +603,7 @@ def test_neighbors_shared_segment():
                       node_ids=["a", "b"])
     nm = cell_neighbors([d])
     assert set(nm) == {("a", "b")}
-    (p0, p1, length), = nm[("a", "b")]
+    p0, p1, length = nm[("a", "b")]
     assert length == pytest.approx(1.0)
     assert p0[0] == pytest.approx(0.5)
     assert p1[0] == pytest.approx(0.5)
@@ -621,7 +621,7 @@ def test_cross_parent_neighbors():
     right = power_diagram([(1.5, 0.5)], square(1.0, origin=(1, 0)), node_ids=["b"])
     nm = cell_neighbors([left, right])
     assert set(nm) == {("a", "b")}
-    assert nm[("a", "b")][0][2] == pytest.approx(1.0)
+    assert nm[("a", "b")][2] == pytest.approx(1.0)
 
 
 def _bruteforce_neighbors(diagrams, tol_len):
@@ -678,8 +678,8 @@ def test_neighbors_match_bruteforce_oracle():
     fast = cell_neighbors(diagrams)
     slow = _bruteforce_neighbors(diagrams, 1e-6 * scale)
     assert set(fast) == set(slow)
-    for key, segs in fast.items():
-        assert max(s[2] for s in segs) == pytest.approx(slow[key], abs=1e-6 * scale)
+    for key, (_, _, length) in fast.items():
+        assert length == pytest.approx(slow[key], abs=1e-6 * scale)
 
 
 def _dense_neighbors(level_diagrams):
@@ -738,11 +738,11 @@ def _assert_same_neighbors(level_diagrams):
     dense = _dense_neighbors(level_diagrams)
     assert list(fast) == list(dense)
     for key, segs in dense.items():
-        assert len(fast[key]) == len(segs), key
-        for (p0, p1, ln), (q0, q1, lq) in zip(fast[key], segs):
-            assert p0.tobytes() == q0.tobytes(), key
-            assert p1.tobytes() == q1.tobytes(), key
-            assert ln == lq, key
+        p0, p1, ln = fast[key]
+        q0, q1, lq = max(segs, key=lambda s: s[2])  # the first longest
+        assert p0.tobytes() == q0.tobytes(), key
+        assert p1.tobytes() == q1.tobytes(), key
+        assert ln == lq, key
     return fast
 
 
@@ -806,6 +806,23 @@ def test_neighbors_tolerate_offset_collinear_edges():
     c = power_diagram([(1.5 + gap, 0.5)], square(1.0, origin=(1.0 + gap, 0.0)), node_ids=["c"])
     nm = _assert_same_neighbors([a, b, c])
     assert set(nm) == {("a", "b"), ("a", "c")}
+
+
+@pytest.mark.parametrize("split, contact", [
+    (0.6, ((1.0, 0.0), (1.0, 0.6))),   # the later, longer segment wins
+    (0.5, ((1.0, 0.5), (1.0, 1.0))),   # equal lengths: the first is kept
+], ids=["longer_later", "tie"])
+def test_neighbors_keep_the_first_longest_of_two_contacts(split, contact):
+    # b's left edge is split at (1, split), so a and b touch along two segments
+    a = Cell("a", np.array([0.5, 0.5]), polygon=rect(0.0, 0.0, 1.0, 1.0))
+    b = Cell("b", np.array([1.5, 0.5]), polygon=ConvexPolygon(
+        np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, split]])))
+    boundary = rect(0.0, 0.0, 2.0, 1.0)
+    d = geometry.Diagram(boundary=boundary, cells=[a, b], scale=boundary.diagonal)
+    assert len(_dense_neighbors([d])[("a", "b")]) == 2
+    p0, p1, length = _assert_same_neighbors([d])[("a", "b")]
+    assert (tuple(p0), tuple(p1)) == contact
+    assert length == max(split, 1.0 - split)
 
 
 # ------------------------------------------------------------------ lloyd_step

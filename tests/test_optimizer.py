@@ -356,7 +356,7 @@ def test_step_slides_a_misaligned_pair_across_a_parent_border():
                           node_ids=["b2", "b"])
     state = make_state([left, right], [constraint("a", "b")])
     a, b = left.cells[0], right.cells[1]
-    (p0, p1, length), = state.neighbor_map[("a", "b")]
+    p0, p1, length = state.neighbor_map[("a", "b")]
     edge_dir = (p1 - p0) / length
     assert not _aligned(a, b, edge_dir)
     s = a.site.copy()
@@ -494,11 +494,15 @@ def test_constraint_becomes_realized_during_optimization():
 
 # ------------------------------------------------------------------ neighbor maps
 
+def _contact_bytes(contact):
+    p0, p1, length = contact
+    return p0.tobytes(), p1.tobytes(), length
+
+
 def _same_map(a, b):
     assert list(a) == list(b)
     for key in a:
-        assert [(p0.tobytes(), p1.tobytes(), ln) for p0, p1, ln in a[key]] == \
-            [(p0.tobytes(), p1.tobytes(), ln) for p0, p1, ln in b[key]]
+        assert _contact_bytes(a[key]) == _contact_bytes(b[key])
 
 
 def test_level_state_create_builds_neighbor_map():
@@ -599,13 +603,13 @@ def _reference_neighborhood_step(cell, state, cfg, f, adjacency):
                 skipped.append(other_id)
                 continue
             pair = tuple(sorted((cell.node_id, other_id)))
-            segments = state.neighbor_map.get(pair)
+            contact = state.neighbor_map.get(pair)
             diagram = state.diagram_of[cell.node_id]
-            if segments is None:
+            if contact is None:
                 _reference_move_toward(cell, target, f, diagram)
                 return "toward", skipped
             if state.diagram_of[cell.node_id] is not state.diagram_of[other_id]:
-                p0, p1, length = max(segments, key=lambda seg: seg[2])
+                p0, p1, length = contact
                 edge_dir = (p1 - p0) / length
                 if not _aligned(cell, target, edge_dir):
                     move_orthogonal(cell, target, edge_dir, f, diagram)
@@ -631,8 +635,7 @@ def _use_reference_step(monkeypatch, cfg):
 
 
 def _maps_bytes(maps):
-    return {level: [(key, [(p0.tobytes(), p1.tobytes(), ln) for p0, p1, ln in segs])
-                    for key, segs in nm.items()]
+    return {level: [(key, _contact_bytes(contact)) for key, contact in nm.items()]
             for level, nm in maps.items()}
 
 
