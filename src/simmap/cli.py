@@ -19,6 +19,9 @@ from .tree_model import TreeValidationError
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
+# criterion 6's bound on the leaf level's mean relative area error; a run
+# above it, or with an empty leaf cell, warns
+AREA_ERROR_BOUND = 0.05
 # the flags of a layout run, which --gen does not read
 _RUN_FLAGS = ("input", "init", "sim", "iters", "max_neighbors", "boundary", "boundary_size",
               "emit_trace", "emit_constraints", "emit_geometry", "show_unrealized",
@@ -119,6 +122,17 @@ def _make_config(args) -> RunConfig:
     )
 
 
+def _degraded(result) -> str | None:
+    """What makes a finished run's leaf level degraded, or None."""
+    leaves = result.diagrams_by_level[max(result.diagrams_by_level)]
+    empty = sum(c.polygon is None for d in leaves for c in d.cells)
+    faults = [f"{empty} empty leaf cell{'s' if empty != 1 else ''}"] if empty else []
+    error = result.report.avg_area_error
+    if not error <= AREA_ERROR_BOUND:
+        faults.append(f"mean relative area error {error:.4g} above {AREA_ERROR_BOUND}")
+    return ", ".join(faults) or None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -136,6 +150,12 @@ def main(argv=None) -> int:
         strategies, seeds = _compare_plan(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+
+    if args.out:
+        directory = os.path.dirname(args.out) or "."
+        if not os.path.isdir(directory):
+            print(f"output error: --out {args.out!r}: no directory {directory!r}", file=sys.stderr)
+            return EXIT_VALIDATION
 
     try:
         if args.gen:
@@ -171,6 +191,9 @@ def main(argv=None) -> int:
         print(table_row(args.input, result))
         if args.out:
             print(f"wrote {args.out}.svg and {args.out}.metrics.json")
+        degraded = _degraded(result)
+        if degraded:
+            print(f"warning: degraded layout: {degraded}", file=sys.stderr)
         return 0
     except (GeometryError, PipelineError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -2,15 +2,18 @@
 
 Cells are clipped by radical-axis half-planes (straight lines for additive
 weights): in a diagram of BATCH_MIN_CELLS cells or more, against each cell's
-regular-triangulation neighbours from the lower convex hull of the sites
-lifted to (x, y, x^2 + y^2 - w) (Aurenhammer, "Power diagrams: properties,
-algorithms and applications", SIAM J. Comput. 1987), else against all other
-sites. `_clip_rings` is the one clipper: it clips a stack of rings, each
-started from one of a few boundaries, in rounds, one half-plane per ring per
-round. `recompute_level` clips all cells of a level in one call: round r
-clips each cell against its r-th candidate, a list shorter than the longest
-is padded with the cell's own index, and a hidden site's cell comes out
-empty; it is the clipper's one caller. A ring's result does not depend on
+regular-triangulation neighbours, the edges of the lower convex hull of the
+sites lifted to (x, y, x^2 + y^2 - w) (Aurenhammer, "Power diagrams:
+properties, algorithms and applications", SIAM J. Comput. 1987), else
+against all other sites. From QHULL_MIN_CELLS cells up, Qhull finds the
+hull; below that an exact test of each pair's power bisector finds the same
+edges with numpy alone, so scipy is imported only for a diagram of
+QHULL_MIN_CELLS cells or more. `_clip_rings` is the one clipper: it clips a
+stack of rings, each started from one of a few boundaries, in rounds, one
+half-plane per ring per round. `recompute_level` clips all cells of a level
+in one call: round r clips each cell against its r-th candidate, a list
+shorter than the longest is padded with the cell's own index, and a hidden
+site's cell comes out empty; it is the clipper's one caller. A ring's result does not depend on
 which rings share the call. `_finish_rings` builds
 every polygon from the stacked rings, and one `_ring_measures` call, the
 only shoelace, takes every ring's area, centroid and bounding box relative
@@ -273,10 +276,14 @@ class Diagram:
         return np.array([c.site for c in self.cells])
 
 
-# Diagrams with at least this many cells get hull candidate lists, which cut
-# their rounds from n - 1 to the longest list; smaller ones take all-pairs
-# lists, at most 8 rounds, and skip Qhull's fixed cost.
+# Diagrams with at least this many cells get candidate lists of their power
+# neighbours, which cut their rounds from n - 1 to the longest list; smaller
+# ones take all-pairs lists, at most 8 rounds, and skip the lists' cost.
 BATCH_MIN_CELLS = 10
+# From this many cells the lists come from Qhull; below it the bisector test
+# gives the same lists at Qhull's cost or less, and scipy is not imported. The
+# test is O(n^3) and falls behind Qhull near 14 cells.
+QHULL_MIN_CELLS = 14
 
 
 def _power_neighbours(sites: np.ndarray, weights: np.ndarray):
@@ -287,16 +294,21 @@ def _power_neighbours(sites: np.ndarray, weights: np.ndarray):
     centred and scaled, are lifted to (x, y, |x, y|^2 - w); centring and
     scaling add an affine function to the lift, which keeps its lower hull.
     Two sites are candidates of each other iff they share an edge of a lower
-    facet (outward normal pointing down) of the lift's convex hull. A site on
-    no lower facet is hidden: its cell is empty, and its list is empty. If
-    Qhull fails, as on collinear sites, whose lift is coplanar, every list
-    holds all other sites.
+    facet (outward normal pointing down) of the lift's convex hull: from
+    QHULL_MIN_CELLS cells up, as Qhull finds it, and below that by
+    _bisector_neighbours, which gives the same lists. A site on no lower
+    facet is hidden: its cell is empty, and its list is empty. If the lift is
+    coplanar, as for collinear sites or cocircular sites of equal weight,
+    Qhull fails and every list holds all other sites; the bisector test
+    detects the plane and gives the same lists.
     """
     n = len(sites)
     c = sites - sites.mean(axis=0)
     size = float(np.abs(c).max()) or 1.0
     c = c / size
     lift = np.einsum("ij,ij->i", c, c) - weights / (size * size)
+    if n < QHULL_MIN_CELLS:
+        return _bisector_neighbours(c, lift)
     from scipy.spatial import ConvexHull, QhullError
     try:
         hull = ConvexHull(np.column_stack((c, lift)))
@@ -308,6 +320,78 @@ def _power_neighbours(sites: np.ndarray, weights: np.ndarray):
     adjacent[facets, turned] = True
     adjacent[turned, facets] = True
     # nonzero walks the rows in order, each row's columns ascending
+    return adjacent.nonzero()[1], adjacent.sum(axis=1)
+
+
+# a pair's column (d_x, d_y, l_j - l_i) to (2u, 0), for u = (-d_y, d_x)
+_TURN = np.array([[0.0, -2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+@lru_cache(maxsize=QHULL_MIN_CELLS)
+def _site_pairs(n: int):
+    """(i, j, rows, step, pair) for n sites: the pairs i < j in row-major
+    order and their numbers; the (n, pairs) matrix whose product with one
+    column per site gives each pair's column j minus column i; and the
+    (n, n) number of each pair, 0 on the diagonal. Read-only, and the same
+    arrays for every call with the same n."""
+    i, j = np.triu_indices(n, 1)
+    rows = np.arange(len(i))
+    step = np.zeros((n, len(i)))
+    step[i, rows] = -1.0
+    step[j, rows] = 1.0
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[i, j] = rows
+    pair[j, i] = rows
+    for a in (i, j, rows, step, pair):
+        a.flags.writeable = False
+    return i, j, rows, step, pair
+
+
+def _bisector_neighbours(c: np.ndarray, lift: np.ndarray):
+    """_power_neighbours' (candidates, degree) for centred, scaled sites `c`
+    and their lifts l, from each pair's power bisector.
+
+    Sites i and j are neighbours iff a stretch of their bisector
+    2 (c_j - c_i) . x = l_j - l_i keeps them ahead of every other site. With
+    d = c_j - c_i, the bisector is x0 + t u for u = (-d_y, d_x) and
+    x0 = d (l_j - l_i) / (2 |d|^2), and site k keeps i ahead iff
+    a_k t <= b_k, for a_k = 2 (c_k - c_i) . u and
+    b_k = l_k - l_i - 2 (c_k - c_i) . x0: (c_k, l_k) - (c_i, l_i) times the
+    columns (2u, 0) and (-2 x0, 1), taken for every pair from one product
+    with the lifted sites, one row per k. The stretch is kept iff the
+    smallest b_k / a_k over a_k > 0 exceeds the largest over a_k < 0 by more
+    than 1e-12, and no a_k = 0 has b_k < 0. A lift whose centred smallest
+    singular value is at most 1e-12 of its largest is coplanar, where Qhull
+    fails, and gets all pairs.
+
+    The lists are Qhull's, except where four or more lifted sites span one
+    planar lower face, as four cocircular sites of equal weight with no site
+    inside do: Qhull splits the face by diagonals, whose bisectors meet the
+    other cells of the face in a single point, and this test leaves them
+    out. A clip by such a diagonal cuts no cell beyond rounding.
+    """
+    n = len(c)
+    # c is centred; centring the lift too moves no bisector
+    lifted = np.column_stack((c, lift - lift.mean()))
+    spread = np.linalg.svd(lifted, compute_uv=False)
+    if spread[-1] <= 1e-12 * spread[0]:
+        return _all_pairs(n)
+    i, j, rows, step, pair = _site_pairs(n)
+    d = lifted.T @ step       # each pair's column (d, l_j - l_i)
+    shift = d * (d[2] / -np.einsum("ij,ij->j", d[:2], d[:2]))
+    shift[2] = 1.0            # (-2 x0, 1)
+    ab = lifted @ np.stack((_TURN @ d, shift))
+    ab -= ab[:, i, rows][:, None]
+    a, b = ab
+    # row i of a and b is 0 and row j is 0 up to rounding: neither bounds t
+    a[j, rows] = np.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = b / a
+    stretch = np.where(a > 0.0, bound, np.inf).min(axis=0)
+    stretch -= np.where(a < 0.0, bound, -np.inf).max(axis=0)
+    keep = (stretch > 1e-12) & ~((a == 0.0) & (b < 0.0)).any(axis=0)
+    adjacent = keep[pair]
+    adjacent.flat[::n + 1] = False
     return adjacent.nonzero()[1], adjacent.sum(axis=1)
 
 

@@ -2,7 +2,7 @@
 minimum-cost matching, constraint-driven swapping, plus the two baselines.
 
 The matching is solved here in pure Python, so scipy loads only for the Qhull
-candidate lists of diagrams from 10 cells up (geometry.BATCH_MIN_CELLS)."""
+candidate lists of diagrams from 14 cells up (geometry.QHULL_MIN_CELLS)."""
 from __future__ import annotations
 
 from dataclasses import dataclass

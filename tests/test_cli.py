@@ -302,6 +302,46 @@ def test_target_area_underflow_is_numeric_failure_naming_the_cell(tmp_path, caps
     assert err.startswith("numeric failure: ") and "'a'" in err
 
 
+def test_missing_out_directory_is_an_error_before_any_layout(monkeypatch, capsys):
+    def layout(config):
+        raise AssertionError("the layout ran")
+
+    monkeypatch.setattr(cli, "run", layout)
+    dataset = str(Path(__file__).resolve().parents[1] / "datasets" / "borders.json")
+    assert cli.main(["--input", dataset, "--out", "/nonexistent_dir/x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: --out ") and "/nonexistent_dir" in err
+    assert "input error" not in err
+
+
+TINY_SHARE_DOC = {"name": "root", "children": [{"name": "a", "weight": 1e-200},
+                                               {"name": "b", "weight": 1}]}
+# one leaf of weight 1e6 among 11 of weight 1, all with the same similarity
+HEAVY_LEAF_DOC = {"name": "root", "children": [
+    {"name": f"l{k}", "weight": 1e6 if k == 0 else 1.0, "similarity": [1.0, 0.0]}
+    for k in range(12)]}
+
+
+@pytest.mark.parametrize("doc, named", [
+    (TINY_SHARE_DOC, "mean relative area error 3.658e+196 above 0.05"),
+    (HEAVY_LEAF_DOC, " empty leaf cells, mean relative area error "),
+], ids=["tiny_share", "heavy_leaf"])
+def test_degraded_run_warns_and_exits_zero(doc, named, tmp_path, capsys):
+    path = tmp_path / "degraded.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1 and named in warnings[0]
+    assert "warning" not in captured.out
+
+
+def test_healthy_run_prints_no_warning(capsys):
+    dataset = str(Path(__file__).resolve().parents[1] / "datasets" / "borders.json")
+    assert cli.main(["--input", dataset]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 def test_bad_env_seed_is_validation_error(three_node, monkeypatch, capsys):
     monkeypatch.setenv("SIMMAP_SEED", "not-a-number")
     assert cli.main(["--input", three_node]) == 2
@@ -399,29 +439,37 @@ from simmap.datasets import gen_synthetic
 from simmap.optimizer import OptimizerConfig
 pipeline.run(pipeline.RunConfig(input=gen_synthetic("m_n", {"leaves": 6}, 1)))
 stages["run_6"] = heavy()
+import numpy as np
+from simmap.geometry import power_diagram, square
+rng = np.random.default_rng(0)
+power_diagram(rng.uniform(0.0, 1.0, size=(12, 2)), square(1.0))
+stages["power_diagram_12"] = heavy()
+pipeline.run(pipeline.RunConfig(input=sys.argv[2]))
+stages["m_n"] = heavy()
+power_diagram(rng.uniform(0.0, 1.0, size=(14, 2)), square(1.0))
+stages["power_diagram_14"] = heavy()
 pipeline.run(pipeline.RunConfig(input=gen_synthetic("m_n", {"leaves": 30, "parents": 1}, 0),
                                 optimizer=OptimizerConfig(max_iter=5)))
 stages["run_30"] = heavy()
-import numpy as np
-from simmap.geometry import power_diagram, square
-sites = np.random.default_rng(0).uniform(0.0, 1.0, size=(12, 2))
-power_diagram(sites, square(1.0))
-stages["power_diagram"] = heavy()
 print(json.dumps(stages))
 """
 
 
 def test_import_and_gen_load_no_scipy_or_xml_sax():
-    # scipy loads on first use, and only for Qhull candidate lists from 10
-    # cells up: the match_swap assignment needs none
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, src],
+    # scipy loads on first use, and only for Qhull candidate lists from 14
+    # cells up: below that the bisector test gives them, and the match_swap
+    # assignment needs none. datasets/m_n.json has a 10-cell parent.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(root / "src"),
+                           str(root / "datasets" / "m_n.json")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     stages = json.loads(proc.stdout)
     assert stages["import"] == []
     assert stages["gen"] == []
     assert stages["run_6"] == []
+    assert stages["power_diagram_12"] == []
+    assert stages["m_n"] == []
+    assert "scipy.spatial" in stages["power_diagram_14"]
     assert "scipy.spatial" in stages["run_30"]
     assert "scipy.optimize" not in stages["run_30"]
-    assert "scipy.spatial" in stages["power_diagram"]

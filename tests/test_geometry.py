@@ -1217,7 +1217,8 @@ def test_recompute_matches_all_pairs_clipper(boundary, hull_calls):
 
 
 def test_power_neighbours_falls_back_to_all_pairs_on_collinear_sites(hull_calls):
-    # collinear sites lift to a plane, where Qhull finds no hull
+    # collinear sites lift to a plane, where Qhull finds no hull; the
+    # bisector test, which these 13 sites take, finds the plane first
     boundary = square(10.0)
     n = BATCH_MIN_CELLS + 3
     sites = np.stack((np.linspace(0.5, 9.5, n), np.full(n, 5.0)), axis=1)
@@ -1307,7 +1308,9 @@ def _power_neighbours_by_unique(sites, weights):
 
 def _power_neighbour_inputs():
     """(sites, weights): random weighted sites of 10 to 60 cells, the
-    hidden-site input and the cocircular grid."""
+    hidden-site input, the cocircular grid, 11 sites of which three lie on
+    one horizontal line, 12 equal-weight sites on a circle, and 200 seeded
+    diagrams of 10 to 13 cells, half of them 1e6 from the origin."""
     rng = np.random.default_rng(23)
     boundary = square(10.0)
     for n in (10, 11, 17, 30, 45, 60):
@@ -1317,17 +1320,68 @@ def _power_neighbour_inputs():
     yield _hidden_site_inputs()[1:]
     grid = np.array([(x + 0.5, y + 0.5) for y in range(4) for x in range(4)], dtype=float)
     yield grid, np.zeros(len(grid))
+    yield _three_collinear_inputs()
+    ring = regular_polygon(12, radius=3.0, center=(5.0, 5.0)).vertices
+    yield ring, np.zeros(len(ring))
+    far = square(10.0, origin=(1e6, -1e6))
+    for k in range(200):
+        box = far if k % 2 else boundary
+        n = 10 + k % 4
+        sites = np.array([box.sample_point(rng) for _ in range(n)])
+        weight_frac = (0.0, 0.05, 0.2, 0.6)[k // 4 % 4]
+        yield sites, rng.uniform(0.0, (weight_frac * box.diagonal) ** 2, size=n)
+
+
+def _three_collinear_inputs():
+    """(sites, weights): 11 sites of equal weight, of which 0, 1 and 2 lie on
+    the line y = 0.5 below all others. Centring and scaling keep their y
+    equal, so for the pair (0, 2) site 1 has a_k = 0 exactly, and it is
+    nearer than 0 and 2 to their whole bisector."""
+    rng = np.random.default_rng(7)
+    upper = [(rng.uniform(0.5, 9.5), rng.uniform(2.0, 9.5)) for _ in range(8)]
+    return np.array([(2.0, 0.5), (5.0, 0.5), (8.0, 0.5)] + upper), np.zeros(11)
 
 
 def test_power_neighbours_equal_unique_reference():
-    hidden = 0
+    hidden = small = 0
     for sites, weights in _power_neighbour_inputs():
         candidates, degree = _power_neighbours(sites, weights)
         expected_candidates, expected_degree = _power_neighbours_by_unique(sites, weights)
         assert np.array_equal(candidates, expected_candidates)
         assert np.array_equal(degree, expected_degree)
         hidden += int(np.sum(degree == 0))
+        small += len(sites) < geometry.QHULL_MIN_CELLS
     assert hidden > 0
+    assert small > 200
+
+
+def test_bisector_lists_leave_out_the_zero_length_diagonal_qhull_adds():
+    # sites 1-4 of the hidden-site input are cocircular with equal weights,
+    # so their lifts span one planar lower face. Qhull splits it by one
+    # diagonal, whose bisector meets the other two cells in a single point;
+    # the bisector test, which the input cut to 13 sites takes, drops it.
+    _, sites, weights = _hidden_site_inputs()
+    sites, weights = sites[:13], weights[:13]
+    ours = _candidate_lists(sites, weights)
+    candidates, degree = _power_neighbours_by_unique(sites, weights)
+    qhull = np.split(candidates, np.cumsum(degree)[:-1])
+    assert all(set(a.tolist()) <= set(b.tolist()) for a, b in zip(ours, qhull))
+    extra = {(i, j) for i in range(len(sites)) for j in set(qhull[i].tolist()) - set(ours[i].tolist())}
+    assert extra in ({(1, 3), (3, 1)}, {(2, 4), (4, 2)})
+    assert len(ours[0]) == 0
+    d = power_diagram(sites, square(10.0), weights=weights)
+    assert _assert_recompute_matches_per_cell(d) == 1
+    _assert_matches_all_pairs(d)
+
+
+def test_site_pairs_are_cached_and_read_only():
+    for n in range(BATCH_MIN_CELLS, geometry.QHULL_MIN_CELLS):
+        i, j, rows, step, pair = geometry._site_pairs(n)
+        assert np.array_equal(np.stack((i, j)), np.triu_indices(n, 1))
+        assert np.array_equal(step.T @ np.arange(n), j - i)
+        assert np.array_equal(pair[i, j], rows) and np.array_equal(pair[j, i], rows)
+        assert not any(a.flags.writeable for a in (i, j, rows, step, pair))
+        assert all(a is b for a, b in zip(geometry._site_pairs(n), (i, j, rows, step, pair)))
 
 
 def test_all_pairs_is_cached_and_read_only():
