@@ -22,10 +22,16 @@ EXIT_NUMERIC = 3
 # criterion 6's bound on the leaf level's mean relative area error; a run
 # above it, or with an empty leaf cell, warns
 AREA_ERROR_BOUND = 0.05
+# criterion 5's ratio: a run whose leaf level ends with fewer realized
+# constraints than this share of those realized at init warns
+PRESERVED_RATIO = 0.85
 # the flags of a layout run, which --gen does not read
 _RUN_FLAGS = ("input", "init", "sim", "iters", "max_neighbors", "boundary", "boundary_size",
               "emit_trace", "emit_constraints", "emit_geometry", "show_unrealized",
               "show_disconnect", "compare", "seeds")
+# the flags that write or draw a single run's outputs, which --compare does not
+_OUTPUT_FLAGS = ("out", "emit_trace", "emit_constraints", "emit_geometry", "show_unrealized",
+                 "show_disconnect")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,6 +136,10 @@ def _degraded(result) -> str | None:
     error = result.report.avg_area_error
     if not error <= AREA_ERROR_BOUND:
         faults.append(f"mean relative area error {error:.4g} above {AREA_ERROR_BOUND}")
+    level = result.metrics["levels"][str(max(result.diagrams_by_level))]
+    final, at_init = level["preserved"], level["preserved_at_init"]
+    if at_init and final < PRESERVED_RATIO * at_init:
+        faults.append(f"{final} realized constraints, below {PRESERVED_RATIO} x the {at_init} at init")
     return ", ".join(faults) or None
 
 
@@ -147,6 +157,9 @@ def main(argv=None) -> int:
         for dest in _RUN_FLAGS:
             if args.gen and getattr(args, dest) != parser.get_default(dest):
                 parser.error(f"--{dest.replace('_', '-')} does not apply to --gen")
+        for dest in _OUTPUT_FLAGS:
+            if args.compare is not None and getattr(args, dest) != parser.get_default(dest):
+                parser.error(f"--{dest.replace('_', '-')} does not apply to --compare")
         strategies, seeds = _compare_plan(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

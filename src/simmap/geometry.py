@@ -5,12 +5,10 @@ weights): in a diagram of BATCH_MIN_CELLS cells or more, against each cell's
 regular-triangulation neighbours, the edges of the lower convex hull of the
 sites lifted to (x, y, x^2 + y^2 - w) (Aurenhammer, "Power diagrams:
 properties, algorithms and applications", SIAM J. Comput. 1987), else
-against all other sites. From QHULL_MIN_CELLS cells up, Qhull finds the
-hull; below that an exact test of each pair's power bisector finds the same
-edges with numpy alone, so scipy is imported only for a diagram of
-QHULL_MIN_CELLS cells or more. `_clip_rings` is the one clipper: it clips a
-stack of rings, each started from one of a few boundaries, in rounds, one
-half-plane per ring per round. `recompute_level` clips all cells of a level
+against all other sites. `triangulation.level_neighbours` finds those
+neighbours for all of a level's diagrams at once, with numpy alone.
+`_clip_rings` is the one clipper: it clips a stack of rings, each started
+from one of a few boundaries, in rounds, one half-plane per ring per round. `recompute_level` clips all cells of a level
 in one call: round r clips each cell against its r-th candidate, a list
 shorter than the longest is padded with the cell's own index, and a hidden
 site's cell comes out empty; it is the clipper's one caller. A ring's result does not depend on
@@ -24,9 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
+
+from .triangulation import all_pairs, level_neighbours
 
 
 class GeometryError(ValueError):
@@ -270,6 +270,8 @@ class Diagram:
     cells: list[Cell]
     scale: float
     parent_node: str | None = None
+    # the candidate lists of the last recompute, which seed the next one's
+    neighbour_lists: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def sites(self) -> np.ndarray:
@@ -280,131 +282,6 @@ class Diagram:
 # neighbours, which cut their rounds from n - 1 to the longest list; smaller
 # ones take all-pairs lists, at most 8 rounds, and skip the lists' cost.
 BATCH_MIN_CELLS = 10
-# From this many cells the lists come from Qhull; below it the bisector test
-# gives the same lists at Qhull's cost or less, and scipy is not imported. The
-# test is O(n^3) and falls behind Qhull near 14 cells.
-QHULL_MIN_CELLS = 14
-
-
-def _power_neighbours(sites: np.ndarray, weights: np.ndarray):
-    """Each site's candidate list, as (candidates, degree): the lists of all
-    sites, each ascending, concatenated in site order, and their lengths.
-
-    A site's candidates are its regular-triangulation neighbours. The sites,
-    centred and scaled, are lifted to (x, y, |x, y|^2 - w); centring and
-    scaling add an affine function to the lift, which keeps its lower hull.
-    Two sites are candidates of each other iff they share an edge of a lower
-    facet (outward normal pointing down) of the lift's convex hull: from
-    QHULL_MIN_CELLS cells up, as Qhull finds it, and below that by
-    _bisector_neighbours, which gives the same lists. A site on no lower
-    facet is hidden: its cell is empty, and its list is empty. If the lift is
-    coplanar, as for collinear sites or cocircular sites of equal weight,
-    Qhull fails and every list holds all other sites; the bisector test
-    detects the plane and gives the same lists.
-    """
-    n = len(sites)
-    c = sites - sites.mean(axis=0)
-    size = float(np.abs(c).max()) or 1.0
-    c = c / size
-    lift = np.einsum("ij,ij->i", c, c) - weights / (size * size)
-    if n < QHULL_MIN_CELLS:
-        return _bisector_neighbours(c, lift)
-    from scipy.spatial import ConvexHull, QhullError
-    try:
-        hull = ConvexHull(np.column_stack((c, lift)))
-    except QhullError:
-        return _all_pairs(n)
-    facets = hull.simplices[hull.equations[:, 2] < 0.0]
-    turned = facets[:, [1, 2, 0]]
-    adjacent = np.zeros((n, n), dtype=bool)
-    adjacent[facets, turned] = True
-    adjacent[turned, facets] = True
-    # nonzero walks the rows in order, each row's columns ascending
-    return adjacent.nonzero()[1], adjacent.sum(axis=1)
-
-
-# a pair's column (d_x, d_y, l_j - l_i) to (2u, 0), for u = (-d_y, d_x)
-_TURN = np.array([[0.0, -2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-
-
-@lru_cache(maxsize=QHULL_MIN_CELLS)
-def _site_pairs(n: int):
-    """(i, j, rows, step, pair) for n sites: the pairs i < j in row-major
-    order and their numbers; the (n, pairs) matrix whose product with one
-    column per site gives each pair's column j minus column i; and the
-    (n, n) number of each pair, 0 on the diagonal. Read-only, and the same
-    arrays for every call with the same n."""
-    i, j = np.triu_indices(n, 1)
-    rows = np.arange(len(i))
-    step = np.zeros((n, len(i)))
-    step[i, rows] = -1.0
-    step[j, rows] = 1.0
-    pair = np.zeros((n, n), dtype=np.intp)
-    pair[i, j] = rows
-    pair[j, i] = rows
-    for a in (i, j, rows, step, pair):
-        a.flags.writeable = False
-    return i, j, rows, step, pair
-
-
-def _bisector_neighbours(c: np.ndarray, lift: np.ndarray):
-    """_power_neighbours' (candidates, degree) for centred, scaled sites `c`
-    and their lifts l, from each pair's power bisector.
-
-    Sites i and j are neighbours iff a stretch of their bisector
-    2 (c_j - c_i) . x = l_j - l_i keeps them ahead of every other site. With
-    d = c_j - c_i, the bisector is x0 + t u for u = (-d_y, d_x) and
-    x0 = d (l_j - l_i) / (2 |d|^2), and site k keeps i ahead iff
-    a_k t <= b_k, for a_k = 2 (c_k - c_i) . u and
-    b_k = l_k - l_i - 2 (c_k - c_i) . x0: (c_k, l_k) - (c_i, l_i) times the
-    columns (2u, 0) and (-2 x0, 1), taken for every pair from one product
-    with the lifted sites, one row per k. The stretch is kept iff the
-    smallest b_k / a_k over a_k > 0 exceeds the largest over a_k < 0 by more
-    than 1e-12, and no a_k = 0 has b_k < 0. A lift whose centred smallest
-    singular value is at most 1e-12 of its largest is coplanar, where Qhull
-    fails, and gets all pairs.
-
-    The lists are Qhull's, except where four or more lifted sites span one
-    planar lower face, as four cocircular sites of equal weight with no site
-    inside do: Qhull splits the face by diagonals, whose bisectors meet the
-    other cells of the face in a single point, and this test leaves them
-    out. A clip by such a diagonal cuts no cell beyond rounding.
-    """
-    n = len(c)
-    # c is centred; centring the lift too moves no bisector
-    lifted = np.column_stack((c, lift - lift.mean()))
-    spread = np.linalg.svd(lifted, compute_uv=False)
-    if spread[-1] <= 1e-12 * spread[0]:
-        return _all_pairs(n)
-    i, j, rows, step, pair = _site_pairs(n)
-    d = lifted.T @ step       # each pair's column (d, l_j - l_i)
-    shift = d * (d[2] / -np.einsum("ij,ij->j", d[:2], d[:2]))
-    shift[2] = 1.0            # (-2 x0, 1)
-    ab = lifted @ np.stack((_TURN @ d, shift))
-    ab -= ab[:, i, rows][:, None]
-    a, b = ab
-    # row i of a and b is 0 and row j is 0 up to rounding: neither bounds t
-    a[j, rows] = np.nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = b / a
-    stretch = np.where(a > 0.0, bound, np.inf).min(axis=0)
-    stretch -= np.where(a < 0.0, bound, -np.inf).max(axis=0)
-    keep = (stretch > 1e-12) & ~((a == 0.0) & (b < 0.0)).any(axis=0)
-    adjacent = keep[pair]
-    adjacent.flat[::n + 1] = False
-    return adjacent.nonzero()[1], adjacent.sum(axis=1)
-
-
-# every recompute of a diagram below BATCH_MIN_CELLS cells asks for its
-# size's lists; the bound keeps Qhull fallbacks of many sizes from piling up
-@lru_cache(maxsize=2 * BATCH_MIN_CELLS)
-def _all_pairs(n: int):
-    """(candidates, degree) in which every site's list holds all other sites;
-    read-only, and the same arrays for every call with the same n."""
-    candidates, degree = np.nonzero(~np.eye(n, dtype=bool))[1], np.full(n, n - 1)
-    candidates.flags.writeable = False
-    degree.flags.writeable = False
-    return candidates, degree
 
 
 # (i_in, i_out, start, j_out) of a one-run clip, relative to the run's start
@@ -540,10 +417,11 @@ def recompute_level(diagrams: list[Diagram]) -> list[Diagram]:
     _clip_rings and one _finish_rings call for the whole level.
 
     A cell is clipped from its own diagram's boundary against its own
-    diagram's sites: its _power_neighbours list from BATCH_MIN_CELLS cells
-    up, else all other sites. A list shorter than the longest is padded with
-    the cell's own index, whose half-plane has a zero normal and offset, and
-    round r clips every cell against its r-th candidate. A hidden site, one
+    diagram's sites: from BATCH_MIN_CELLS cells up, its list from one
+    level_neighbours call for the whole level, seeded with each diagram's
+    last lists, else all other sites. A list shorter than the longest is
+    padded with the cell's own index, whose half-plane has a zero normal and
+    offset, and round r clips every cell against its r-th candidate. A hidden site, one
     with no candidate in a diagram of two or more cells, comes out empty.
     If a ring raises GeometryError, no cell is updated. Every polygon, its
     measures, and which cells are empty are bit-identical to clipping the
@@ -556,13 +434,18 @@ def recompute_level(diagrams: list[Diagram]) -> list[Diagram]:
     sites = np.array([c.site for c in cells])
     weights = np.array([c.weight for c in cells])
     sizes = [len(d.cells) for d in diagrams]
+    batched = [d for d in diagrams if len(d.cells) >= BATCH_MIN_CELLS]
+    if batched:
+        rows = np.repeat(np.array(sizes) >= BATCH_MIN_CELLS, sizes)
+        neighbours = iter(level_neighbours(sites[rows], weights[rows], [len(d.cells) for d in batched],
+                                            [d.neighbour_lists for d in batched]))
     lists, first = [], 0
-    for k, size in enumerate(sizes):
+    for k, (diagram, size) in enumerate(zip(diagrams, sizes)):
         if size >= BATCH_MIN_CELLS:
-            candidates, degree = _power_neighbours(sites[first:first + size], weights[first:first + size])
+            diagram.neighbour_lists = candidates, degree = next(neighbours)
             owner = np.where(degree > 0, k, -1)
         else:
-            candidates, degree = _all_pairs(size)
+            candidates, degree = all_pairs(size)
             owner = np.full(size, k)
         lists.append((candidates + first, degree, owner))
         first += size

@@ -1,8 +1,7 @@
 """Initial cell-to-node assignment: MDS projection, CVT construction,
 minimum-cost matching, constraint-driven swapping, plus the two baselines.
 
-The matching is solved here in pure Python, so scipy loads only for the Qhull
-candidate lists of diagrams from 14 cells up (geometry.QHULL_MIN_CELLS)."""
+The matching is solved here in pure Python, so the package needs no scipy."""
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -196,6 +196,27 @@ def test_run_flag_with_gen_is_usage_error_naming_the_flag(flag, value, capsys):
     assert captured.out == "" and f"error: {flag} does not apply to --gen" in captured.err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--out", "x"), ("--emit-trace", None), ("--emit-constraints", None),
+    ("--emit-geometry", None), ("--show-unrealized", None), ("--show-disconnect", None),
+])
+def test_output_flag_with_compare_is_usage_error_naming_the_flag(three_node, flag, value, tmp_path,
+                                                                 monkeypatch, capsys):
+    # --compare prints a table and writes no file, so an output flag would
+    # be ignored without a word
+    def compare(*args):
+        raise AssertionError("the comparison ran")
+
+    monkeypatch.setattr(cli, "compare", compare)
+    out = tmp_path / "out"
+    out.mkdir()
+    extra = [flag] if value is None else [flag, str(out / value)]
+    assert cli.main(["--input", three_node, "--compare", "match_swap"] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {flag} does not apply to --compare" in captured.err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag", ["--iters", "--max-neighbors"])
 def test_negative_count_is_usage_error(three_node, flag, capsys):
     assert cli.main(["--input", three_node, flag, "-1"]) == 1
@@ -336,6 +357,27 @@ def test_degraded_run_warns_and_exits_zero(doc, named, tmp_path, capsys):
     assert "warning" not in captured.out
 
 
+@pytest.mark.parametrize("leaves, final, at_init", [(30, 20, 30), (60, 9, 55)])
+def test_run_that_loses_its_constraints_warns(leaves, final, at_init, tmp_path, capsys):
+    # generated m_n trees with one parent end with far fewer realized
+    # constraints than their initial layout has (criterion 5's ratio)
+    path = tmp_path / "lost.json"
+    path.write_text(json.dumps(gen_synthetic("m_n", {"leaves": leaves, "parents": 1}, 0)))
+    assert cli.main(["--input", str(path), "--out", str(tmp_path / "lost")]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert f"{final} realized constraints, below 0.85 x the {at_init} at init" in warnings[0]
+    level = json.loads((tmp_path / "lost.metrics.json").read_text())["levels"]["1"]
+    assert (level["preserved"], level["preserved_at_init"]) == (final, at_init)
+
+
+@pytest.mark.parametrize("name", ["dense", "m_n", "two_level"])
+def test_shipped_dataset_prints_no_warning(name, capsys):
+    dataset = str(Path(__file__).resolve().parents[1] / "datasets" / f"{name}.json")
+    assert cli.main(["--input", dataset]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 def test_healthy_run_prints_no_warning(capsys):
     dataset = str(Path(__file__).resolve().parents[1] / "datasets" / "borders.json")
     assert cli.main(["--input", dataset]) == 0
@@ -448,6 +490,8 @@ pipeline.run(pipeline.RunConfig(input=sys.argv[2]))
 stages["m_n"] = heavy()
 power_diagram(rng.uniform(0.0, 1.0, size=(14, 2)), square(1.0))
 stages["power_diagram_14"] = heavy()
+power_diagram(rng.uniform(0.0, 1.0, size=(200, 2)), square(1.0))
+stages["power_diagram_200"] = heavy()
 pipeline.run(pipeline.RunConfig(input=gen_synthetic("m_n", {"leaves": 30, "parents": 1}, 0),
                                 optimizer=OptimizerConfig(max_iter=5)))
 stages["run_30"] = heavy()
@@ -456,20 +500,17 @@ print(json.dumps(stages))
 
 
 def test_import_and_gen_load_no_scipy_or_xml_sax():
-    # scipy loads on first use, and only for Qhull candidate lists from 14
-    # cells up: below that the bisector test gives them, and the match_swap
-    # assignment needs none. datasets/m_n.json has a 10-cell parent.
+    # The runtime needs numpy alone: candidate lists come from numpy at every
+    # diagram size (a 200-site diagram tests pairs against seed rows and
+    # certifies them), and the match_swap assignment is solved in-package.
+    # datasets/m_n.json has a 10-cell parent.
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(root / "src"),
                            str(root / "datasets" / "m_n.json")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     stages = json.loads(proc.stdout)
-    assert stages["import"] == []
-    assert stages["gen"] == []
-    assert stages["run_6"] == []
-    assert stages["power_diagram_12"] == []
-    assert stages["m_n"] == []
-    assert "scipy.spatial" in stages["power_diagram_14"]
-    assert "scipy.spatial" in stages["run_30"]
-    assert "scipy.optimize" not in stages["run_30"]
+    assert list(stages) == ["import", "gen", "run_6", "power_diagram_12", "m_n",
+                            "power_diagram_14", "power_diagram_200", "run_30"]
+    for stage, loaded in stages.items():
+        assert loaded == [], stage

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simmap import geometry
+from simmap import geometry, triangulation
 from simmap.datasets import gen_synthetic
 from simmap.geometry import (
     BATCH_MIN_CELLS,
@@ -16,7 +16,6 @@ from simmap.geometry import (
     GeometryError,
     _clip_rings,
     _finish_rings,
-    _power_neighbours,
     adapt_weights,
     cell_neighbors,
     lloyd_step,
@@ -26,6 +25,7 @@ from simmap.geometry import (
     square,
 )
 from simmap.optimizer import OptimizerConfig
+from simmap.triangulation import level_neighbours
 from simmap.pipeline import RunConfig, run
 
 
@@ -1025,9 +1025,14 @@ def _measure_bytes(poly):
     return poly.vertices.tobytes() + scalars.tobytes() + poly.centroid.tobytes()
 
 
+def _lists(sites, weights, seed=None):
+    """(candidates, degree) of one diagram, from a level call of its own."""
+    return level_neighbours(sites, weights, [len(sites)], [seed])[0]
+
+
 def _candidate_lists(sites, weights):
-    """_power_neighbours' candidate lists, one array per site."""
-    candidates, degree = _power_neighbours(sites, weights)
+    """The candidate lists of one diagram, one array per site."""
+    candidates, degree = _lists(sites, weights)
     return np.split(candidates, np.cumsum(degree)[:-1])
 
 
@@ -1079,16 +1084,16 @@ def _assert_recompute_matches_per_cell(diagram):
 
 @pytest.fixture
 def hull_calls(monkeypatch):
-    """Sizes of the diagrams recompute gives hull candidate lists; every
-    other diagram gets all-pairs lists in the same _clip_rings call."""
+    """Per level call for candidate lists, the sizes of the diagrams it
+    serves; every smaller diagram gets all-pairs lists in the same
+    _clip_rings call."""
     calls = []
-    hull = geometry._power_neighbours
 
-    def spy(sites, weights):
-        calls.append(len(sites))
-        return hull(sites, weights)
+    def spy(sites, weights, sizes, seeds=None):
+        calls.append(list(sizes))
+        return level_neighbours(sites, weights, sizes, seeds)
 
-    monkeypatch.setattr(geometry, "_power_neighbours", spy)
+    monkeypatch.setattr(geometry, "level_neighbours", spy)
     return calls
 
 
@@ -1110,7 +1115,8 @@ def test_batched_recompute_equals_per_cell(boundary, hull_calls):
             empty += _assert_recompute_matches_per_cell(d)
     assert empty > 0
     hull_sizes = [n for n in sizes if n >= BATCH_MIN_CELLS]
-    assert sorted(set(hull_calls)) == hull_sizes
+    assert all(len(call) == 1 for call in hull_calls)
+    assert sorted({n for call in hull_calls for n in call}) == hull_sizes
 
 
 def test_batched_recompute_equals_per_cell_under_lloyd_and_growth():
@@ -1161,7 +1167,7 @@ def test_batched_recompute_keeps_both_runs_of_a_dented_cell(hull_calls):
     d = _dented_diagram()
     hull_calls.clear()
     _assert_recompute_matches_per_cell(d)
-    assert hull_calls == [len(d.cells)]
+    assert hull_calls == [[len(d.cells)]]
     _assert_cell_1_keeps_both_runs(d)
 
 
@@ -1213,12 +1219,12 @@ def test_recompute_matches_all_pairs_clipper(boundary, hull_calls):
             d = power_diagram(sites, boundary, weights=weights)
             empty += _assert_matches_all_pairs(d)
     assert empty > 0
-    assert min(hull_calls) == BATCH_MIN_CELLS
+    assert min(n for call in hull_calls for n in call) == BATCH_MIN_CELLS
 
 
 def test_power_neighbours_falls_back_to_all_pairs_on_collinear_sites(hull_calls):
-    # collinear sites lift to a plane, where Qhull finds no hull; the
-    # bisector test, which these 13 sites take, finds the plane first
+    # collinear sites lift to a plane, where Qhull finds no hull and the
+    # bisector test finds no edge; the lists take the plane first
     boundary = square(10.0)
     n = BATCH_MIN_CELLS + 3
     sites = np.stack((np.linspace(0.5, 9.5, n), np.full(n, 5.0)), axis=1)
@@ -1229,7 +1235,7 @@ def test_power_neighbours_falls_back_to_all_pairs_on_collinear_sites(hull_calls)
     d = power_diagram(sites, boundary, weights=weights)
     reference = _per_cell_polygons(d, all_pairs=True)
     recompute(d)
-    assert hull_calls[-1] == n
+    assert hull_calls[-1] == [n]
     for cell, ref in zip(d.cells, reference):
         assert (cell.polygon is None) == (ref is None), cell.node_id
         if ref is not None:
@@ -1247,7 +1253,7 @@ def test_recompute_on_cocircular_grid(hull_calls):
     for cell, site in zip(d.cells, grid):
         assert cell.area == pytest.approx(1.0, rel=1e-12)
         assert np.allclose(cell.polygon.centroid, site, rtol=0.0, atol=1e-12)
-    assert hull_calls and set(hull_calls) == {len(grid)}
+    assert hull_calls and all(call == [len(grid)] for call in hull_calls)
     neighbours = _candidate_lists(grid, np.zeros(len(grid)))
     assert max(len(c) for c in neighbours) < len(grid) - 1     # no fallback
     for i, (x, y) in enumerate(grid):
@@ -1282,11 +1288,11 @@ def test_hidden_site_has_no_candidates_and_an_empty_cell(hull_calls):
     assert d.cells[0].polygon is None
     _assert_recompute_matches_per_cell(d)
     _assert_matches_all_pairs(d)
-    assert set(hull_calls) == {len(sites)}
+    assert hull_calls and all(call == [len(sites)] for call in hull_calls)
 
 
 def _power_neighbours_by_unique(sites, weights):
-    """Reference: _power_neighbours' (candidates, degree) read off the sorted
+    """Reference: the candidate lists (candidates, degree) read off the sorted
     unique keys owner * n + other of both directions of every lower-facet
     edge, with the same lift and the same Qhull fallback."""
     from scipy.spatial import ConvexHull, QhullError
@@ -1307,28 +1313,30 @@ def _power_neighbours_by_unique(sites, weights):
 
 
 def _power_neighbour_inputs():
-    """(sites, weights): random weighted sites of 10 to 60 cells, the
-    hidden-site input, the cocircular grid, 11 sites of which three lie on
-    one horizontal line, 12 equal-weight sites on a circle, and 200 seeded
-    diagrams of 10 to 13 cells, half of them 1e6 from the origin."""
+    """(sites, weights): random weighted sites of 10 to 60 cells, 11 sites of
+    which three lie on one horizontal line, 12 equal-weight sites on a
+    circle, and seeded diagrams, half of them 1e6 from the origin, with
+    weights up to (0.6 diagonal)^2, which hide sites: 200 of 10 to 13 cells
+    and 80 of 14 to 200 cells."""
     rng = np.random.default_rng(23)
     boundary = square(10.0)
     for n in (10, 11, 17, 30, 45, 60):
         for weight_frac in (0.0, 0.05, 0.3):
             sites = np.array([boundary.sample_point(rng) for _ in range(n)])
             yield sites, rng.uniform(0.0, (weight_frac * boundary.diagonal) ** 2, size=n)
-    yield _hidden_site_inputs()[1:]
-    grid = np.array([(x + 0.5, y + 0.5) for y in range(4) for x in range(4)], dtype=float)
-    yield grid, np.zeros(len(grid))
     yield _three_collinear_inputs()
     ring = regular_polygon(12, radius=3.0, center=(5.0, 5.0)).vertices
     yield ring, np.zeros(len(ring))
     far = square(10.0, origin=(1e6, -1e6))
-    for k in range(200):
+    for k in range(280):
         box = far if k % 2 else boundary
-        n = 10 + k % 4
+        if k < 200:
+            n = 10 + k % 4
+            weight_frac = (0.0, 0.05, 0.2, 0.6)[k // 4 % 4]
+        else:
+            n = (14, 20, 25, 30, 45, 60, 100, 120, 150, 200)[(k - 200) // 8]
+            weight_frac = (0.0, 0.05, 0.2, 0.6)[k // 2 % 4]
         sites = np.array([box.sample_point(rng) for _ in range(n)])
-        weight_frac = (0.0, 0.05, 0.2, 0.6)[k // 4 % 4]
         yield sites, rng.uniform(0.0, (weight_frac * box.diagonal) ** 2, size=n)
 
 
@@ -1343,16 +1351,122 @@ def _three_collinear_inputs():
 
 
 def test_power_neighbours_equal_unique_reference():
-    hidden = small = 0
+    hidden, sizes = 0, []
     for sites, weights in _power_neighbour_inputs():
-        candidates, degree = _power_neighbours(sites, weights)
+        candidates, degree = _lists(sites, weights)
         expected_candidates, expected_degree = _power_neighbours_by_unique(sites, weights)
         assert np.array_equal(candidates, expected_candidates)
         assert np.array_equal(degree, expected_degree)
         hidden += int(np.sum(degree == 0))
-        small += len(sites) < geometry.QHULL_MIN_CELLS
+        sizes.append(len(sites))
     assert hidden > 0
-    assert small > 200
+    sizes = np.array(sizes)
+    # every pair tested; pairs followed from a seed; pairs on seed rows, certified
+    assert np.sum(sizes <= triangulation.ALL_PAIRS_MAX_CELLS) > 200
+    assert np.sum((sizes > triangulation.ALL_PAIRS_MAX_CELLS) & (sizes < triangulation.LOCAL_MIN_CELLS)) > 20
+    assert np.sum(sizes >= triangulation.LOCAL_MIN_CELLS) > 30
+
+
+def test_level_lists_do_not_depend_on_seeds():
+    # a seed only picks the pairs tested first: the diagram's own lists,
+    # those of its sites moved and reweighted, those of its sites shuffled
+    # and mirrored, a pairing of each site with one other, whose seed rows
+    # bound nothing, and all pairs, which no triangulation has and which the
+    # seed rule ignores, give the same lists
+    rng = np.random.default_rng(5)
+    checked = 0
+    for sites, weights in _power_neighbour_inputs():
+        n = len(sites)
+        if n <= triangulation.ALL_PAIRS_MAX_CELLS or (n < 60 and rng.uniform() < 0.5):
+            continue
+        expected = _lists(sites, weights)
+        spread = float(np.ptp(sites, axis=0).max())
+        moved = sites + rng.normal(scale=0.1 * spread / math.sqrt(n), size=sites.shape)
+        scattered = rng.permutation(sites)[:, ::-1]
+        # each site paired with one other: a pair's seed rows are the pair
+        partner = rng.permutation(n - n % 2).reshape(-1, 2)
+        paired = np.zeros(n, dtype=np.intp)
+        paired[partner[:, 0]], paired[partner[:, 1]] = partner[:, 1], partner[:, 0]
+        has = np.arange(n) < n - n % 2
+        pairing = (paired[np.sort(np.flatnonzero(has))], has.astype(np.intp))
+        seeds = [expected, _lists(moved, rng.permutation(weights)), _lists(scattered, weights),
+                 pairing, triangulation.all_pairs(n)]
+        for seed in seeds:
+            got = _lists(sites, weights, seed)
+            assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+        checked += 1
+    assert checked >= 40
+
+
+def _tilted_grid(rows, cols, weight):
+    """(sites, weights): a rows x cols unit grid turned by 0.3 rad and moved
+    to (1e3, -2e3), so that every 2 x 2 block is cocircular up to rounding;
+    with `weight`, the sites of one colour of a checkerboard are that much
+    heavier."""
+    turn = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+    grid = np.array([(x, y) for y in range(rows) for x in range(cols)], dtype=float)
+    weights = np.array([weight * ((x + y) % 2) for y in range(rows) for x in range(cols)])
+    return grid @ turn.T + (1e3, -2e3), weights
+
+
+@pytest.mark.parametrize("rows, cols, weight", [(5, 6, 0.0), (8, 9, 0.0), (6, 6, 0.3), (9, 10, 0.0)])
+def test_followed_lists_equal_every_pair_tested(rows, cols, weight, monkeypatch):
+    # on a tilted grid, four sites tie at every vertex up to rounding: the
+    # kept stretches must be followed through every site tied at their ends
+    sites, weights = _tilted_grid(rows, cols, weight)
+    jitter = np.random.default_rng(rows * cols).normal(scale=0.2, size=sites.shape)
+    seeds = [None, _lists(sites + jitter, weights)]
+    found = [_lists(sites, weights, seed) for seed in seeds]
+    monkeypatch.setattr(triangulation, "ALL_PAIRS_MAX_CELLS", len(sites))
+    every = _lists(sites, weights)
+    for candidates, degree in found:
+        assert np.array_equal(candidates, every[0]) and np.array_equal(degree, every[1])
+    assert degree.min() >= 2
+
+
+def _mixed_size_level():
+    """(sites, weights, sizes, boxes): one level's stacked diagrams of 10, 13,
+    20, 30, 60 and 120 cells, on boundaries far apart, with weights that hide
+    sites."""
+    rng = np.random.default_rng(41)
+    parts, boxes = [], []
+    for k, (n, weight_frac) in enumerate([(10, 0.2), (13, 0.0), (20, 0.6), (30, 0.05), (60, 0.3),
+                                          (120, 0.2)]):
+        boxes.append(square(10.0, origin=(1e3 * k, 1e6 * (k % 2))))
+        sites = np.array([boxes[-1].sample_point(rng) for _ in range(n)])
+        parts.append((sites, rng.uniform(0.0, (weight_frac * boxes[-1].diagonal) ** 2, size=n)))
+    return (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]),
+            [len(p[0]) for p in parts], boxes)
+
+
+def test_level_call_equals_one_call_per_diagram():
+    sites, weights, sizes, _ = _mixed_size_level()
+    starts = np.cumsum(sizes) - sizes
+    alone = [_lists(sites[a:a + n], weights[a:a + n]) for a, n in zip(starts, sizes)]
+    first = level_neighbours(sites, weights, sizes)
+    # seeded with the lists of a level whose sites have moved
+    moved = sites + np.random.default_rng(3).normal(scale=0.2, size=sites.shape)
+    again = level_neighbours(sites, weights, sizes, level_neighbours(moved, weights, sizes))
+    for lists in (first, again):
+        assert len(lists) == len(sizes)
+        for (candidates, degree), (expected, expected_degree) in zip(lists, alone):
+            assert np.array_equal(candidates, expected) and np.array_equal(degree, expected_degree)
+    assert sum(int(np.sum(degree == 0)) for _, degree in alone) > 0
+
+
+def test_recompute_level_of_mixed_sizes_calls_for_lists_once(hull_calls):
+    sites, weights, sizes, boxes = _mixed_size_level()
+    rng = np.random.default_rng(43)
+    small = square(10.0, origin=(-1e3, 0.0))
+    diagrams = [power_diagram([small.sample_point(rng) for _ in range(5)], small)]
+    for a, n, box in zip(np.cumsum(sizes) - sizes, sizes, boxes):
+        diagrams.append(power_diagram(sites[a:a + n], box, weights=weights[a:a + n]))
+    references = [_per_cell_polygons(d) for d in diagrams]
+    hull_calls.clear()
+    geometry.recompute_level(diagrams)
+    assert hull_calls == [sizes]
+    for d, reference in zip(diagrams, references):
+        _assert_same_polygons(d.cells, reference)
 
 
 def test_bisector_lists_leave_out_the_zero_length_diagonal_qhull_adds():
@@ -1374,23 +1488,53 @@ def test_bisector_lists_leave_out_the_zero_length_diagonal_qhull_adds():
     _assert_matches_all_pairs(d)
 
 
-def test_site_pairs_are_cached_and_read_only():
-    for n in range(BATCH_MIN_CELLS, geometry.QHULL_MIN_CELLS):
-        i, j, rows, step, pair = geometry._site_pairs(n)
+@pytest.mark.parametrize("name", ["hidden_site", "grid"])
+def test_lists_leave_out_only_the_diagonals_of_planar_faces(name):
+    # four cocircular sites of equal weight span one planar lower face: the
+    # whole hidden-site input has one, the 4 x 4 grid one per unit square.
+    # Qhull adds a diagonal to each; every list has all else.
+    if name == "grid":
+        boundary = square(4.0)
+        sites = np.array([(x + 0.5, y + 0.5) for y in range(4) for x in range(4)], dtype=float)
+        weights = np.zeros(len(sites))
+        faces = 9
+    else:
+        boundary, sites, weights = _hidden_site_inputs()
+        faces = 1
+    ours = _candidate_lists(sites, weights)
+    candidates, degree = _power_neighbours_by_unique(sites, weights)
+    qhull = np.split(candidates, np.cumsum(degree)[:-1])
+    assert all(set(a.tolist()) <= set(b.tolist()) for a, b in zip(ours, qhull))
+    extra = {(i, j) for i in range(len(sites)) for j in set(qhull[i].tolist()) - set(ours[i].tolist())
+             if i < j}
+    assert len(extra) == faces
+    d = power_diagram(sites, boundary, weights=weights)
+    _assert_matches_all_pairs(d)
+    # the all-pairs cells of a diagonal's sites share no edge
+    reference = dataclasses.replace(d, cells=[dataclasses.replace(c) for c in d.cells])
+    for cell, polygon in zip(reference.cells, _per_cell_polygons(d, all_pairs=True)):
+        cell.polygon = polygon
+    contacts = cell_neighbors([reference])
+    for i, j in extra:
+        assert tuple(sorted((d.cells[i].node_id, d.cells[j].node_id))) not in contacts
+
+
+def test_pair_indices_are_cached_and_read_only():
+    for n in range(2, triangulation.ALL_PAIRS_MAX_CELLS + 1):
+        i, j = triangulation._pair_indices(n)
         assert np.array_equal(np.stack((i, j)), np.triu_indices(n, 1))
-        assert np.array_equal(step.T @ np.arange(n), j - i)
-        assert np.array_equal(pair[i, j], rows) and np.array_equal(pair[j, i], rows)
-        assert not any(a.flags.writeable for a in (i, j, rows, step, pair))
-        assert all(a is b for a, b in zip(geometry._site_pairs(n), (i, j, rows, step, pair)))
+        assert not i.flags.writeable and not j.flags.writeable
+        again = triangulation._pair_indices(n)
+        assert again[0] is i and again[1] is j
 
 
 def test_all_pairs_is_cached_and_read_only():
     for n in range(1, BATCH_MIN_CELLS):
-        candidates, degree = geometry._all_pairs(n)
+        candidates, degree = triangulation.all_pairs(n)
         assert np.array_equal(candidates, np.nonzero(~np.eye(n, dtype=bool))[1])
         assert np.array_equal(degree, np.full(n, n - 1))
         assert not candidates.flags.writeable and not degree.flags.writeable
-        again = geometry._all_pairs(n)
+        again = triangulation.all_pairs(n)
         assert again[0] is candidates and again[1] is degree
 
 
@@ -1435,7 +1579,7 @@ def test_recompute_level_equals_per_cell(monkeypatch, hull_calls):
     monkeypatch.setattr(geometry, "_clip_rings", spy)
     assert geometry.recompute_level(level) is level
     assert kernel_calls == [sum(len(d.cells) for d in level)]
-    assert hull_calls == [len(d.cells) for d in level if len(d.cells) >= BATCH_MIN_CELLS]
+    assert hull_calls == [[len(d.cells) for d in level if len(d.cells) >= BATCH_MIN_CELLS]]
     empty = sum(_assert_same_polygons(d.cells, ref) for d, ref in zip(level, references))
     assert level[-1].cells[0].polygon is None and empty >= 1
     for d in level:
