@@ -10,9 +10,12 @@ take a 10-cell CVT with hull candidate lists, and on the dense dataset with
 has 4 vertices instead of the circle's 64, and on a generated m_n document
 (30 leaves, 1 parent, gen seed 0) with the default init and `--iters 60` (as
 one_parent), whose root takes a 30-cell assignment and hull candidate lists
-inside the 64-gon. Each run is the CLI's own configuration,
-`cli._make_config` of the parsed flags, passed to `pipeline.run`. Prints
-three lines per run, 27 in all:
+inside the 64-gon, and on a generated m_n document (200 leaves, 1 parent,
+gen seed 0) with the default init and `--iters 20` (as top_rung), whose root
+takes a 200-cell diagram, far above the 24 cells up to which
+triangulation.level_neighbours tests all pairs. Each run is the CLI's own
+configuration, `cli._make_config` of the parsed flags, passed to
+`pipeline.run`. Prints three lines per run, 30 in all:
 
 - `<name>.metrics.json <prefix>` and `<name>.svg <prefix>`, the output files.
   These are rounded: metrics.json to 10 digits, the SVG to 4 decimals, so a
@@ -100,6 +103,8 @@ def main() -> int:
                                       "--boundary", "square", "--init", "random_cvt"]))
         _generate(out / "one_parent", "m_n", 30, 1, 0)
         runs.append(("one_parent", ["--input", str(out / "one_parent.json"), "--iters", "60"]))
+        _generate(out / "top_rung", "m_n", 200, 1, 0)
+        runs.append(("top_rung", ["--input", str(out / "top_rung.json"), "--iters", "20"]))
         for name, run_args in runs:
             config = cli._make_config(cli.build_parser().parse_args(
                 [*run_args, "--seed", "0", "--out", str(out / name)]))
