@@ -7,13 +7,13 @@ import json
 import os
 import sys
 
-from .datasets import KINDS, DatasetError, gen_synthetic
+from .datasets import KINDS, gen_synthetic
 from .geometry import GeometryError
 from .layout_init import STRATEGIES
 from .optimizer import OptimizerConfig
 from .pipeline import PipelineError, RunConfig, compare, format_compare, run, table_row
 from .render import RenderOptions
-from .similarity import SIMILARITY_KINDS, SimilarityError
+from .similarity import SIMILARITY_KINDS
 from .tree_model import TreeValidationError
 
 EXIT_USAGE = 1
@@ -211,8 +211,9 @@ def main(argv=None) -> int:
     except (GeometryError, PipelineError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (TreeValidationError, SimilarityError, DatasetError, FileNotFoundError,
-            json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:
+        # GeometryError is a ValueError too, so the clause above comes first;
+        # here TreeValidationError, SimilarityError, DatasetError, JSON errors
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

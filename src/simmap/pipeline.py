@@ -30,7 +30,7 @@ from .layout_init import (
 from .optimizer import LevelState, OptimizerConfig, build_level_queue, optimize_level
 from .render import RenderOptions, render_svg
 from .similarity import Constraint, extract_level_constraints, group_matrix
-from .tree_model import Tree, parse_tree, propagate_attributes, uniform_depth
+from .tree_model import Tree, TreeValidationError, parse_tree, propagate_attributes, uniform_depth
 
 
 MIN_BOUNDARY_SIZE = 1e-100
@@ -91,10 +91,19 @@ def make_boundary(spec: str, size: float) -> ConvexPolygon:
 
 
 def load_tree(source: dict | str) -> Tree:
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            source = json.load(fh)
-    tree = parse_tree(source)
+    """The Tree of a document, or of the JSON file at the path `source`. A
+    file that cannot be opened or read, and a document nested deeper than
+    the interpreter's recursion limit lets json or parse_tree follow, are
+    TreeValidationErrors."""
+    try:
+        if isinstance(source, str):
+            with open(source, encoding="utf-8") as fh:
+                source = json.load(fh)
+        tree = parse_tree(source)
+    except OSError as exc:
+        raise TreeValidationError(f"cannot read {source!r}: {exc.strerror or exc}") from None
+    except RecursionError:
+        raise TreeValidationError("the document nests deeper than the interpreter allows") from None
     tree = uniform_depth(tree)
     return propagate_attributes(tree)
 

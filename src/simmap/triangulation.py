@@ -14,17 +14,13 @@ from functools import lru_cache
 
 import numpy as np
 
-# Cost-only size thresholds of level_neighbours: up to ALL_PAIRS_MAX_CELLS
-# cells every pair is tested; from LOCAL_MIN_CELLS up, first pairs are tested
-# against their sites' seed neighbours and certified. SEED_NEIGHBOURS nearest
-# sites seed a site without previous neighbours.
+# Cost-only settings of level_neighbours: up to ALL_PAIRS_MAX_CELLS cells
+# every pair is tested; above, SEED_NEIGHBOURS nearest sites seed a site
+# without previous neighbours.
 ALL_PAIRS_MAX_CELLS = 24
-LOCAL_MIN_CELLS = 100
 SEED_NEIGHBOURS = 8
-# Tolerances, see _stretches and _doubts.
+# Tolerance, see _stretches.
 _END_TIE = 1e-9
-_VERTEX_TIE = 1e-8
-_SIDE_TIE = 1e-9
 # a pair's (d_y, d_x) to 2u = (-2 d_y, 2 d_x)
 _TURN = np.array([[-2.0], [2.0]])
 
@@ -50,11 +46,9 @@ def level_neighbours(sites: np.ndarray, weights: np.ndarray, sizes, seeds=None) 
     those are the third corners of triangles on its edge, and the triangles
     of a regular triangulation are connected through their edges, so this
     reaches every edge from any kept pair. If none is kept, all pairs are
-    tested. A hidden site is never reached and keeps an empty list. From
-    LOCAL_MIN_CELLS cells up, the first pairs are tested against their sites'
-    seed neighbours only; a site outside those rows bounds no end that _doubts
-    certifies, so only the stretches it doubts are tested again against every
-    site. Each list equals that of testing every pair against every site.
+    tested. A hidden site is never reached and keeps an empty list. Every
+    pair is tested against every site of its diagram, so each list equals
+    that of testing every pair.
 
     A lift whose smallest singular value is at most 1e-12 of its largest is
     coplanar (collinear sites, cocircular ones of equal weight), and every
@@ -70,18 +64,16 @@ def level_neighbours(sites: np.ndarray, weights: np.ndarray, sizes, seeds=None) 
         whole = (sizes <= ALL_PAIRS_MAX_CELLS) & ~flat
         grow = ~whole & ~flat
         i, j = _all_pairs_of(geo, whole)
-        table = None
         if grow.any():
             geo.track(whole)
-            local = grow & (sizes >= LOCAL_MIN_CELLS)
-            seed_i, seed_j, table = _seed_pairs(geo, seeds or [None] * len(sizes), grow, local.any())
+            seed_i, seed_j = _seed_pairs(geo, seeds or [None] * len(sizes), grow)
             i, j = (np.concatenate((i, seed_i)), np.concatenate((j, seed_j))) if len(i) else (seed_i, seed_j)
-        kept_i, kept_j = _close(geo, i, j, table, table is not None and local)
+        kept_i, kept_j = _close(geo, i, j)
         alone = grow & (np.bincount(geo.owner[kept_i], minlength=len(sizes)) == 0)
         if alone.any():
             # no seed pair was kept: test every pair, against every site
             geo.track(alone)
-            more_i, more_j = _close(geo, *_all_pairs_of(geo, alone), None, None)
+            more_i, more_j = _close(geo, *_all_pairs_of(geo, alone))
             kept_i, kept_j = np.concatenate((kept_i, more_i)), np.concatenate((kept_j, more_j))
     ends = np.concatenate((kept_i, kept_j))
     others = np.concatenate((kept_j, kept_i))
@@ -217,13 +209,12 @@ def _coplanar(geo: _Lifted) -> np.ndarray:
     return flat
 
 
-def _seed_pairs(geo: _Lifted, seeds: list, grow: np.ndarray, tabled: bool):
-    """(i, j, table): the first pairs, i < j, of the diagrams in `grow`, now
-    seen, and, if `tabled`, each site's seed neighbours as _neighbour_table
-    gives them, else None. A diagram's seed is its previous lists, if given
-    and no longer than a triangulation's, whose edges number less than 3
-    per site; a site with no previous neighbour, as every site without such
-    lists, is paired with its SEED_NEIGHBOURS nearest sites."""
+def _seed_pairs(geo: _Lifted, seeds: list, grow: np.ndarray):
+    """(i, j): the first pairs, i < j, of the diagrams in `grow`, now seen.
+    A diagram's seed is its previous lists, if given and no longer than a
+    triangulation's, whose edges number less than 3 per site; a site with no
+    previous neighbour, as every site without such lists, is paired with its
+    SEED_NEIGHBOURS nearest sites."""
     kept_i, kept_j, ends, others = [], [], [], []
     for k in np.flatnonzero(grow):
         first, size = geo.starts[k], geo.sizes[k]
@@ -250,49 +241,18 @@ def _seed_pairs(geo: _Lifted, seeds: list, grow: np.ndarray, tabled: bool):
     if ends:
         near_i, near_j = geo.fresh(np.concatenate(ends), np.concatenate(others))
         i, j = np.concatenate((i, near_i)), np.concatenate((j, near_j))
-    return i, j, _neighbour_table(len(geo.owner), i, j) if tabled else None
+    return i, j
 
 
-def _neighbour_table(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """(width, n): column s lists the sites paired with site s in the pairs
-    (i, j), padded with s."""
-    ends = np.concatenate((i, j))
-    others = np.concatenate((j, i))
-    order = np.argsort(ends, kind="stable")
-    ends, others = ends[order], others[order]
-    degree = np.bincount(ends, minlength=n)
-    table = np.tile(np.arange(n), (int(degree.max()), 1))
-    table[np.arange(len(ends)) - np.repeat(np.cumsum(degree) - degree, degree), ends] = others
-    return table
-
-
-def _close(geo: _Lifted, i: np.ndarray, j: np.ndarray, table, local):
+def _close(geo: _Lifted, i: np.ndarray, j: np.ndarray):
     """Test the pairs i < j and return the kept ones. Once pairs are being
     tracked, also test the pairs of each kept stretch's end sites with its two
-    sites, and so on, until no pair is new.
-
-    A first pair of a diagram in `local` is tested against its sites'
-    columns of `table`, and _doubts checks its kept stretch; a doubtful one
-    is tested again against every site of its diagram, as every other pair
-    is from the start."""
+    sites, and so on, until no pair is new."""
     follow = geo.seen is not None
     kept_i, kept_j = [], []
-    if table is not None:
-        on_table = local[geo.owner[i]]
-        li, lj = i[on_table], j[on_table]
-        i, j = i[~on_table], j[~on_table]
-        rows = np.concatenate((li[None], table[:, li], table[:, lj]))
-        keep, lo, hi, p, m, top = _stretches(geo, li, lj, np.where(rows == lj, li, rows), 0, None, True)
-        doubt = _doubts(geo, li, lj, keep, lo, hi, p, m, np.where(top, hi[p], lo[p]))
-        sure = keep & ~doubt
-        kept_i.append(li[sure])
-        kept_j.append(lj[sure])
-        at = sure[p]
-        a, b = geo.fresh(np.concatenate((li[p[at]], lj[p[at]])), np.concatenate((m[at], m[at])))
-        i, j = np.concatenate((i, li[doubt], a)), np.concatenate((j, lj[doubt], b))
     while len(i):
         rows, own = geo.rows(i)
-        keep, _, _, p, m, _ = _stretches(geo, i, j, rows, own, j - i + own, follow)
+        keep, p, m = _stretches(geo, i, j, rows, own, j - i + own, follow)
         kept_i.append(i[keep])
         kept_j.append(j[keep])
         if not follow:
@@ -305,7 +265,7 @@ def _close(geo: _Lifted, i: np.ndarray, j: np.ndarray, table, local):
 
 def _stretches(geo: _Lifted, i: np.ndarray, j: np.ndarray, rows: np.ndarray, irow, jrow, follow: bool):
     """Test each pair p of sites i[p] < j[p] against the sites rows[:, p] of
-    its diagram: (keep, lo, hi, p, m, top).
+    its diagram: (keep, p, m).
 
     With d = c_j - c_i, the pair's power bisector 2 d . x = l_j - l_i is
     x0 + t u, for u = (-d_y, d_x) and x0 = d (l_j - l_i) / (2 |d|^2), and
@@ -316,14 +276,14 @@ def _stretches(geo: _Lifted, i: np.ndarray, j: np.ndarray, rows: np.ndarray, iro
     which holds i, all taken elementwise; so a pair's bounds do not depend on
     which pairs share the call, and any row holding i bounds nothing, as
     padding does. Row jrow[p] holds j, whose terms are 0 only up to rounding,
-    and is skipped; with jrow None, no row holds j. The stretch [lo, hi] runs
-    from the largest b_k / a_k over a_k < 0 to the smallest over a_k > 0, and
-    the pair is kept iff hi - lo > 1e-12 and no a_k = 0 has b_k < 0.
+    and is skipped. The stretch [lo, hi] runs from the largest b_k / a_k over
+    a_k < 0 to the smallest over a_k > 0, and the pair is kept iff
+    hi - lo > 1e-12 and no a_k = 0 has b_k < 0.
 
-    With `follow`, (p, m, top) lists each site m of rows[:, p] whose bound
-    lies within _END_TIE (1 + |t|) of a kept stretch's finite end t, which is
-    hi where `top` holds and else lo; else they are None. Divisions by zero
-    and infinities are expected; the caller silences their warnings.
+    With `follow`, (p, m) lists each site m of rows[:, p] whose bound lies
+    within _END_TIE (1 + |t|) of a kept stretch's finite end t; else they are
+    None. Divisions by zero and infinities are expected; the caller silences
+    their warnings.
     """
     xyl = geo.xyl
     d = xyl.take(j, axis=1) - xyl.take(i, axis=1)
@@ -339,8 +299,7 @@ def _stretches(geo: _Lifted, i: np.ndarray, j: np.ndarray, rows: np.ndarray, iro
     cols = np.arange(len(i))
     # -a and -b: then copysign(inf, -a) marks the bounds from above
     ab = ab[:, irow, cols][:, None] - ab
-    if jrow is not None:
-        ab[:, jrow, cols] = 0.0
+    ab[:, jrow, cols] = 0.0
     bound = ab[1] / ab[0]
     # a_k > 0 bounds t from above and a_k < 0 from below; a_k = 0 gives an
     # infinite bound, -inf above or +inf below where b_k < 0, which drops the
@@ -352,67 +311,12 @@ def _stretches(geo: _Lifted, i: np.ndarray, j: np.ndarray, rows: np.ndarray, iro
     lo = np.fmax.reduce(lower, axis=0, initial=-np.inf)
     keep = hi - lo > 1e-12
     if not follow:
-        return keep, lo, hi, None, None, None
+        return keep, None, None
     ends = np.array((hi, -lo))
     reach = np.where(keep & (ends < np.inf), ends + _END_TIE * (1.0 + np.abs(ends)), np.nan)
-    top = upper <= reach[0]
-    k, p = (top | (lower >= -reach[1])).nonzero()
+    k, p = ((upper <= reach[0]) | (lower >= -reach[1])).nonzero()
     m = rows[k, p] if rows.shape[1] > 1 else rows[k, 0]
-    return keep, lo, hi, p, m, top[k, p]
-
-
-def _doubts(geo: _Lifted, i, j, keep, lo, hi, p, m, t) -> np.ndarray:
-    """Which pairs (i, j), tested against some sites of their diagram, have
-    a kept stretch with a doubtful end; (p, m, t) are the stretches' end
-    incidences, as _stretches gives them.
-
-    A closed end is the vertex x at t on the pair's bisector, where site m
-    ties with its two sites. It is doubtful if a fourth site of the diagram
-    comes within _VERTEX_TIE (1 + |x|^2) of their power there, or one of the
-    three does not; each vertex (i, j, m) is checked once. An open end is
-    doubtful unless every other site of the diagram lies on the far side of
-    the pair's line from it, by more than _SIDE_TIE (|2u_x| + |2u_y|) in a_k;
-    a stretch open at both ends is doubtful. The checks only decide which
-    pairs are tested again, so their matrix product may round as BLAS
-    likes."""
-    n = len(geo.owner)
-    corners = np.sort(np.stack((i[p], j[p], m)), axis=0)
-    _, first, back = np.unique((corners[0] * n + corners[1]) * n + corners[2],
-                               return_index=True, return_inverse=True)
-    q = p[first]
-    shut = np.flatnonzero(keep & ((hi == np.inf) != (lo == -np.inf)))
-    # one column per check, each vertex and then each open end
-    own = np.concatenate((i[q], i[shut]))
-    d = geo.xyl.take(j[q], axis=1) - geo.xyl.take(i[q], axis=1)
-    s = d[2] / -(d[0] * d[0] + d[1] * d[1])
-    t = t[first]
-    # at a vertex x, e = -2 x, so that site k's power there, less |x|^2, is
-    # l_k + c_k . e; an open end's column gives -a_k for a hi end, a_k for a lo
-    e = np.stack((d[0] * s + 2.0 * t * d[1], d[1] * s - 2.0 * t * d[0], np.ones_like(t)))
-    slack = _VERTEX_TIE * (1.0 + 0.25 * (e[0] * e[0] + e[1] * e[1]))
-    d = geo.xyl.take(j[shut], axis=1) - geo.xyl.take(i[shut], axis=1)
-    side = np.where(hi[shut] == np.inf, 2.0, -2.0)
-    e = np.concatenate((e, np.stack((side * d[1], -side * d[0], np.zeros(len(shut))))), axis=1)
-    slack = np.concatenate((slack, _SIDE_TIE * 2.0 * (np.abs(d[0]) + np.abs(d[1]))))
-    count = _count_within(geo, own, e, slack)
-    doubt = keep & (hi == np.inf) & (lo == -np.inf)
-    doubt[p[count[back] != 3]] = True
-    doubt[shut[count[len(q):] != 2]] = True
-    return doubt
-
-
-def _count_within(geo: _Lifted, own: np.ndarray, e: np.ndarray, slack: np.ndarray) -> np.ndarray:
-    """For each column v of e, how many sites k of own[v]'s diagram have
-    (x_k, y_k, l_k) . e[:, v] at most slack[v] above the same for own[v], by
-    one matrix product per diagram."""
-    diagram = geo.owner[own]
-    count = np.zeros(len(own), dtype=np.intp)
-    for d in np.unique(diagram):
-        v = np.flatnonzero(diagram == d)
-        span = slice(geo.starts[d], geo.starts[d] + geo.sizes[d])
-        value = geo.xyl[:, span].T @ e[:, v]
-        count[v] = np.count_nonzero(value <= value[own[v] - span.start, np.arange(len(v))] + slack[v], axis=0)
-    return count
+    return keep, p, m
 
 
 # every clip of a diagram too small for lists asks for its size's lists; the

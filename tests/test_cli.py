@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simmap import cli
+from simmap import cli, pipeline
 from simmap.datasets import KINDS, DatasetError, gen_synthetic
 from simmap.geometry import power_diagram, square, cell_neighbors
 from simmap.pipeline import PipelineError, load_tree
 from simmap.similarity import extract_level_constraints
+from simmap.tree_model import TreeValidationError
 
 
 THREE_NODE_DOC = {
@@ -261,6 +262,40 @@ def test_missing_file_is_validation_error(capsys):
     assert cli.main(["--input", "/nonexistent/x.json"]) == 2
 
 
+def test_unreadable_input_is_validation_error_naming_the_path(tmp_path, capsys):
+    assert cli.main(["--input", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and str(tmp_path) in err
+
+
+def _nested(depth: int) -> str:
+    """A document of one leaf under `depth` single-child parents, as JSON text,
+    built without json.dumps, which would recurse as deep."""
+    text = '{"name": "leaf"}'
+    for k in range(depth):
+        text = f'{{"name": "n{k}", "children": [{text}]}}'
+    return text
+
+
+def test_document_nested_too_deep_is_validation_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(_nested(700))
+    assert cli.main(["--input", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "nests deeper" in err
+    shallow = tmp_path / "shallow.json"
+    shallow.write_text(_nested(300))
+    assert len(load_tree(str(shallow)).nodes) == 301
+
+
+def test_dict_nested_too_deep_is_validation_error():
+    doc = {"name": "leaf"}
+    for k in range(1000):
+        doc = {"name": f"n{k}", "children": [doc]}
+    with pytest.raises(TreeValidationError, match="nests deeper"):
+        pipeline.run(pipeline.RunConfig(input=doc))
+
+
 def test_duplicate_ids_is_validation_error(tmp_path, capsys):
     doc = {"name": "r", "children": [
         {"name": "a", "weight": 1.0}, {"name": "a", "weight": 1.0}]}
@@ -501,8 +536,8 @@ print(json.dumps(stages))
 
 def test_import_and_gen_load_no_scipy_or_xml_sax():
     # The runtime needs numpy alone: candidate lists come from numpy at every
-    # diagram size (a 200-site diagram tests pairs against seed rows and
-    # certifies them), and the match_swap assignment is solved in-package.
+    # diagram size (a 200-site diagram follows the kept pairs of its sites'
+    # nearest sites), and the match_swap assignment is solved in-package.
     # datasets/m_n.json has a 10-cell parent.
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(root / "src"),

@@ -1361,17 +1361,18 @@ def test_power_neighbours_equal_unique_reference():
         sizes.append(len(sites))
     assert hidden > 0
     sizes = np.array(sizes)
-    # every pair tested; pairs followed from a seed; pairs on seed rows, certified
+    # every pair tested; pairs followed from a seed, in diagrams of up to 99
+    # cells and of 100 cells or more
     assert np.sum(sizes <= triangulation.ALL_PAIRS_MAX_CELLS) > 200
-    assert np.sum((sizes > triangulation.ALL_PAIRS_MAX_CELLS) & (sizes < triangulation.LOCAL_MIN_CELLS)) > 20
-    assert np.sum(sizes >= triangulation.LOCAL_MIN_CELLS) > 30
+    assert np.sum((sizes > triangulation.ALL_PAIRS_MAX_CELLS) & (sizes < 100)) > 20
+    assert np.sum(sizes >= 100) > 30
 
 
 def test_level_lists_do_not_depend_on_seeds():
     # a seed only picks the pairs tested first: the diagram's own lists,
     # those of its sites moved and reweighted, those of its sites shuffled
-    # and mirrored, a pairing of each site with one other, whose seed rows
-    # bound nothing, and all pairs, which no triangulation has and which the
+    # and mirrored, a pairing of each site with one other, which keeps few
+    # pairs or none, and all pairs, which no triangulation has and which the
     # seed rule ignores, give the same lists
     rng = np.random.default_rng(5)
     checked = 0
@@ -1383,7 +1384,7 @@ def test_level_lists_do_not_depend_on_seeds():
         spread = float(np.ptp(sites, axis=0).max())
         moved = sites + rng.normal(scale=0.1 * spread / math.sqrt(n), size=sites.shape)
         scattered = rng.permutation(sites)[:, ::-1]
-        # each site paired with one other: a pair's seed rows are the pair
+        # each site paired with one other, mostly not a neighbour
         partner = rng.permutation(n - n % 2).reshape(-1, 2)
         paired = np.zeros(n, dtype=np.intp)
         paired[partner[:, 0]], paired[partner[:, 1]] = partner[:, 1], partner[:, 0]
