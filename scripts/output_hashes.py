@@ -13,9 +13,12 @@ one_parent), whose root takes a 30-cell assignment and hull candidate lists
 inside the 64-gon, and on a generated m_n document (200 leaves, 1 parent,
 gen seed 0) with the default init and `--iters 20` (as top_rung), whose root
 takes a 200-cell diagram, far above the 24 cells up to which
-triangulation.level_neighbours tests all pairs. Each run is the CLI's own
-configuration, `cli._make_config` of the parsed flags, passed to
-`pipeline.run`. Prints three lines per run, 30 in all:
+triangulation.level_neighbours tests all pairs. The borders run (pair mode)
+and the dense run (vector mode) also pass `--emit-trace --emit-constraints
+--emit-geometry`, which write files without touching the layout. Each run is
+the CLI's own configuration, `cli._make_config` of the parsed flags, passed
+to `pipeline.run`. Prints three lines per run, and three more for each of
+the two emitting runs, 36 in all:
 
 - `<name>.metrics.json <prefix>` and `<name>.svg <prefix>`, the output files.
   These are rounded: metrics.json to 10 digits, the SVG to 4 decimals, so a
@@ -23,6 +26,8 @@ configuration, `cli._make_config` of the parsed flags, passed to
 - `<name>.layout <prefix>`, of the raw float64 bytes of every final site,
   weight and polygon vertex, in level, diagram and cell order. Equal layout
   lines mean bit-identical layouts.
+- `<name>.trace.ndjson <prefix>`, `<name>.constraints.json <prefix>` and
+  `<name>.geometry.json <prefix>`, the emitted files of borders and dense.
 
 The lines of the current code are committed in scripts/output_hashes.txt. With
 --check, the script also compares its lines with that file, lists each line
@@ -50,6 +55,10 @@ from simmap import cli, pipeline  # noqa: E402
 RECORDED = ROOT / "scripts" / "output_hashes.txt"
 SHIPPED = ["borders", "dense", "m_n", "two_level"]
 GEN_SEEDS = [0, 1]
+# the shipped runs that also write the emitted files: borders in pair mode, dense in vector mode
+EMITTING = ("borders", "dense")
+EMIT_FLAGS = ["--emit-trace", "--emit-constraints", "--emit-geometry"]
+EMITTED = (".trace.ndjson", ".constraints.json", ".geometry.json")
 PREFIX_LEN = 16
 
 
@@ -91,7 +100,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(args.out_dir or tmp)
         out.mkdir(parents=True, exist_ok=True)
-        runs = [(name, ["--input", str(ROOT / "datasets" / f"{name}.json")])
+        runs = [(name, ["--input", str(ROOT / "datasets" / f"{name}.json"),
+                        *(EMIT_FLAGS if name in EMITTING else [])])
                 for name in SHIPPED]
         for gen_seed in GEN_SEEDS:
             name = f"gen{gen_seed}"
@@ -109,10 +119,11 @@ def main() -> int:
             config = cli._make_config(cli.build_parser().parse_args(
                 [*run_args, "--seed", "0", "--out", str(out / name)]))
             result = pipeline.run(config)
-            for suffix in (".metrics.json", ".svg"):
+            emitted = EMITTED if name in EMITTING else ()
+            for suffix in (".metrics.json", ".svg", *emitted):
                 prefixes[name + suffix] = _prefix((out / f"{name}{suffix}").read_bytes())
             prefixes[name + ".layout"] = _prefix(_layout_bytes(result.diagrams_by_level))
-            for suffix in (".metrics.json", ".svg", ".layout"):
+            for suffix in (".metrics.json", ".svg", ".layout", *emitted):
                 print(f"{name}{suffix} {prefixes[name + suffix]}", flush=True)
     if not args.check:
         return 0
