@@ -3,7 +3,6 @@ synthetic datasets."""
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -11,7 +10,8 @@ from .datasets import KINDS, gen_synthetic
 from .geometry import GeometryError
 from .layout_init import STRATEGIES
 from .optimizer import OptimizerConfig
-from .pipeline import PipelineError, RunConfig, compare, format_compare, run, table_row
+from .pipeline import (OutputError, PipelineError, RunConfig, compare, format_compare,
+                       json_text, run, table_row, write_text)
 from .render import RenderOptions
 from .similarity import SIMILARITY_KINDS
 from .tree_model import TreeValidationError
@@ -180,10 +180,9 @@ def main(argv=None) -> int:
             if args.density is not None:
                 params["density"] = args.density
             doc = gen_synthetic(args.gen, params, _resolve_seed(args))
-            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            text = json_text(doc)
             if args.out:
-                with open(f"{args.out}.json", "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                write_text(f"{args.out}.json", text)
                 print(f"wrote {args.out}.json")
             else:
                 print(text, end="")
@@ -213,8 +212,11 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except ValueError as exc:
         # GeometryError is a ValueError too, so the clause above comes first;
-        # here TreeValidationError, SimilarityError, DatasetError, JSON errors
+        # here TreeValidationError, SimilarityError and DatasetError
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -474,11 +474,16 @@ def recompute(diagram: Diagram) -> Diagram:
     return diagram
 
 
+def _distances(points: np.ndarray) -> np.ndarray:
+    """The matrix of distances between all pairs of points."""
+    diff = points[:, None, :] - points[None, :, :]
+    return np.hypot(diff[:, :, 0], diff[:, :, 1])
+
+
 def close_pair(points: np.ndarray, tol: float) -> tuple[int, int] | None:
     """The first pair (i, j), i < j in row-major order, of points at most tol
     apart, or None."""
-    diff = points[:, None, :] - points[None, :, :]
-    close = np.triu(np.hypot(diff[:, :, 0], diff[:, :, 1]) <= tol, k=1)
+    close = np.triu(_distances(points) <= tol, k=1)
     hits = np.argwhere(close)
     return (int(hits[0, 0]), int(hits[0, 1])) if len(hits) else None
 
@@ -625,9 +630,7 @@ def _mean_pairwise_site_distance(diagram: Diagram) -> float:
     n = len(sites)
     if n < 2:
         return diagram.scale
-    diff = sites[:, None, :] - sites[None, :, :]
-    d = np.hypot(diff[:, :, 0], diff[:, :, 1])
-    return float(np.sum(d) / (n * (n - 1)))
+    return float(np.sum(_distances(sites)) / (n * (n - 1)))
 
 
 # Weight added per unit of area error over pi (Nocaj & Brandes, EuroVis 2012).

@@ -25,18 +25,10 @@ class MetricsReport:
     per_constraint: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "constraints_total": self.constraints_total,
-            "constraints_preserved": self.constraints_preserved,
-            "preserved_fraction": round(self.preserved_fraction, 10),
-            "avg_area_error": round(self.avg_area_error, 10),
-            "avg_aspect_ratio": round(self.avg_aspect_ratio, 10),
-            "median_path_distance": self.median_path_distance,
-            "max_path_distance": self.max_path_distance,
-            "unreachable": self.unreachable,
-            "per_constraint": self.per_constraint,
-        }
+        doc = dict(vars(self))
+        for key in ("preserved_fraction", "avg_area_error", "avg_aspect_ratio"):
+            doc[key] = round(doc[key], 10)
+        return doc
 
 
 def preserved_constraints(neighbor_map: dict, constraints: list[Constraint]) -> tuple[int, float]:

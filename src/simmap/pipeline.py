@@ -11,7 +11,6 @@ from . import metrics as metrics_mod
 from .geometry import (
     ConvexPolygon,
     Diagram,
-    GeometryError,
     cell_neighbors,
     close_pair,
     power_diagram,
@@ -39,6 +38,10 @@ MAX_BOUNDARY_SIZE = 1e100
 
 class PipelineError(RuntimeError):
     """Numeric failure during layout (degenerate diagrams, empty parents)."""
+
+
+class OutputError(OSError):
+    """An output file that cannot be written; the message names it."""
 
 
 @dataclass
@@ -92,9 +95,9 @@ def make_boundary(spec: str, size: float) -> ConvexPolygon:
 
 def load_tree(source: dict | str) -> Tree:
     """The Tree of a document, or of the JSON file at the path `source`. A
-    file that cannot be opened or read, and a document nested deeper than
-    the interpreter's recursion limit lets json or parse_tree follow, are
-    TreeValidationErrors."""
+    file that cannot be opened, read or decoded as UTF-8 JSON, and a document
+    nested deeper than the interpreter's recursion limit lets json or
+    parse_tree follow, are TreeValidationErrors."""
     try:
         if isinstance(source, str):
             with open(source, encoding="utf-8") as fh:
@@ -102,6 +105,8 @@ def load_tree(source: dict | str) -> Tree:
         tree = parse_tree(source)
     except OSError as exc:
         raise TreeValidationError(f"cannot read {source!r}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise TreeValidationError(f"cannot read {source!r} as UTF-8 JSON: {exc}") from None
     except RecursionError:
         raise TreeValidationError("the document nests deeper than the interpreter allows") from None
     tree = uniform_depth(tree)
@@ -194,9 +199,6 @@ def build_treemap(
     diagrams_by_level: dict[int, list[Diagram]] = {}
     for level, groups in build_level_queue(tree):
         level_cons = constraints.get(level, [])
-        for parent, _ in groups:
-            if parent not in boundaries:
-                raise PipelineError(f"parent {parent!r} has no cell to subdivide")
         seeds = [_derived_seed(seed, level, gi) for gi in range(len(groups))]
         if strategy in ("match_swap", "random_cvt"):
             cvts = build_cvt([(boundaries[parent], len(children), s)
@@ -303,8 +305,8 @@ def run(config: RunConfig) -> RunResult:
         "leaf": report.to_dict(),
     }
 
-    render_opts = replace(config.render, seed=config.seed)
-    svg = render_svg(diagrams_by_level, tree, leaf_constraints, neighbor_map, render_opts)
+    svg = render_svg(diagrams_by_level, tree, leaf_constraints, neighbor_map, config.render,
+                     config.seed)
 
     result = RunResult(
         tree=tree,
@@ -322,29 +324,34 @@ def run(config: RunConfig) -> RunResult:
     return result
 
 
+def json_text(doc) -> str:
+    """The text of every JSON file simmap writes: sorted keys, 2-space indent."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def write_text(path: str, text: str) -> None:
+    """Write `text` to the file `path`; failing that, raise an OutputError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
 def _write_artifacts(config: RunConfig, result: RunResult) -> None:
-    prefix = config.out_prefix
-    with open(f"{prefix}.svg", "w", encoding="utf-8") as fh:
-        fh.write(result.svg)
-    with open(f"{prefix}.metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(result.metrics, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    files = {".svg": result.svg, ".metrics.json": json_text(result.metrics)}
     if config.emit_trace:
-        with open(f"{prefix}.trace.ndjson", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(result.trace_lines) + "\n")
+        files[".trace.ndjson"] = "\n".join(result.trace_lines) + "\n"
     if config.emit_constraints:
-        doc = {
+        files[".constraints.json"] = json_text({
             str(level): [
                 {"a": c.a, "b": c.b, "similarity": round(c.similarity, 10), "bin": c.bin}
                 for c in cons
             ]
             for level, cons in result.constraints.items()
-        }
-        with open(f"{prefix}.constraints.json", "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        })
     if config.emit_geometry:
-        doc = {
+        files[".geometry.json"] = json_text({
             str(level): [
                 {
                     "parent": d.parent_node,
@@ -365,10 +372,9 @@ def _write_artifacts(config: RunConfig, result: RunResult) -> None:
                 for d in diagrams
             ]
             for level, diagrams in result.diagrams_by_level.items()
-        }
-        with open(f"{prefix}.geometry.json", "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        })
+    for suffix, text in files.items():
+        write_text(f"{config.out_prefix}{suffix}", text)
 
 
 def table_row(name: str, result: RunResult) -> str:
@@ -393,24 +399,18 @@ def compare(config: RunConfig, strategies: list[str], seeds: list[int]) -> list[
         raise ValueError("need at least one seed")
     rows = []
     for strategy in strategies:
-        fractions, errors, aspects, dists, counts = [], [], [], [], []
-        for seed in seeds:
-            res = run(replace(config, init=strategy, seed=seed, out_prefix=None,
-                              emit_trace=False))
-            fractions.append(res.report.preserved_fraction)
-            counts.append(res.report.constraints_preserved)
-            errors.append(res.report.avg_area_error)
-            aspects.append(res.report.avg_aspect_ratio)
-            dists.append(res.report.max_path_distance)
+        reports = [run(replace(config, init=strategy, seed=seed, out_prefix=None,
+                               emit_trace=False)).report for seed in seeds]
+        fractions = [r.preserved_fraction for r in reports]
         rows.append({
             "strategy": strategy,
             "seeds": len(seeds),
-            "preserved_mean": float(np.mean(counts)),
+            "preserved_mean": float(np.mean([r.constraints_preserved for r in reports])),
             "preserved_fraction_mean": float(np.mean(fractions)),
             "preserved_fraction_std": float(np.std(fractions)),
-            "area_error_mean": float(np.mean(errors)),
-            "aspect_ratio_mean": float(np.mean(aspects)),
-            "max_graph_dist_mean": float(np.mean(dists)),
+            "area_error_mean": float(np.mean([r.avg_area_error for r in reports])),
+            "aspect_ratio_mean": float(np.mean([r.avg_aspect_ratio for r in reports])),
+            "max_graph_dist_mean": float(np.mean([r.max_path_distance for r in reports])),
         })
     return rows
 

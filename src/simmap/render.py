@@ -33,7 +33,6 @@ GLYPH_SIZES = (0.35, 0.25, 0.15)
 class RenderOptions:
     show_unrealized: bool = False
     show_disconnect_icon: bool = False
-    seed: int = 0
 
 
 def _quoteattr(value: str) -> str:
@@ -174,14 +173,15 @@ def render_svg(
     constraints: list[Constraint],
     neighbor_map: dict,
     opts: RenderOptions,
+    seed: int,
 ) -> str:
-    """Serialize the finished treemap. Element classes are stable:
-    cell-<id>, glyph-<a>-<b>, unrealized-<a>-<b>, label-<id>."""
+    """Serialize the finished treemap, with assign_colors(tree, seed). Element
+    classes are stable: cell-<id>, glyph-<a>-<b>, unrealized-<a>-<b>, label-<id>."""
     levels = sorted(diagrams_by_level)
     deepest = levels[-1]
     leaf_diagrams = diagrams_by_level[deepest]
     mapper = _Mapper(diagrams_by_level[levels[0]], WIDTH, HEIGHT)
-    colors = assign_colors(tree, opts.seed)
+    colors = assign_colors(tree, seed)
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')

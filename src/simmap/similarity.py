@@ -7,7 +7,9 @@ import numpy as np
 
 from .tree_model import Tree, TreeNode
 
-N_BINS = 5
+# lower edges of bins 0..3; bin 4 holds the rest of (0, 0.2)
+BIN_EDGES = (0.8, 0.6, 0.4, 0.2)
+N_BINS = len(BIN_EDGES) + 1
 
 SIMILARITY_KINDS = ("cosine", "jaccard", "binary-equality")
 
@@ -84,15 +86,7 @@ def pair_matrix_from_lifted(node_ids: list[str], level: int, lifted: dict[tuple[
 
 def bin_index(similarity: float) -> int:
     """Equal-width bins over (0,1]: 0=[0.8,1.0], 1=[0.6,0.8), ... 4=(0,0.2)."""
-    if similarity >= 0.8:
-        return 0
-    if similarity >= 0.6:
-        return 1
-    if similarity >= 0.4:
-        return 2
-    if similarity >= 0.2:
-        return 3
-    return 4
+    return next((b for b, edge in enumerate(BIN_EDGES) if similarity >= edge), N_BINS - 1)
 
 
 def bin_and_filter(matrix: SimilarityMatrix) -> list[Constraint]:
@@ -102,27 +96,19 @@ def bin_and_filter(matrix: SimilarityMatrix) -> list[Constraint]:
     survives if either endpoint selected it. Zero similarity is never binned.
     """
     ids = matrix.node_ids
-    n = len(ids)
-    selected: dict[tuple[str, str], float] = {}
-    for i in range(n):
-        bins: list[list[int]] = [[] for _ in range(N_BINS)]
-        for j in range(n):
-            if j == i:
-                continue
-            s = matrix.values[i, j]
-            if s > 0.0:
-                bins[bin_index(s)].append(j)
-        for b in bins:
-            if not b:
-                break
-            for j in b:
-                key = tuple(sorted((ids[i], ids[j])))
-                selected[key] = matrix.values[i, j]
-    out = [
-        Constraint(a=a, b=b, similarity=float(s), bin=bin_index(float(s)), level=matrix.level)
-        for (a, b), s in selected.items()
-    ]
-    out.sort(key=lambda c: (c.level, c.a, c.b))
+    values = matrix.values
+    # bins[i, j] is bin_index(values[i, j]); row i keeps its bins below its first empty one
+    bins = np.sum(values[:, :, None] < np.array(BIN_EDGES), axis=2)
+    binned = (values > 0.0) & ~np.eye(len(ids), dtype=bool)
+    filled = (binned[:, :, None] & (bins[:, :, None] == np.arange(N_BINS))).any(axis=1)
+    first_empty = filled.cumprod(axis=1).sum(axis=1)
+    chosen = binned & (bins < first_empty[:, None])
+    out = []
+    for i, j in zip(*np.nonzero(np.triu(chosen | chosen.T))):
+        a, b = sorted((ids[i], ids[j]))
+        out.append(Constraint(a=a, b=b, similarity=float(values[i, j]), bin=int(bins[i, j]),
+                              level=matrix.level))
+    out.sort(key=lambda c: (c.a, c.b))
     return out
 
 

@@ -268,6 +268,31 @@ def test_unreadable_input_is_validation_error_naming_the_path(tmp_path, capsys):
     assert err.startswith("input error: ") and str(tmp_path) in err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00", b"", b'{"name": "root", "chil'],
+                         ids=["not_utf8", "empty", "truncated"])
+def test_undecodable_input_is_validation_error_naming_the_path(content, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert cli.main(["--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and str(path) in err
+
+
+def test_unwritable_output_file_is_output_error_naming_the_file(tmp_path, capsys):
+    (tmp_path / "x.svg").mkdir()
+    dataset = str(Path(__file__).resolve().parents[1] / "datasets" / "borders.json")
+    assert cli.main(["--input", dataset, "--out", str(tmp_path / "x"), "--iters", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and str(tmp_path / "x.svg") in err
+
+
+def test_unwritable_gen_output_is_output_error_naming_the_file(tmp_path, capsys):
+    (tmp_path / "p.json").mkdir()
+    assert cli.main(["--gen", "m_n", "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and str(tmp_path / "p.json") in err
+
+
 def _nested(depth: int) -> str:
     """A document of one leaf under `depth` single-child parents, as JSON text,
     built without json.dumps, which would recurse as deep."""

@@ -125,7 +125,7 @@ def render(n_cells=3, constraints=(), **opts_kw):
     tree = flat_tree(n_cells)
     layout = chain_layout(n_cells)
     nm = cell_neighbors(layout[1])
-    svg = render_svg(layout, tree, list(constraints), nm, RenderOptions(**opts_kw))
+    svg = render_svg(layout, tree, list(constraints), nm, RenderOptions(**opts_kw), 0)
     return svg
 
 
@@ -180,7 +180,7 @@ def test_tiny_cells_skip_labels():
     tree = parse_tree({"name": "r", "children": [
         {"name": "big", "weight": 99.0}, {"name": "small", "weight": 1.0}]})
     tree = propagate_attributes(tree)
-    svg = render_svg({1: [d]}, tree, [], {}, RenderOptions())
+    svg = render_svg({1: [d]}, tree, [], {}, RenderOptions(), 0)
     assert 'class="label-big"' in svg
     assert 'class="label-small"' not in svg
 
@@ -210,7 +210,7 @@ def test_explicit_color_and_label_are_escaped():
     tree.nodes["odd"].color = "a\"b'c&d"   # parse_tree admits only #rrggbb; render escapes any string
     d = power_diagram([(0.25, 0.5), (0.75, 0.5)], square(1.0),
                       node_ids=["odd", "plain"], targets=[0.5, 0.5])
-    svg = render_svg({1: [d]}, tree, [], {}, RenderOptions())
+    svg = render_svg({1: [d]}, tree, [], {}, RenderOptions(), 0)
     assert 'fill="a&quot;b\'c&amp;d" stroke="none"/>' in svg
     assert '>x&lt;&amp;&gt;y</text>' in svg
 
@@ -245,7 +245,7 @@ def test_tab_vertices_stay_inside_owner_cells():
     layout = chain_layout(n)
     nm = cell_neighbors(layout[1])
     cons = [constraint(f"c{i}", f"c{i+1}", 0.9) for i in range(n - 1)]
-    svg = render_svg(layout, tree, cons, nm, RenderOptions())
+    svg = render_svg(layout, tree, cons, nm, RenderOptions(), 0)
     cells = {c.node_id: c for c in layout[1][0].cells}
     # recover pixel-space polygons via the same linear map the renderer used
     for a, b in [(f"c{i}", f"c{i+1}") for i in range(n - 1)]:
@@ -272,7 +272,7 @@ def test_outline_width_decays_with_depth():
                          node_ids=["c", "d"])
     layout = {1: [top], 2: [sub1, sub2]}
     nm = cell_neighbors(layout[2])
-    svg = render_svg(layout, tree, [], nm, RenderOptions())
+    svg = render_svg(layout, tree, [], nm, RenderOptions(), 0)
     w1 = re.search(r'class="outline-g1" [^>]*stroke-width="([0-9.]+)"', svg)
     w2 = re.search(r'class="outline-a" [^>]*stroke-width="([0-9.]+)"', svg)
     assert float(w1.group(1)) == pytest.approx(STROKE_BASE)

@@ -143,6 +143,75 @@ def test_bin_index(s, expected):
     assert bin_index(s) == expected
 
 
+@pytest.mark.parametrize("edge, bin_", [(0.8, 0), (0.6, 1), (0.4, 2), (0.2, 3)])
+def test_bin_index_at_and_around_edges(edge, bin_):
+    assert bin_index(edge) == bin_
+    assert bin_index(np.nextafter(edge, np.inf)) == bin_
+    assert bin_index(np.nextafter(edge, -np.inf)) == bin_ + 1
+
+
+@pytest.mark.parametrize("s, expected", [(np.nan, 4), (np.inf, 0), (-np.inf, 4)])
+def test_bin_index_of_nan_and_infinities(s, expected):
+    assert bin_index(s) == expected
+
+
+def _reference_bin_and_filter(matrix):
+    """bin_and_filter as a per-node double loop, the oracle of the array pass."""
+    ids = matrix.node_ids
+    n = len(ids)
+    selected = {}
+    for i in range(n):
+        bins = [[] for _ in range(N_BINS)]
+        for j in range(n):
+            if j == i:
+                continue
+            s = matrix.values[i, j]
+            if s > 0.0:
+                bins[bin_index(s)].append(j)
+        for b in bins:
+            if not b:
+                break
+            for j in b:
+                key = tuple(sorted((ids[i], ids[j])))
+                selected[key] = matrix.values[i, j]
+    out = [
+        Constraint(a=a, b=b, similarity=float(s), bin=bin_index(float(s)), level=matrix.level)
+        for (a, b), s in selected.items()
+    ]
+    out.sort(key=lambda c: (c.level, c.a, c.b))
+    return out
+
+
+def _random_similarities(rng, n):
+    """A symmetric matrix with a zero diagonal whose entries mix uniform
+    values, exact bin edges, zeros and NaN, and whose rows are sometimes all
+    zero."""
+    kind = rng.choice(4, size=(n, n), p=[0.5, 0.25, 0.15, 0.1])
+    values = np.select([kind == 0, kind == 1, kind == 2],
+                       [rng.uniform(0.0, 1.0, (n, n)), rng.choice((0.2, 0.4, 0.6, 0.8), (n, n)), 0.0],
+                       np.nan)
+    values = np.triu(values, k=1)
+    values = values + values.T
+    zero = rng.random(n) < 0.15
+    values[zero] = 0.0
+    values[:, zero] = 0.0
+    return values
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bin_and_filter_equals_reference_loop(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(30):
+        n = int(rng.integers(1, 41))
+        ids = [f"v{k}" for k in rng.permutation(n)]   # "v10" sorts before "v2"
+        matrix = make_matrix(_random_similarities(rng, n), level=int(rng.integers(1, 4)), ids=ids)
+        got = bin_and_filter(matrix)
+        want = _reference_bin_and_filter(matrix)
+        assert [(c.a, c.b, c.similarity, c.bin, c.level) for c in got] == \
+            [(c.a, c.b, c.similarity, c.bin, c.level) for c in want]
+        assert all(type(c.similarity) is float and type(c.bin) is int for c in got)
+
+
 def test_bins_stop_at_first_empty():
     # node0 sees {0.95, 0.9, 0.65, 0.3}: bins {0.95,0.9} | {0.65} | empty -> stop.
     # The 0.3 partner keeps nothing itself (its own strongest bin is empty).
