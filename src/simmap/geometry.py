@@ -541,20 +541,13 @@ def cell_neighbors(level_diagrams: list[Diagram]) -> dict:
     scale = max(d.scale for d in level_diagrams)
     tol = 1e-6 * scale
 
-    rings, owners = [], []
-    owner_index: dict[str, int] = {}
-    for d in level_diagrams:
-        for c in d.cells:
-            if c.polygon is not None:
-                rings.append(c.polygon.vertices)
-                owners.append(owner_index.setdefault(str(c.node_id), len(owner_index)))
+    drawn = [c for d in level_diagrams for c in d.cells if c.polygon is not None]
     result: dict[tuple[str, str], tuple] = {}
-    if not rings:
+    if not drawn:
         return result
-    A, lengths = _flatten(rings)
+    A, lengths = _flatten([c.polygon.vertices for c in drawn])
     B = A[_cyclic_next(lengths)[1]]
-    owner = np.repeat(owners, lengths)
-    owner_ids = list(owner_index)
+    owner = np.repeat(np.arange(len(drawn)), lengths)
     U = B - A
     L = np.hypot(U[:, 0], U[:, 1])
     L = np.where(L == 0.0, 1e-300, L)
@@ -595,10 +588,22 @@ def cell_neighbors(level_diagrams: list[Diagram]) -> dict:
     P0 = A[i] + Uh[i] * lo[:, None]
     P1 = A[i] + Uh[i] * hi[:, None]
     for k in range(len(i)):
-        key = tuple(sorted((owner_ids[owner[i[k]]], owner_ids[owner[j[k]]])))
+        key = tuple(sorted((drawn[owner[i[k]]].node_id, drawn[owner[j[k]]].node_id)))
         if key not in result or overlap[k] > result[key][2]:
             result[key] = (P0[k], P1[k], float(overlap[k]))
     return result
+
+
+def adjacency(neighbor_map) -> dict[str, list[str]]:
+    """Each cell's neighbours, sorted, from the id pairs of a neighbour map
+    (or any iterable of such pairs); a cell without neighbours has no entry."""
+    adj: dict[str, list[str]] = {}
+    for a, b in neighbor_map:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    for nbrs in adj.values():
+        nbrs.sort()
+    return adj
 
 
 def _require_cells(diagrams: list[Diagram], when: str) -> None:

@@ -184,11 +184,7 @@ def _min_cost_assignment(cost: list[list[float]]) -> list[int]:
 
 def cvt_adjacency(cvt: Diagram) -> set[tuple[int, int]]:
     index = {c.node_id: i for i, c in enumerate(cvt.cells)}
-    adj = set()
-    for a, b in cell_neighbors([cvt]):
-        i, j = index[a], index[b]
-        adj.add((min(i, j), max(i, j)))
-    return adj
+    return {tuple(sorted((index[a], index[b]))) for a, b in cell_neighbors([cvt])}
 
 
 def realized_count(assignment: Assignment, constraints: list[Constraint], adjacency: set[tuple[int, int]]) -> int:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Diagram
+from .geometry import Diagram, adjacency
 from .similarity import Constraint
 
 
@@ -59,21 +59,6 @@ def area_and_aspect(leaf_diagrams: list[Diagram]) -> tuple[float, float]:
     return avg_error, avg_aspect
 
 
-def _neighbor_graph(leaf_diagrams: list[Diagram], neighbor_map: dict):
-    centroids = {}
-    for d in leaf_diagrams:
-        for c in d.cells:
-            centroids[c.node_id] = c.polygon.centroid if c.polygon is not None else c.site
-    adj: dict[str, list[str]] = {nid: [] for nid in centroids}
-    for a, b in neighbor_map:
-        if a in adj and b in adj:
-            adj[a].append(b)
-            adj[b].append(a)
-    for nid in adj:
-        adj[nid].sort()
-    return adj, centroids
-
-
 def _max_hop(adj: dict[str, list[str]], centroids: dict) -> float:
     """Longest centroid distance over the graph's edges, or 1.0 if it is 0."""
     max_hop = 0.0
@@ -121,8 +106,11 @@ def constraint_path_stats(
     constraints: list[Constraint],
 ) -> tuple[float, float, list[dict]]:
     """Median and max shortest-hop distance over all constraints; unreachable
-    pairs contribute infinity and are reported per constraint."""
-    adj, centroids = _neighbor_graph(leaf_diagrams, neighbor_map)
+    pairs contribute infinity and are reported per constraint. Map pairs
+    naming a cell outside leaf_diagrams are ignored."""
+    centroids = {c.node_id: c.polygon.centroid if c.polygon is not None else c.site
+                 for d in leaf_diagrams for c in d.cells}
+    adj = adjacency((a, b) for a, b in neighbor_map if a in centroids and b in centroids)
     max_hop = _max_hop(adj, centroids)
     details = []
     lengths = []

@@ -15,6 +15,7 @@ from .geometry import (
     Cell,
     Diagram,
     adapt_weights,
+    adjacency,
     cell_neighbors,
     recompute,  # noqa: F401  kept importable here: the benchmark's tracer rebinds it
     recompute_level,
@@ -76,21 +77,13 @@ class LevelState:
         state.neighbor_map = cell_neighbors(diagrams)
         return state
 
-    def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {}
-        for a, b in self.neighbor_map:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        return adj
-
     def saturated(self, max_neighbor_count: int) -> set[str]:
         """Targets no move heads for on the current map: each has at least
         max_neighbor_count neighbours, and every one is a constraint partner;
         a target without neighbours counts when max_neighbor_count is 0."""
-        adj = self.adjacency()
-        none: set[str] = set()
+        adj = adjacency(self.neighbor_map)
         return {node for node, ids in self.partner_ids.items()
-                if len(nbrs := adj.get(node, none)) >= max_neighbor_count and nbrs <= ids}
+                if len(nbrs := adj.get(node, ())) >= max_neighbor_count and ids.issuperset(nbrs)}
 
 
 def build_level_queue(tree: Tree) -> list[tuple[int, list[tuple[str, list[str]]]]]:

@@ -65,12 +65,10 @@ class RunResult:
     tree: Tree
     constraints: dict[int, list[Constraint]]
     diagrams_by_level: dict[int, list[Diagram]]
-    neighbor_map: dict
     report: metrics_mod.MetricsReport
     metrics: dict
     svg: str
     trace_lines: list[str] = field(default_factory=list)
-    init_preserved: dict[int, int] = field(default_factory=dict)
 
 
 def make_boundary(spec: str, size: float) -> ConvexPolygon:
@@ -155,15 +153,15 @@ def init_diagram(
     parent_weight = tree.nodes[parent].weight
     targets = [tree.nodes[c].weight / parent_weight for c in children]
 
-    if strategy == "proj_scale":
+    if strategy != "random_cvt":
         positions = mds_project(group_matrix(tree, children, level, kind))
+    if strategy == "proj_scale":
         sites = proj_scale_init(positions, boundary)
         sites = _distinct_sites(sites, boundary, np.random.default_rng(seed))
     else:
         if strategy == "random_cvt":
             assignment = random_assignment(children, cvt, seed=seed)
         else:
-            positions = mds_project(group_matrix(tree, children, level, kind))
             assignment = match_assignment(positions, cvt)
             members = set(children)
             local = [c for c in level_constraints if c.a in members and c.b in members]
@@ -312,12 +310,10 @@ def run(config: RunConfig) -> RunResult:
         tree=tree,
         constraints=constraints,
         diagrams_by_level=diagrams_by_level,
-        neighbor_map=neighbor_map,
         report=report,
         metrics=metrics_doc,
         svg=svg,
         trace_lines=trace_lines,
-        init_preserved=init_preserved,
     )
     if config.out_prefix:
         _write_artifacts(config, result)

@@ -178,8 +178,6 @@ def render_svg(
     """Serialize the finished treemap, with assign_colors(tree, seed). Element
     classes are stable: cell-<id>, glyph-<a>-<b>, unrealized-<a>-<b>, label-<id>."""
     levels = sorted(diagrams_by_level)
-    deepest = levels[-1]
-    leaf_diagrams = diagrams_by_level[deepest]
     mapper = _Mapper(diagrams_by_level[levels[0]], WIDTH, HEIGHT)
     colors = assign_colors(tree, seed)
 
@@ -190,16 +188,28 @@ def render_svg(
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
 
+    total_area = sum(d.boundary.area for d in diagrams_by_level[levels[0]])
+    drawn = {c.node_id: c for d in diagrams_by_level[levels[-1]] for c in d.cells
+             if c.polygon is not None}
+    fills, labels = [], []
+    for nid, c in drawn.items():
+        fills.append(
+            f'<path class="cell-{_css_name(nid)}" '
+            f'd="{mapper.path(c.polygon.vertices)}" '
+            f'fill={_quoteattr(colors.get(nid, "#cccccc"))} stroke="none"/>'
+        )
+        if c.area / total_area < LABEL_MIN_AREA:
+            continue
+        node = tree.nodes.get(nid)
+        label = node.name if node is not None else nid
+        x, y = mapper.pt(c.polygon.centroid)
+        size = max(8.0, 0.25 * (c.area ** 0.5) * mapper.s)
+        labels.append(
+            f'<text class="label-{_css_name(nid)}" x="{_fmt(x)}" y="{_fmt(y)}" '
+            f'font-size="{_fmt(size)}">{html.escape(label, quote=False)}</text>'
+        )
     out.append('<g id="cells">')
-    for d in leaf_diagrams:
-        for c in d.cells:
-            if c.polygon is None:
-                continue
-            out.append(
-                f'<path class="cell-{_css_name(c.node_id)}" '
-                f'd="{mapper.path(c.polygon.vertices)}" '
-                f'fill={_quoteattr(colors.get(c.node_id, "#cccccc"))} stroke="none"/>'
-            )
+    out.extend(fills)
     out.append("</g>")
 
     out.append('<g id="outlines" fill="none" stroke="#222222">')
@@ -216,37 +226,25 @@ def render_svg(
                 )
     out.append("</g>")
 
-    cells_by_id = {}
-    for level in levels:
-        for d in diagrams_by_level[level]:
-            for c in d.cells:
-                cells_by_id[c.node_id] = c
-
-    preserved = []
-    unpreserved = []
-    for con in constraints:
-        key = tuple(sorted((con.a, con.b)))
-        (preserved if key in neighbor_map else unpreserved).append(con)
+    contacts = [(con, neighbor_map.get(tuple(sorted((con.a, con.b))))) for con in constraints]
+    unpreserved = [con for con, contact in contacts if contact is None]
 
     out.append('<g id="glyphs" fill="#ffffff" fill-opacity="0.65" stroke="#222222" stroke-width="1">')
-    for con in preserved:
-        key = tuple(sorted((con.a, con.b)))
-        ca = cells_by_id[con.a]
-        cb = cells_by_id[con.b]
+    for con, contact in contacts:
+        if contact is None:
+            continue
         cls = f"glyph-{_css_name(con.a)}-{_css_name(con.b)}"
-        for verts in _glyph_tabs(ca, cb, neighbor_map[key], con.bin):
+        for verts in _glyph_tabs(drawn[con.a], drawn[con.b], contact, con.bin):
             out.append(f'<path class="{cls}" d="{mapper.path(verts)}"/>')
     out.append("</g>")
 
     if opts.show_unrealized:
         out.append('<g id="unrealized" stroke="#d62728" stroke-width="2" stroke-dasharray="6 4">')
         for con in unpreserved:
-            ca = cells_by_id.get(con.a)
-            cb = cells_by_id.get(con.b)
-            if ca is None or cb is None or ca.polygon is None or cb.polygon is None:
+            if con.a not in drawn or con.b not in drawn:
                 continue
-            x1, y1 = mapper.pt(ca.polygon.centroid)
-            x2, y2 = mapper.pt(cb.polygon.centroid)
+            x1, y1 = mapper.pt(drawn[con.a].polygon.centroid)
+            x2, y2 = mapper.pt(drawn[con.b].polygon.centroid)
             out.append(
                 f'<line class="unrealized-{_css_name(con.a)}-{_css_name(con.b)}" '
                 f'x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
@@ -254,36 +252,18 @@ def render_svg(
         out.append("</g>")
 
     if opts.show_disconnect_icon:
-        flagged = sorted({nid for con in unpreserved for nid in (con.a, con.b)})
+        flagged = sorted({nid for con in unpreserved for nid in (con.a, con.b)} & drawn.keys())
         out.append('<g id="disconnect" fill="#d62728" stroke="#ffffff" stroke-width="1">')
         for nid in flagged:
-            c = cells_by_id.get(nid)
-            if c is None or c.polygon is None:
-                continue
-            x, y = mapper.pt(c.polygon.centroid)
+            x, y = mapper.pt(drawn[nid].polygon.centroid)
             out.append(
                 f'<circle class="disconnect-{_css_name(nid)}" '
                 f'cx="{_fmt(x)}" cy="{_fmt(y)}" r="5"/>'
             )
         out.append("</g>")
 
-    total_area = sum(d.boundary.area for d in diagrams_by_level[levels[0]])
     out.append('<g id="labels" font-family="sans-serif" fill="#111111" text-anchor="middle">')
-    for d in leaf_diagrams:
-        for c in d.cells:
-            if c.polygon is None:
-                continue
-            frac = c.area / total_area
-            if frac < LABEL_MIN_AREA:
-                continue
-            node = tree.nodes.get(c.node_id)
-            label = node.name if node is not None else c.node_id
-            x, y = mapper.pt(c.polygon.centroid)
-            size = max(8.0, 0.25 * (c.area ** 0.5) * mapper.s)
-            out.append(
-                f'<text class="label-{_css_name(c.node_id)}" x="{_fmt(x)}" y="{_fmt(y)}" '
-                f'font-size="{_fmt(size)}">{html.escape(label, quote=False)}</text>'
-            )
+    out.extend(labels)
     out.append("</g>")
 
     out.append("</svg>")

@@ -15,6 +15,7 @@ from simmap.geometry import (
     _clip_rings,
     _finish_rings,
     adapt_weights,
+    adjacency,
     cell_neighbors,
     power_diagram,
     regular_polygon,
@@ -339,7 +340,7 @@ def _nonneighbour_level():
 def test_step_toward_an_unsaturated_non_neighbour_is_pinned():
     d, state = _nonneighbour_level()
     a, _, b = d.cells
-    assert ("a", "b") not in state.neighbor_map and state.adjacency()["b"]
+    assert ("a", "b") not in state.neighbor_map and adjacency(state.neighbor_map)["b"]
     s, t = a.site.copy(), b.site.copy()
     floor = optimizer.K_MIN * (a.equiv_radius + b.equiv_radius)
     d_ab = math.hypot(*(t - s))
@@ -378,7 +379,7 @@ def _isolated_level():
     near = power_diagram([(30.0, 50.0), (70.0, 50.0)], square(100.0), node_ids=["a", "a2"])
     far = power_diagram([(350.0, 50.0)], square(100.0, origin=(300.0, 0.0)), node_ids=["lone"])
     state = make_state([near, far], [constraint("a", "lone")])
-    assert "lone" not in state.adjacency()
+    assert "lone" not in adjacency(state.neighbor_map)
     return near.cells[0], far.cells[0], state
 
 
@@ -627,7 +628,8 @@ def _use_reference_step(monkeypatch, cfg):
 
     def step(cell, state, f, saturated):
         if seen.get("map") is not state.neighbor_map:
-            seen.update(map=state.neighbor_map, adjacency=state.adjacency())
+            seen.update(map=state.neighbor_map, adjacency={
+                node: set(nbrs) for node, nbrs in adjacency(state.neighbor_map).items()})
         branches.append(_reference_neighborhood_step(cell, state, cfg, f, seen["adjacency"]))
 
     monkeypatch.setattr(optimizer, "neighborhood_step", step)
