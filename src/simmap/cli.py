@@ -11,7 +11,7 @@ from .geometry import GeometryError
 from .layout_init import STRATEGIES
 from .optimizer import OptimizerConfig
 from .pipeline import (OutputError, PipelineError, RunConfig, compare, format_compare,
-                       json_text, run, table_row, write_text)
+                       json_text, output_suffixes, run, table_row, write_text)
 from .render import RenderOptions
 from .similarity import SIMILARITY_KINDS
 from .tree_model import TreeValidationError
@@ -164,13 +164,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
-    if args.out:
-        directory = os.path.dirname(args.out) or "."
-        if not os.path.isdir(directory):
-            print(f"output error: --out {args.out!r}: no directory {directory!r}", file=sys.stderr)
-            return EXIT_VALIDATION
-
     try:
+        config = None if args.gen else _make_config(args)
+        if args.out:
+            # every output file is checked before any layout work, so a bad one leaves none behind
+            directory = os.path.dirname(args.out) or "."
+            if not os.path.isdir(directory):
+                raise OutputError(f"--out {args.out!r}: no directory {directory!r}")
+            for path in (f"{args.out}{suffix}" for suffix in output_suffixes(config)):
+                if os.path.isdir(path):
+                    raise OutputError(f"cannot write {path!r}: Is a directory")
         if args.gen:
             params = {}
             if args.leaves is not None:
@@ -193,7 +196,6 @@ def main(argv=None) -> int:
             print("error: --input is required unless --gen is given", file=sys.stderr)
             return EXIT_USAGE
 
-        config = _make_config(args)
         if strategies is not None:
             rows = compare(config, strategies, seeds or [config.seed])
             print(format_compare(rows))

@@ -334,20 +334,29 @@ def write_text(path: str, text: str) -> None:
         raise OutputError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
+def output_suffixes(config: RunConfig | None) -> list[str]:
+    """What each file written under --out adds to the prefix, in writing
+    order: the files of a layout run of `config`, or with None of --gen."""
+    if config is None:
+        return [".json"]
+    asked = {".trace.ndjson": config.emit_trace, ".constraints.json": config.emit_constraints,
+             ".geometry.json": config.emit_geometry}
+    return [".svg", ".metrics.json", *(suffix for suffix, on in asked.items() if on)]
+
+
 def _write_artifacts(config: RunConfig, result: RunResult) -> None:
-    files = {".svg": result.svg, ".metrics.json": json_text(result.metrics)}
-    if config.emit_trace:
-        files[".trace.ndjson"] = "\n".join(result.trace_lines) + "\n"
-    if config.emit_constraints:
-        files[".constraints.json"] = json_text({
+    texts = {
+        ".svg": lambda: result.svg,
+        ".metrics.json": lambda: json_text(result.metrics),
+        ".trace.ndjson": lambda: "\n".join(result.trace_lines) + "\n",
+        ".constraints.json": lambda: json_text({
             str(level): [
                 {"a": c.a, "b": c.b, "similarity": round(c.similarity, 10), "bin": c.bin}
                 for c in cons
             ]
             for level, cons in result.constraints.items()
-        })
-    if config.emit_geometry:
-        files[".geometry.json"] = json_text({
+        }),
+        ".geometry.json": lambda: json_text({
             str(level): [
                 {
                     "parent": d.parent_node,
@@ -368,9 +377,10 @@ def _write_artifacts(config: RunConfig, result: RunResult) -> None:
                 for d in diagrams
             ]
             for level, diagrams in result.diagrams_by_level.items()
-        })
-    for suffix, text in files.items():
-        write_text(f"{config.out_prefix}{suffix}", text)
+        }),
+    }
+    for suffix in output_suffixes(config):
+        write_text(f"{config.out_prefix}{suffix}", texts[suffix]())
 
 
 def table_row(name: str, result: RunResult) -> str:

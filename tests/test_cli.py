@@ -395,6 +395,20 @@ def test_missing_out_directory_is_an_error_before_any_layout(monkeypatch, capsys
     assert "input error" not in err
 
 
+def test_output_file_that_is_a_directory_is_an_error_before_any_layout(tmp_path, monkeypatch,
+                                                                        capsys):
+    def layout(config):
+        raise AssertionError("the layout ran")
+
+    monkeypatch.setattr(cli, "run", layout)
+    (tmp_path / "x.metrics.json").mkdir()
+    dataset = str(Path(__file__).resolve().parents[1] / "datasets" / "two_level.json")
+    assert cli.main(["--input", dataset, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and str(tmp_path / "x.metrics.json") in err
+    assert not (tmp_path / "x.svg").exists()
+
+
 TINY_SHARE_DOC = {"name": "root", "children": [{"name": "a", "weight": 1e-200},
                                                {"name": "b", "weight": 1}]}
 # one leaf of weight 1e6 among 11 of weight 1, all with the same similarity

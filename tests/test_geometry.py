@@ -17,6 +17,7 @@ from simmap.geometry import (
     _clip_rings,
     _finish_rings,
     adapt_weights,
+    adjacency,
     cell_neighbors,
     lloyd_step,
     power_diagram,
@@ -26,7 +27,8 @@ from simmap.geometry import (
 )
 from simmap.optimizer import OptimizerConfig
 from simmap.triangulation import level_neighbours
-from simmap.pipeline import RunConfig, run
+from simmap.pipeline import RunConfig, build_treemap, load_tree, make_boundary, run
+from simmap.similarity import extract_level_constraints
 
 
 def rect(x0, y0, x1, y1):
@@ -823,6 +825,48 @@ def test_neighbors_keep_the_first_longest_of_two_contacts(split, contact):
     p0, p1, length = _assert_same_neighbors([d])[("a", "b")]
     assert (tuple(p0), tuple(p1)) == contact
     assert length == max(split, 1.0 - split)
+
+
+def _generated_leaf_level(kind, leaves, parents):
+    """The leaf diagrams of a generated document after proj_scale init, and
+    their neighbour map."""
+    tree = load_tree(gen_synthetic(kind, {"leaves": leaves, "parents": parents}, seed=0))
+    maps = {}
+    levels = build_treemap(tree, extract_level_constraints(tree, "cosine"),
+                           make_boundary("circle", 1000.0), "proj_scale", "cosine", 0,
+                           OptimizerConfig(), optimize=False, neighbor_maps=maps)
+    deepest = max(levels)
+    return levels[deepest], maps[deepest]
+
+
+@pytest.mark.parametrize("kind, leaves, parents, diagrams", [
+    ("m_n", 30, 1, 1),
+    ("two_level", 48, 12, 12),
+], ids=["30_cells_one_parent", "12_parents"])
+def test_adjacency_lists_each_cells_partners_in_the_map(kind, leaves, parents, diagrams):
+    level, nm = _generated_leaf_level(kind, leaves, parents)
+    assert len(level) == diagrams and sum(len(d.cells) for d in level) == leaves
+    adj = adjacency(nm)
+    partners = {}
+    for a, b in nm:
+        partners.setdefault(a, set()).add(b)
+        partners.setdefault(b, set()).add(a)
+    assert adj.keys() == partners.keys()
+    for node, nbrs in adj.items():
+        assert nbrs == sorted(partners[node])
+        assert all(node in adj[other] for other in nbrs)
+    if parents > 1:
+        # the map's cross-parent pairs are in the lists too
+        diagram_of = {c.node_id: d for d in level for c in d.cells}
+        assert any(diagram_of[a] is not diagram_of[b] for a, b in nm)
+
+
+def test_adjacency_has_no_entry_for_a_cell_without_neighbours():
+    left = power_diagram([(0.5, 0.5)], square(1.0), node_ids=["a"])
+    right = power_diagram([(1.5, 0.5)], square(1.0, origin=(1, 0)), node_ids=["b"])
+    lone = power_diagram([(5.5, 0.5)], square(1.0, origin=(5, 0)), node_ids=["lone"])
+    assert adjacency(cell_neighbors([left, right, lone])) == {"a": ["b"], "b": ["a"]}
+    assert adjacency({}) == {}
 
 
 # ------------------------------------------------------------------ lloyd_step

@@ -209,3 +209,15 @@ def test_metrics_pure_function_of_geometry():
     r1 = evaluate([d], nm, cons, 1).to_dict()
     r2 = evaluate([d], cell_neighbors([d]), list(cons), 1).to_dict()
     assert r1 == r2
+
+
+def test_evaluate_ignores_map_pairs_naming_cells_outside_its_diagrams():
+    # c0 - ghost - c3 would be a two-hop shortcut past c1 and c2
+    d = chain_diagram(4)
+    nm = cell_neighbors([d])
+    contact = (np.zeros(2), np.ones(2), math.sqrt(2.0))
+    with_ghost = {**nm, ("c0", "ghost"): contact, ("c3", "ghost"): contact}
+    cons = [constraint("c0", "c3"), constraint("c1", "c2")]
+    report = evaluate([d], with_ghost, cons, level=1)
+    assert report.to_dict() == evaluate([d], nm, cons, level=1).to_dict()
+    assert report.max_path_distance == 3.0

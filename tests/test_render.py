@@ -286,3 +286,23 @@ def test_glyph_count_matches_preserved_constraints():
     svg = render(n, cons, show_unrealized=True)
     assert len(re.findall(r'class="glyph-', svg)) == 2 * 2
     assert len(re.findall(r'class="unrealized-', svg)) == 1
+
+
+def test_empty_leaf_cell_draws_nothing_and_every_other_cell_is_drawn():
+    # c1's weight of -10 puts its power distance above c0's everywhere in the
+    # unit square, so its cell is empty
+    d = power_diagram([(0.125, 0.5), (0.375, 0.5), (0.625, 0.5), (0.875, 0.5)], square(1.0),
+                      node_ids=["c0", "c1", "c2", "c3"], weights=[0.0, -10.0, 0.0, 0.0],
+                      targets=[0.25] * 4)
+    assert d.cells[1].polygon is None
+    assert all(c.polygon is not None for c in d.cells if c.node_id != "c1")
+    cons = [constraint("c1", "c3"), constraint("c0", "c3")]
+    svg = render_svg({1: [d]}, flat_tree(4), cons, cell_neighbors([d]),
+                     RenderOptions(show_unrealized=True, show_disconnect_icon=True), 0)
+    ET.fromstring(svg)
+    classes = re.findall(r'class="([^"]+)"', svg)
+    assert not [c for c in classes if "c1" in c]
+    for kind in ("cell", "outline", "label"):
+        assert {f"{kind}-c0", f"{kind}-c2", f"{kind}-c3"} <= set(classes), kind
+    # the drawn ends of the unrealized constraints are still marked
+    assert {"unrealized-c0-c3", "disconnect-c0", "disconnect-c3"} <= set(classes)
