@@ -3,11 +3,12 @@
 
     python3 scripts/ab_bench.py BASE_REV --workload W --seed S [--pairs 10]
 
-BASE_REV is exported with `git archive` into a temporary directory, so no git
-metadata is touched. Each pair runs `bench/run.py --trace 0` once from that
-directory and once from the working tree, uncommitted changes included, at
-bench/run.py's own run length; even pairs run the base first, odd pairs the
-change. The script prints every pair's end-to-end metrics and then, per
+BASE_REV is exported with `git archive` into a temporary directory, and the
+working tree into a second one: every file `git ls-files --cached --others
+--exclude-standard` lists, so uncommitted and new files come along and build
+outputs and caches stay behind. No git metadata is touched. Each pair runs
+`bench/run.py --trace 0` once from each directory, at bench/run.py's own run
+length; even pairs run the base first, odd pairs the change. The script prints every pair's end-to-end metrics and then, per
 metric, each side's median and quartiles, the change's wins out of the pairs
 (a tie is nobody's win), and whether the change wins at least 9 in 10 pairs
 with a median better than the base's by more than the base's interquartile
@@ -20,6 +21,7 @@ import argparse
 import io
 import json
 import pathlib
+import shutil
 import statistics
 import subprocess
 import sys
@@ -37,6 +39,16 @@ def export(rev: str, dest: pathlib.Path) -> None:
             tar.extractall(dest, filter="data")
         else:
             tar.extractall(dest)
+
+
+def export_working_tree(dest: pathlib.Path) -> None:
+    listed = subprocess.run(["git", "ls-files", "--cached", "--others", "--exclude-standard", "-z"],
+                            cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    for name in filter(None, listed.split("\0")):
+        source = ROOT / name
+        if source.is_file():    # a deleted file stays listed until it is staged
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def run_bench(tree: pathlib.Path, args) -> dict | None:
@@ -78,9 +90,9 @@ def main() -> int:
     runs = {"base": [], "change": []}
     failed = False
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
-        base = pathlib.Path(tmp)
-        export(args.base_rev, base)
-        trees = {"base": base, "change": ROOT}
+        trees = {"base": pathlib.Path(tmp) / "base", "change": pathlib.Path(tmp) / "change"}
+        export(args.base_rev, trees["base"])
+        export_working_tree(trees["change"])
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for side in order:

@@ -131,7 +131,7 @@ def _make_config(args) -> RunConfig:
 def _degraded(result) -> str | None:
     """What makes a finished run's leaf level degraded, or None."""
     leaves = result.diagrams_by_level[max(result.diagrams_by_level)]
-    empty = sum(c.polygon is None for d in leaves for c in d.cells)
+    empty = sum(int((d.lengths == 0).sum()) for d in leaves)
     faults = [f"{empty} empty leaf cell{'s' if empty != 1 else ''}"] if empty else []
     error = result.report.avg_area_error
     if not error <= AREA_ERROR_BOUND:
@@ -204,7 +204,8 @@ def main(argv=None) -> int:
         result = run(config)
         print(table_row(args.input, result))
         if args.out:
-            print(f"wrote {args.out}.svg and {args.out}.metrics.json")
+            paths = [f"{args.out}{suffix}" for suffix in output_suffixes(config)]
+            print(f"wrote {', '.join(paths[:-1])} and {paths[-1]}")
         degraded = _degraded(result)
         if degraded:
             print(f"warning: degraded layout: {degraded}", file=sys.stderr)

@@ -1,5 +1,7 @@
 """Additively weighted power-diagram kernel on convex boundaries.
 
+A level's cells are arrays, held by each Diagram; `Cell` and
+`ConvexPolygon` records of them are made only for output, by `Diagram.cells`.
 Cells are clipped by radical-axis half-planes (straight lines for additive
 weights): in a diagram of BATCH_MIN_CELLS cells or more, against each cell's
 regular-triangulation neighbours, the edges of the lower convex hull of the
@@ -12,11 +14,10 @@ from one of a few boundaries, in rounds, one half-plane per ring per round. `rec
 in one call: round r clips each cell against its r-th candidate, a list
 shorter than the longest is padded with the cell's own index, and a hidden
 site's cell comes out empty; it is the clipper's one caller. A ring's result does not depend on
-which rings share the call. `_finish_rings` builds
-every polygon from the stacked rings, and one `_ring_measures` call, the
-only shoelace, takes every ring's area, centroid and bounding box relative
-to the ring's first vertex. Neighbors are found by testing only the edge
-pairs whose bounding boxes overlap.
+which rings share the call. `_finish_rings` cleans the stacked rings, and
+one `_ring_measures` call, the only shoelace, takes every ring's area,
+centroid and bounding box relative to the ring's first vertex. Neighbors
+are found by testing only the edge pairs whose bounding boxes overlap.
 """
 from __future__ import annotations
 
@@ -64,16 +65,6 @@ class ConvexPolygon:
         self.__dict__.update(vertices=v, area=float(area[0]), centroid=centroid[0],
                              aabb=(*lo[0].tolist(), *hi[0].tolist()), diagonal=float(diagonal[0]))
 
-    @classmethod
-    def _measured(cls, vertices: np.ndarray, area: float, centroid: np.ndarray,
-                  aabb: tuple[float, float, float, float], diagonal: float):
-        """Polygon from a read-only CCW ring and its measures, as _finish_rings
-        computes them; skips __post_init__, whose checks it has made."""
-        poly = object.__new__(cls)
-        poly.__dict__.update(vertices=vertices, area=area, centroid=centroid,
-                             aabb=aabb, diagonal=diagonal)
-        return poly
-
     @cached_property
     def _edge_frame(self):
         """Read-only (normals, offsets, slack, length) for contains and ray_exit.
@@ -93,13 +84,15 @@ class ConvexPolygon:
         slack = 64.0 * np.finfo(float).eps * float(np.abs(v).max())
         return normals, offsets, slack, length
 
-    def contains(self, point: np.ndarray, tol: float = 0.0) -> bool:
-        """True if point is inside, with `tol` slack in signed edge distance.
+    def contains(self, point: np.ndarray, tol: float = 0.0):
+        """True if point is inside, with `tol` slack in signed edge distance;
+        for an (n, 2) array of points, a boolean array, one per point.
 
         Negative tol demands the point be strictly inside by |tol|.
         """
         normals, offsets, _, length = self._edge_frame
-        return bool(np.all(point @ normals - offsets >= -tol * length))
+        inside = np.all(point @ normals - offsets >= -tol * length, axis=-1)
+        return inside if inside.ndim else bool(inside)
 
     def ray_exit(self, origin: np.ndarray, direction: np.ndarray, tol: float = 0.0) -> float:
         """Largest t >= 0 for which origin + t * direction passes contains(., tol).
@@ -125,13 +118,6 @@ class ConvexPolygon:
             p = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])
             if self.contains(p, tol=tol):
                 return p
-
-
-def _flatten(rings: list) -> tuple[np.ndarray, np.ndarray]:
-    """(vertices, lengths): rings stacked in order; a None ring has length 0."""
-    lengths = np.array([0 if v is None else len(v) for v in rings], dtype=np.intp)
-    kept = [v for v in rings if v is not None]
-    return (np.concatenate(kept) if kept else np.empty((0, 2))), lengths
 
 
 def _cyclic_next(lengths: np.ndarray):
@@ -186,21 +172,24 @@ def _require_finite(area: np.ndarray, centroid: np.ndarray) -> None:
         raise GeometryError("polygon measures are not finite")
 
 
-def _finish_rings(flat: np.ndarray, lengths: np.ndarray, ref_diag) -> list:
-    """Polygons (or None) from rings stacked in `flat`, ring k of lengths[k].
+def _finish_rings(flat: np.ndarray, lengths: np.ndarray, ref_diag):
+    """(flat, lengths, area, centroid) of the cells whose rings are stacked in
+    `flat`, ring k of lengths[k]: the kept rings, each counter-clockwise,
+    stacked in order, each ring's kept vertex count (0 for a dropped ring),
+    and each ring's area and centroid (0 for a dropped ring); all read-only.
 
     ref_diag is one reference diagonal for all rings or one per ring. Each
     vertex within 1e-12 ref_diag of its cyclic successor is dropped; a ring
     left with fewer than 3 vertices, or with |signed area| <= 1e-14
-    ref_diag^2, is None; a CCW ring with area <= 1e-12 diagonal^2, or any
-    ring with a measure that is not finite, raises GeometryError (before any
-    polygon is returned); a clockwise ring goes through ConvexPolygon.
+    ref_diag^2, is dropped; a clockwise ring is reversed, as ConvexPolygon
+    reverses it; a kept ring with area <= 1e-12 diagonal^2, or any ring with
+    a measure that is not finite, raises GeometryError.
 
-    A ring's polygon does not depend on which rings share the call: one
-    _ring_measures call measures every ring, and a CCW ring's polygon
-    carries the measures ConvexPolygon takes of its vertices, bit for bit.
-    The polygons' vertices are read-only slices of one array: `flat` itself
-    when no vertex is dropped, so the caller hands it over.
+    A ring's result does not depend on which rings share the call: one
+    _ring_measures call measures every ring, and a second the reversed
+    ones, so each kept ring carries the measures ConvexPolygon takes of its
+    vertices, bit for bit. `flat` itself is returned when no vertex is
+    dropped or reversed, so the caller hands it over.
     """
     n = len(lengths)
     ref_diag = np.full(n, ref_diag)
@@ -214,41 +203,43 @@ def _finish_rings(flat: np.ndarray, lengths: np.ndarray, ref_diag) -> list:
     if not whole:
         owner = np.repeat(np.arange(n), lengths)
         lengths = np.bincount(owner[keep], minlength=n)
-    valid = lengths >= 3
-    rows = np.flatnonzero(valid)
-    polys: list = [None] * n
-    if len(rows) == 0:
-        return polys
+    rows = np.flatnonzero(lengths >= 3)
     if whole:
         cyclic = starts[rows], nxt
     else:
-        flat = flat[keep & valid[owner]]
+        flat = flat[keep & (lengths >= 3)[owner]]
         cyclic = None
-    flat.flags.writeable = False
-    lengths = lengths[rows]
-    area, centroid, lo, hi, diagonal = _ring_measures(flat, lengths, cyclic)
+    m = lengths[rows]
+    area, centroid, _, _, diagonal = _ring_measures(flat, m, cyclic)
     _require_finite(area, centroid)
     ref = ref_diag[rows]
     sized = ~(np.abs(area) <= 1e-14 * ref * ref)
-    ccw = sized & ~(area < 0.0)
-    if np.any(ccw & (area <= 1e-12 * diagonal * diagonal)):
+    cw = sized & (area < 0.0)
+    if cw.any():
+        ends = m.cumsum()[cw]
+        count = m[cw]
+        within = np.arange(count.sum()) - np.repeat(count.cumsum() - count, count)
+        ring = np.repeat(ends - count, count) + within
+        flat = flat.copy()
+        flat[ring] = flat[np.repeat(ends - 1, count) - within]
+        area[cw], centroid[cw], _, _, diagonal[cw] = _ring_measures(flat[ring], count)
+        _require_finite(area, centroid)
+    if np.any(sized & (area <= 1e-12 * diagonal * diagonal)):
         raise GeometryError("polygon area is degenerate")
-    centroid.flags.writeable = False
-    ends = lengths.cumsum().tolist()
-    measured = ConvexPolygon._measured
-    for row, start, end, a, c, aabb, diag, is_ccw, is_sized in zip(
-            rows.tolist(), [0, *ends], ends, area.tolist(), centroid,
-            map(tuple, np.hstack((lo, hi)).tolist()), diagonal.tolist(), ccw.tolist(),
-            sized.tolist()):
-        if is_ccw:
-            polys[row] = measured(flat[start:end], a, c, aabb, diag)
-        elif is_sized:
-            polys[row] = ConvexPolygon(flat[start:end])
-    return polys
+    if not sized.all():
+        flat = flat[np.repeat(sized, m)]
+        rows, area, centroid, m = rows[sized], area[sized], centroid[sized], m[sized]
+    out = np.zeros(n, dtype=np.intp), np.zeros(n), np.zeros((n, 2))
+    for a, values in zip(out, (m, area, centroid)):
+        a[rows] = values
+        a.flags.writeable = False
+    flat.flags.writeable = False
+    return (flat, *out)
 
 
 @dataclass(eq=False)
 class Cell:
+    """A cell's output record, which Diagram.cells copies from its row."""
     node_id: str
     site: np.ndarray
     weight: float = 0.0
@@ -259,23 +250,43 @@ class Cell:
     def area(self) -> float:
         return self.polygon.area if self.polygon is not None else 0.0
 
-    @property
-    def equiv_radius(self) -> float:
-        return math.sqrt(max(self.area, 0.0) / math.pi)
-
 
 @dataclass(eq=False)
 class Diagram:
+    """One parent's child cells as arrays, row i for node_ids[i]: `sites`
+    (n, 2), additive `weights` and `targets`, the shares of the boundary's
+    area. recompute_level sets the rest, read-only: `rings`, the drawn
+    cells' counter-clockwise rings stacked in row order, and each row's
+    vertex count `lengths`, `areas` and `centroids`, 0 for an empty cell.
+    Whole-array steps replace `sites` and `weights`; moves write rows.
+    """
     boundary: ConvexPolygon
-    cells: list[Cell]
+    node_ids: list[str]
+    sites: np.ndarray
+    weights: np.ndarray
+    targets: np.ndarray
     scale: float
     parent_node: str | None = None
+    rings: np.ndarray | None = field(default=None, init=False, repr=False)
+    lengths: np.ndarray | None = field(default=None, init=False, repr=False)
+    areas: np.ndarray | None = field(default=None, init=False, repr=False)
+    centroids: np.ndarray | None = field(default=None, init=False, repr=False)
     # the candidate lists of the last recompute, which seed the next one's
     neighbour_lists: tuple | None = field(default=None, init=False, repr=False)
 
-    @property
-    def sites(self) -> np.ndarray:
-        return np.array([c.site for c in self.cells])
+    def ring(self, i: int) -> np.ndarray | None:
+        """Row i's ring, None if its cell is empty."""
+        start = int(self.lengths[:i].sum())
+        return self.rings[start:start + self.lengths[i]] if self.lengths[i] else None
+
+    @cached_property
+    def cells(self) -> list[Cell]:
+        """The cells' output records, made on first use after each
+        recompute_level: copies, which later steps do not change."""
+        rings = [self.ring(i) for i in range(len(self.node_ids))]
+        return [Cell(node_id, site, weight, target, None if ring is None else ConvexPolygon(ring))
+                for node_id, site, weight, target, ring in zip(
+                    self.node_ids, self.sites.copy(), self.weights.tolist(), self.targets.tolist(), rings)]
 
 
 # Diagrams with at least this many cells get candidate lists of their power
@@ -291,7 +302,7 @@ _CROSSING_ENDS = np.array([-1, -1, 0, 0])
 
 def _clip_rings(rings: list, owner, normals: np.ndarray, offsets: np.ndarray):
     """Clip rows of rings in rounds, the package's one clipper, called by
-    recompute_level; returns the rows' rings as _flatten's (vertices,
+    recompute_level; returns the rows' rings stacked, as (vertices,
     lengths), for _finish_rings.
 
     Row i starts as rings[owner[i]], or empty where owner[i] is -1, and round
@@ -413,8 +424,8 @@ def _clip_rings(rings: list, owner, normals: np.ndarray, offsets: np.ndarray):
 
 
 def recompute_level(diagrams: list[Diagram]) -> list[Diagram]:
-    """Refresh every cell polygon of a level's diagrams in place, with one
-    _clip_rings and one _finish_rings call for the whole level.
+    """Refresh the rings, lengths, areas and centroids of a level's diagrams,
+    with one _clip_rings and one _finish_rings call for the whole level.
 
     A cell is clipped from its own diagram's boundary against its own
     diagram's sites: from BATCH_MIN_CELLS cells up, its list from one
@@ -423,21 +434,20 @@ def recompute_level(diagrams: list[Diagram]) -> list[Diagram]:
     padded with the cell's own index, whose half-plane has a zero normal and
     offset, and round r clips every cell against its r-th candidate. A hidden site, one
     with no candidate in a diagram of two or more cells, comes out empty.
-    If a ring raises GeometryError, no cell is updated. Every polygon, its
+    If a ring raises GeometryError, no diagram is updated. Every ring, its
     measures, and which cells are empty are bit-identical to clipping the
     cell's ring alone against its candidate half-planes in ascending j and
     constructing its polygon, whatever diagrams share the call.
     """
     if not diagrams:
         return diagrams
-    cells = [c for d in diagrams for c in d.cells]
-    sites = np.array([c.site for c in cells])
-    weights = np.array([c.weight for c in cells])
-    sizes = [len(d.cells) for d in diagrams]
-    batched = [d for d in diagrams if len(d.cells) >= BATCH_MIN_CELLS]
+    sites = np.concatenate([d.sites for d in diagrams])
+    weights = np.concatenate([d.weights for d in diagrams])
+    sizes = [len(d.node_ids) for d in diagrams]
+    batched = [d for d in diagrams if len(d.node_ids) >= BATCH_MIN_CELLS]
     if batched:
         rows = np.repeat(np.array(sizes) >= BATCH_MIN_CELLS, sizes)
-        neighbours = iter(level_neighbours(sites[rows], weights[rows], [len(d.cells) for d in batched],
+        neighbours = iter(level_neighbours(sites[rows], weights[rows], [len(d.node_ids) for d in batched],
                                             [d.neighbour_lists for d in batched]))
     lists, first = [], 0
     for k, (diagram, size) in enumerate(zip(diagrams, sizes)):
@@ -450,7 +460,7 @@ def recompute_level(diagrams: list[Diagram]) -> list[Diagram]:
         lists.append((candidates + first, degree, owner))
         first += size
     candidates, degree, owner = (np.concatenate(parts) for parts in zip(*lists))
-    n, rounds = len(cells), int(degree.max())
+    n, rounds = len(sites), int(degree.max())
     # [r, i]: cell i's r-th candidate, or i itself past the end of its list
     cand = np.tile(np.arange(n), (rounds, 1))
     cand[np.arange(len(candidates)) - np.repeat(np.cumsum(degree) - degree, degree),
@@ -463,8 +473,13 @@ def recompute_level(diagrams: list[Diagram]) -> list[Diagram]:
     offsets = gap[..., 0] * mid[..., 0] + gap[..., 1] * mid[..., 1] - weights[cand] + weights
     flat, lengths = _clip_rings([d.boundary.vertices for d in diagrams], owner, 2.0 * gap, offsets)
     scales = np.repeat([d.scale for d in diagrams], sizes)
-    for cell, polygon in zip(cells, _finish_rings(flat, lengths, scales)):
-        cell.polygon = polygon
+    flat, lengths, areas, centroids = _finish_rings(flat, lengths, scales)
+    rows = [0, *np.cumsum(sizes).tolist()]
+    ends = [0, *np.cumsum(lengths).tolist()]
+    for d, r0, r1 in zip(diagrams, rows, rows[1:]):
+        d.rings = flat[ends[r0]:ends[r1]]
+        d.lengths, d.areas, d.centroids = lengths[r0:r1], areas[r0:r1], centroids[r0:r1]
+        vars(d).pop("cells", None)
     return diagrams
 
 
@@ -498,25 +513,22 @@ def power_diagram(
     scale: float = 0.0,
 ) -> Diagram:
     """Build the additively weighted power diagram of `sites` clipped to `boundary`."""
-    pts = np.asarray(sites, dtype=float).reshape(-1, 2)
+    pts = np.array(sites, dtype=float).reshape(-1, 2)
     n = len(pts)
     if n < 1:
         raise GeometryError("need at least one site")
-    w = np.zeros(n) if weights is None else np.asarray(weights, dtype=float)
+    w = np.zeros(n) if weights is None else np.array(weights, dtype=float)
     ids = [f"cell{i}" for i in range(n)] if node_ids is None else list(node_ids)
-    t = np.full(n, 1.0 / n) if targets is None else np.asarray(targets, dtype=float)
+    t = np.full(n, 1.0 / n) if targets is None else np.array(targets, dtype=float)
     ref = scale if scale > 0.0 else boundary.diagonal
-    for i in range(n):
-        if not boundary.contains(pts[i], tol=-1e-12 * ref):
-            raise GeometryError(f"site {ids[i]} lies outside the boundary")
+    outside = np.flatnonzero(~boundary.contains(pts, tol=-1e-12 * ref))
+    if len(outside):
+        raise GeometryError(f"site {ids[outside[0]]} lies outside the boundary")
     pair = close_pair(pts, 1e-12 * ref)
     if pair is not None:
         raise GeometryError(f"sites {ids[pair[0]]} and {ids[pair[1]]} coincide")
-    cells = [
-        Cell(node_id=ids[i], site=pts[i].copy(), weight=float(w[i]), target_area_fraction=float(t[i]))
-        for i in range(n)
-    ]
-    diagram = Diagram(boundary=boundary, cells=cells, scale=ref, parent_node=parent_node)
+    diagram = Diagram(boundary=boundary, node_ids=ids, sites=pts, weights=w, targets=t,
+                      scale=ref, parent_node=parent_node)
     return recompute(diagram)
 
 
@@ -541,13 +553,14 @@ def cell_neighbors(level_diagrams: list[Diagram]) -> dict:
     scale = max(d.scale for d in level_diagrams)
     tol = 1e-6 * scale
 
-    drawn = [c for d in level_diagrams for c in d.cells if c.polygon is not None]
+    ids = [node for d in level_diagrams for node in d.node_ids]
+    A = np.concatenate([d.rings for d in level_diagrams])
+    lengths = np.concatenate([d.lengths for d in level_diagrams])
     result: dict[tuple[str, str], tuple] = {}
-    if not drawn:
+    if not len(A):
         return result
-    A, lengths = _flatten([c.polygon.vertices for c in drawn])
     B = A[_cyclic_next(lengths)[1]]
-    owner = np.repeat(np.arange(len(drawn)), lengths)
+    owner = np.repeat(np.arange(len(ids)), lengths)
     U = B - A
     L = np.hypot(U[:, 0], U[:, 1])
     L = np.where(L == 0.0, 1e-300, L)
@@ -588,7 +601,7 @@ def cell_neighbors(level_diagrams: list[Diagram]) -> dict:
     P0 = A[i] + Uh[i] * lo[:, None]
     P1 = A[i] + Uh[i] * hi[:, None]
     for k in range(len(i)):
-        key = tuple(sorted((drawn[owner[i[k]]].node_id, drawn[owner[j[k]]].node_id)))
+        key = tuple(sorted((ids[owner[i[k]]], ids[owner[j[k]]])))
         if key not in result or overlap[k] > result[key][2]:
             result[key] = (P0[k], P1[k], float(overlap[k]))
     return result
@@ -607,9 +620,9 @@ def adjacency(neighbor_map) -> dict[str, list[str]]:
 
 
 def _require_cells(diagrams: list[Diagram], when: str) -> None:
-    empty = [c.node_id for d in diagrams for c in d.cells if c.polygon is None]
-    if empty:
-        raise GeometryError(f"cell {empty[0]} is empty {when} a Lloyd step")
+    for d in diagrams:
+        if not d.lengths.all():
+            raise GeometryError(f"cell {d.node_ids[d.lengths.argmin()]} is empty {when} a Lloyd step")
 
 
 def lloyd_step(diagrams: list[Diagram]) -> list[Diagram]:
@@ -623,19 +636,10 @@ def lloyd_step(diagrams: list[Diagram]) -> list[Diagram]:
     """
     _require_cells(diagrams, "before")
     for diagram in diagrams:
-        for cell in diagram.cells:
-            cell.site = cell.polygon.centroid
+        diagram.sites = diagram.centroids.copy()
     recompute_level(diagrams)
     _require_cells(diagrams, "after")
     return diagrams
-
-
-def _mean_pairwise_site_distance(diagram: Diagram) -> float:
-    sites = diagram.sites
-    n = len(sites)
-    if n < 2:
-        return diagram.scale
-    return float(np.sum(_distances(sites)) / (n * (n - 1)))
 
 
 # Weight added per unit of area error over pi (Nocaj & Brandes, EuroVis 2012).
@@ -648,31 +652,29 @@ def adapt_weights(diagrams: list[Diagram], rng: np.random.Generator | None = Non
 
     w_i += GROWTH_RATE * (t_i * A_boundary - A_i) / pi, then a uniform shift
     keeps each diagram's minimum weight at >= 0. Dominated (empty) cells get
-    a one-off weight bump, then a reseed if still empty, drawn in diagram
-    order; only diagrams with empty cells are recomputed again. So the bits
+    a one-off bump of 0.1 times the squared mean distance between the
+    diagram's sites (a diagram with an empty cell has two or more), then a
+    reseed if still empty, drawn in diagram order; only diagrams with empty
+    cells are recomputed again. So the bits
     and rng draws equal those of one call per diagram, in order.
     """
     for diagram in diagrams:
-        a_boundary = diagram.boundary.area
-        for cell in diagram.cells:
-            cell.weight += GROWTH_RATE * (cell.target_area_fraction * a_boundary - cell.area) / math.pi
-        min_w = min(c.weight for c in diagram.cells)
+        diagram.weights = diagram.weights + GROWTH_RATE * (
+            diagram.targets * diagram.boundary.area - diagram.areas) / math.pi
+        min_w = diagram.weights.min()
         if min_w < 0.0:
-            for cell in diagram.cells:
-                cell.weight -= min_w
+            diagram.weights = diagram.weights - min_w
     recompute_level(diagrams)
-    dominated = [d for d in diagrams if any(c.polygon is None for c in d.cells)]
+    dominated = [d for d in diagrams if not d.lengths.all()]
     for diagram in dominated:
-        bump = 0.1 * _mean_pairwise_site_distance(diagram) ** 2
-        for c in diagram.cells:
-            if c.polygon is None:
-                c.weight = max(0.0, c.weight) + bump
-    still = [d for d in recompute_level(dominated) if any(c.polygon is None for c in d.cells)]
+        empty, n = diagram.lengths == 0, len(diagram.node_ids)
+        bump = 0.1 * float(np.sum(_distances(diagram.sites)) / (n * (n - 1))) ** 2
+        diagram.weights[empty] = np.maximum(0.0, diagram.weights[empty]) + bump
+    still = [d for d in recompute_level(dominated) if not d.lengths.all()]
     for diagram in still:
         rng = np.random.default_rng(0) if rng is None else rng
-        for c in diagram.cells:
-            if c.polygon is None:
-                c.site = diagram.boundary.sample_point(rng)
+        for i in np.flatnonzero(diagram.lengths == 0):
+            diagram.sites[i] = diagram.boundary.sample_point(rng)
     recompute_level(still)
     return diagrams
 

@@ -116,12 +116,10 @@ def fit_points_in_polygon(points: np.ndarray, boundary: ConvexPolygon) -> np.nda
 def match_assignment(positions: ProjectedPositions, cvt: Diagram) -> Assignment:
     """Exact minimum-cost bijection of nodes to CVT cells (squared distances)."""
     n = len(positions.node_ids)
-    if n != len(cvt.cells):
-        raise ValueError(f"position/cell count mismatch: {n} vs {len(cvt.cells)}")
+    if n != len(cvt.node_ids):
+        raise ValueError(f"position/cell count mismatch: {n} vs {len(cvt.node_ids)}")
     pts = fit_points_in_polygon(positions.points, cvt.boundary)
-    centroids = np.array([
-        c.polygon.centroid if c.polygon is not None else c.site for c in cvt.cells
-    ])
+    centroids = np.where((cvt.lengths > 0)[:, None], cvt.centroids, cvt.sites)
     diff = pts[:, None, :] - centroids[None, :, :]
     cost = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
     mapping = dict(zip(positions.node_ids, _min_cost_assignment(cost.tolist())))
@@ -183,7 +181,7 @@ def _min_cost_assignment(cost: list[list[float]]) -> list[int]:
 
 
 def cvt_adjacency(cvt: Diagram) -> set[tuple[int, int]]:
-    index = {c.node_id: i for i, c in enumerate(cvt.cells)}
+    index = {node: i for i, node in enumerate(cvt.node_ids)}
     return {tuple(sorted((index[a], index[b]))) for a, b in cell_neighbors([cvt])}
 
 
@@ -258,8 +256,8 @@ def proj_scale_init(positions: ProjectedPositions, boundary: ConvexPolygon) -> n
 
 
 def random_assignment(node_ids: list[str], cvt: Diagram, seed: int = 0) -> Assignment:
-    if len(node_ids) != len(cvt.cells):
-        raise ValueError(f"node/cell count mismatch: {len(node_ids)} vs {len(cvt.cells)}")
+    if len(node_ids) != len(cvt.node_ids):
+        raise ValueError(f"node/cell count mismatch: {len(node_ids)} vs {len(cvt.node_ids)}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(node_ids))
     return Assignment(

@@ -2,7 +2,10 @@
 
 Each iteration moves every cell of a level on the current cross-diagram
 neighbor map, recomputes the level, in the last stretch of the budget grows
-cells toward their target areas, and then refreshes the map.
+cells toward their target areas, and then refreshes the map. A cell is a
+row of its Diagram's arrays: moves write its site in place and read the
+rings, areas and centroids of the iteration's start, so no Cell or
+ConvexPolygon is made inside the loop.
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
-    Cell,
     Diagram,
     adapt_weights,
     adjacency,
@@ -54,24 +56,19 @@ class LevelState:
     diagrams: list[Diagram]
     constraints: list[Constraint]
     neighbor_map: dict = field(default_factory=dict)
-    # derived lookups
-    cells_by_id: dict[str, Cell] = field(default_factory=dict)
-    diagram_of: dict[str, Diagram] = field(default_factory=dict)
-    # per node, in constraint order: (similarity, other id, other cell or None, sorted pair)
-    partners: dict[str, list[tuple[float, str, Cell | None, tuple[str, str]]]] = field(default_factory=dict)
+    # per node, in constraint order: (similarity, other id, the other's
+    # diagram and row, or None and -1 outside the level, sorted pair)
+    partners: dict[str, list[tuple]] = field(default_factory=dict)
     partner_ids: dict[str, set[str]] = field(default_factory=dict)
 
     @classmethod
     def create(cls, level: int, diagrams: list[Diagram], constraints: list[Constraint]) -> "LevelState":
         state = cls(level=level, diagrams=diagrams, constraints=list(constraints))
-        for d in diagrams:
-            for c in d.cells:
-                state.cells_by_id[c.node_id] = c
-                state.diagram_of[c.node_id] = d
+        rows = {node: (d, i) for d in diagrams for i, node in enumerate(d.node_ids)}
         for con in state.constraints:
             pair = tuple(sorted((con.a, con.b)))
             for node, other in ((con.a, con.b), (con.b, con.a)):
-                entry = (con.similarity, other, state.cells_by_id.get(other), pair)
+                entry = (con.similarity, other, *rows.get(other, (None, -1)), pair)
                 state.partners.setdefault(node, []).append(entry)
                 state.partner_ids.setdefault(node, set()).add(other)
         state.neighbor_map = cell_neighbors(diagrams)
@@ -99,12 +96,12 @@ def build_level_queue(tree: Tree) -> list[tuple[int, list[tuple[str, list[str]]]
     return queue
 
 
-def _centroid_move(cell: Cell, f: float) -> None:
-    if cell.polygon is None:
+def _centroid_move(diagram: Diagram, i: int, f: float) -> None:
+    if diagram.lengths[i] == 0:
         return
-    sx, sy = cell.site.tolist()
-    cx, cy = cell.polygon.centroid.tolist()
-    cell.site = np.array([sx + f * (cx - sx), sy + f * (cy - sy)])
+    sx, sy = diagram.sites[i].tolist()
+    cx, cy = diagram.centroids[i].tolist()
+    diagram.sites[i] = [sx + f * (cx - sx), sy + f * (cy - sy)]
 
 
 def _clamp_into(old: np.ndarray, new: np.ndarray, diagram: Diagram) -> np.ndarray:
@@ -125,41 +122,42 @@ def _clamp_into(old: np.ndarray, new: np.ndarray, diagram: Diagram) -> np.ndarra
     return old + boundary.ray_exit(old, d, tol) * d
 
 
-def move_toward(cell: Cell, target: Cell, f: float, diagram: Diagram) -> None:
-    """Advance the site a fraction of the gap toward the target, band-floored,
-    clamped by _clamp_into in the cell's diagram."""
-    sx, sy = cell.site.tolist()
-    tx, ty = target.site.tolist()
+def move_toward(diagram: Diagram, i: int, target: np.ndarray, target_area: float, f: float) -> None:
+    """Advance site i a fraction of the gap toward the point target, floored
+    at K_MIN times the summed equivalent radii of cell i and the target's
+    cell, of area target_area; clamped by _clamp_into in the diagram."""
+    sx, sy = diagram.sites[i].tolist()
+    tx, ty = target.tolist()
     dx, dy = tx - sx, ty - sy
     d = math.hypot(dx, dy)
     if d == 0.0:
         return
-    floor = K_MIN * (cell.equiv_radius + target.equiv_radius)
+    floor = K_MIN * (math.sqrt(float(diagram.areas[i]) / math.pi) + math.sqrt(target_area / math.pi))
     if d <= floor:
         return
     if (1.0 - f) * d < floor:
         new = [tx - dx / d * floor, ty - dy / d * floor]
     else:
         new = [sx + f * dx, sy + f * dy]
-    cell.site = _clamp_into(cell.site, np.array(new), diagram)
+    diagram.sites[i] = _clamp_into(diagram.sites[i], np.array(new), diagram)
 
 
-def move_orthogonal(cell: Cell, target: Cell, edge_dir: np.ndarray, f: float, diagram: Diagram) -> None:
-    """Slide along the shared parent edge direction, leaving the perpendicular
-    offset to that edge unchanged, clamped by _clamp_into in the cell's
-    diagram."""
-    s = cell.site
-    comp = float((target.site - s) @ edge_dir) * edge_dir
-    new = s + f * comp
-    cell.site = _clamp_into(s, new, diagram)
+def move_orthogonal(diagram: Diagram, i: int, target: np.ndarray, edge_dir: np.ndarray, f: float) -> None:
+    """Slide site i along the shared parent edge direction, leaving its
+    perpendicular offset to that edge unchanged, toward the point target;
+    clamped by _clamp_into in the diagram."""
+    s = diagram.sites[i]
+    comp = float((target - s) @ edge_dir) * edge_dir
+    diagram.sites[i] = _clamp_into(s, s + f * comp, diagram)
 
 
-def _aligned(cell: Cell, target: Cell, edge_dir: np.ndarray) -> bool:
-    """Projections onto the shared edge overlap >= 50% of the smaller extent."""
-    if cell.polygon is None or target.polygon is None:
+def _aligned(ring: np.ndarray | None, target: np.ndarray | None, edge_dir: np.ndarray) -> bool:
+    """The two rings' projections onto the shared edge overlap >= 50% of the
+    smaller extent; True if either cell is empty."""
+    if ring is None or target is None:
         return True
-    pa = cell.polygon.vertices @ edge_dir
-    pb = target.polygon.vertices @ edge_dir
+    pa = ring @ edge_dir
+    pb = target @ edge_dir
     overlap = min(pa.max(), pb.max()) - max(pa.min(), pb.min())
     smaller = min(pa.max() - pa.min(), pb.max() - pb.min())
     if smaller <= 0.0:
@@ -167,38 +165,37 @@ def _aligned(cell: Cell, target: Cell, edge_dir: np.ndarray) -> bool:
     return overlap >= 0.5 * smaller
 
 
-def neighborhood_step(cell: Cell, state: LevelState, f: float, saturated: set[str]) -> None:
-    """One movement per cell: the first actionable constraint wins, otherwise
-    the site steps toward its polygon centroid. Partners are tried by
-    similarity, then distance, both descending, then id; a saturated target
-    is passed over."""
-    partners = state.partners.get(cell.node_id)
+def neighborhood_step(diagram: Diagram, i: int, state: LevelState, f: float, saturated: set[str]) -> None:
+    """One movement of row i of the diagram: the first actionable constraint
+    wins, otherwise the site steps toward its cell's centroid. Partners are
+    tried by similarity, then distance, both descending, then id; a
+    saturated target is passed over."""
+    partners = state.partners.get(diagram.node_ids[i])
     if partners:
-        sx, sy = cell.site.tolist()
+        sx, sy = diagram.sites[i].tolist()
 
         def sort_key(partner):
-            similarity, other_id, other, _ = partner
+            similarity, other_id, other, j, _ = partner
             dist = 0.0
             if other is not None:
-                ox, oy = other.site.tolist()
+                ox, oy = other.sites[j].tolist()
                 dist = math.hypot(ox - sx, oy - sy)
             return (-similarity, -dist, other_id)
 
-        diagram = state.diagram_of[cell.node_id]
-        for _, other_id, target, pair in sorted(partners, key=sort_key):
-            if target is None or other_id in saturated:
+        for _, other_id, other, j, pair in sorted(partners, key=sort_key):
+            if other is None or other_id in saturated:
                 continue
             contact = state.neighbor_map.get(pair)
             if contact is None:
-                move_toward(cell, target, f, diagram)
+                move_toward(diagram, i, other.sites[j], float(other.areas[j]), f)
                 return
-            if diagram is not state.diagram_of[other_id]:
+            if diagram is not other:
                 p0, p1, length = contact
                 edge_dir = (p1 - p0) / length
-                if not _aligned(cell, target, edge_dir):
-                    move_orthogonal(cell, target, edge_dir, f, diagram)
+                if not _aligned(diagram.ring(i), other.ring(j), edge_dir):
+                    move_orthogonal(diagram, i, other.sites[j], edge_dir, f)
                     return
-    _centroid_move(cell, f)
+    _centroid_move(diagram, i, f)
 
 
 def optimize_level(
@@ -211,7 +208,7 @@ def optimize_level(
 
     Each iteration moves every cell on state.neighbor_map, which
     LevelState.create builds, past the targets saturated on that map,
-    reading the polygons of the iteration's start, then makes one
+    reading the rings, areas and centroids of the iteration's start, then makes one
     recompute_level call and refreshes the map after trace_cb;
     the trace sees the map the iteration moved on, and the state ends with
     the final map.
@@ -222,8 +219,8 @@ def optimize_level(
         saturated = state.saturated(cfg.max_neighbor_count)
         f = cfg.step_at(it)
         for diagram in state.diagrams:
-            for cell in diagram.cells:
-                neighborhood_step(cell, state, f, saturated)
+            for i in range(len(diagram.node_ids)):
+                neighborhood_step(diagram, i, state, f, saturated)
         recompute_level(state.diagrams)
         if it >= cfg.growth_start:
             adapt_weights(state.diagrams, rng)
@@ -246,8 +243,8 @@ def pure_lloyd_growth(
     for it in range(cfg.max_iter):
         f = cfg.step_at(it)
         for diagram in diagrams:
-            for cell in diagram.cells:
-                _centroid_move(cell, f)
+            drawn = diagram.lengths > 0
+            diagram.sites[drawn] += f * (diagram.centroids[drawn] - diagram.sites[drawn])
         recompute_level(diagrams)
         if it >= cfg.growth_start:
             adapt_weights(diagrams, rng)

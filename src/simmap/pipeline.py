@@ -166,7 +166,7 @@ def init_diagram(
             members = set(children)
             local = [c for c in level_constraints if c.a in members and c.b in members]
             assignment = swap_improve(assignment, local, cvt)
-        sites = np.array([cvt.cells[assignment.mapping[c]].site for c in children])
+        sites = cvt.sites[[assignment.mapping[c] for c in children]]
     return power_diagram(
         sites, boundary, node_ids=children, targets=targets, parent_node=parent, scale=scale,
     )
@@ -209,9 +209,9 @@ def build_treemap(
             for (parent, children), s, cvt in zip(groups, seeds, cvts)
         ]
         for d in diagrams:
-            for c in d.cells:
-                if c.target_area_fraction * d.boundary.area == 0.0:
-                    raise PipelineError(f"cell {c.node_id!r}: target area underflows to 0.0")
+            underflow = np.flatnonzero(d.targets * d.boundary.area == 0.0)
+            if len(underflow):
+                raise PipelineError(f"cell {d.node_ids[underflow[0]]!r}: target area underflows to 0.0")
         state = LevelState.create(level, diagrams, level_cons)
         if init_preserved is not None:
             count, _ = metrics_mod.preserved_constraints(state.neighbor_map, level_cons)
@@ -246,12 +246,12 @@ def run(config: RunConfig) -> RunResult:
             "level": state.level,
             "iter": it,
             "sites": {
-                c.node_id: [round(float(c.site[0]), 10), round(float(c.site[1]), 10)]
-                for d in state.diagrams for c in d.cells
+                node: [round(x, 10), round(y, 10)]
+                for d in state.diagrams for node, (x, y) in zip(d.node_ids, d.sites.tolist())
             },
             "weights": {
-                c.node_id: round(float(c.weight), 10)
-                for d in state.diagrams for c in d.cells
+                node: round(w, 10)
+                for d in state.diagrams for node, w in zip(d.node_ids, d.weights.tolist())
             },
             "realized": metrics_mod.preserved_constraints(
                 state.neighbor_map, state.constraints)[0],

@@ -108,6 +108,16 @@ def test_run_writes_svg_and_metrics(three_node, tmp_path, capsys):
     assert metrics["leaf"]["constraints_total"] >= 1
 
 
+def test_run_names_every_file_it_wrote(three_node, tmp_path, capsys):
+    prefix = str(tmp_path / "out")
+    assert cli.main(["--input", three_node, "--out", prefix, "--iters", "2", "--seed", "0",
+                     "--emit-trace", "--emit-geometry"]) == 0
+    wrote = capsys.readouterr().out.splitlines()[-1]
+    names = ["out.svg", "out.metrics.json", "out.trace.ndjson", "out.geometry.json"]
+    assert sorted(os.listdir(tmp_path)) == sorted(names + ["three.json"])
+    assert wrote == f"wrote {', '.join(str(tmp_path / n) for n in names[:-1])} and {tmp_path / names[-1]}"
+
+
 def test_run_area_ratios_match_weights(three_node, tmp_path):
     prefix = str(tmp_path / "out")
     cli.main(["--input", three_node, "--out", prefix, "--iters", "80",

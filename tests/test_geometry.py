@@ -35,6 +35,30 @@ def rect(x0, y0, x1, y1):
     return ConvexPolygon(np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]))
 
 
+def _stack(rings):
+    """(vertices, lengths): rings stacked in order; a None ring has length 0."""
+    lengths = np.array([0 if v is None else len(v) for v in rings], dtype=np.intp)
+    kept = [v for v in rings if v is not None]
+    return (np.concatenate(kept) if kept else np.empty((0, 2))), lengths
+
+
+def _polygons(flat, lengths, area, centroid):
+    """The rings _finish_rings kept, as polygons, None for a dropped ring.
+    Each kept ring is the polygon's counter-clockwise vertices and carries
+    its area and centroid bit for bit; a dropped ring has area and centroid 0."""
+    polygons = []
+    for end, m, a, c in zip(np.cumsum(lengths).tolist(), lengths.tolist(), area, centroid):
+        if m == 0:
+            assert a == 0.0 and not c.any()
+            polygons.append(None)
+            continue
+        p = ConvexPolygon(flat[end - m:end])
+        assert p.vertices.tobytes() == flat[end - m:end].tobytes()
+        assert np.float64(p.area).tobytes() == a.tobytes() and p.centroid.tobytes() == c.tobytes()
+        polygons.append(p)
+    return polygons
+
+
 def random_convex_boundary(rng, n_max=9):
     """Convex polygon as the hull ring of points on a randomized ellipse."""
     n = int(rng.integers(4, n_max))
@@ -399,12 +423,12 @@ def test_clip_halfplane_whole_and_empty():
     flat, lengths = _clip_once(sq.vertices, [1.0, 0.0], 2.0)  # keeps everything
     assert lengths.tolist() == [4] and np.array_equal(flat, sq.vertices)
     flat, lengths = _clip_once(sq.vertices, [1.0, 0.0], -1.0)  # removes everything
-    assert _finish_rings(flat, lengths, sq.diagonal) == [None]
+    assert _polygons(*_finish_rings(flat, lengths, sq.diagonal)) == [None]
 
 
 def test_clip_halfplane_half():
     sq = square(1.0)
-    half, = _finish_rings(*_clip_once(sq.vertices, [1.0, 0.0], 0.5), sq.diagonal)  # x <= 0.5
+    half, = _polygons(*_finish_rings(*_clip_once(sq.vertices, [1.0, 0.0], 0.5), sq.diagonal))  # x <= 0.5
     assert half.area == pytest.approx(0.5)
     assert half.vertices[:, 0].max() == pytest.approx(0.5)
 
@@ -421,7 +445,7 @@ def test_clip_halfplane_keeps_both_runs_of_a_dented_ring():
     assert np.array_equal(_clip_array(ring, normal, y), expected)
     flat, lengths = _clip_once(ring, normal, y)
     assert lengths.tolist() == [7] and np.array_equal(flat, expected)
-    polygon, = _finish_rings(flat, lengths, ConvexPolygon(ring).diagonal)
+    polygon, = _polygons(*_finish_rings(flat, lengths, ConvexPolygon(ring).diagonal))
     assert np.array_equal(polygon.vertices, expected)
 
 
@@ -448,7 +472,7 @@ def test_measures_far_from_origin(radius):
     center = np.array([1e6, 1e6])
     poly = regular_polygon(7, radius=radius, center=center)
     exact = 3.5 * radius * radius * math.sin(2.0 * math.pi / 7)
-    finished = _finish_rings(*geometry._flatten([poly.vertices]), poly.diagonal)[0]
+    finished = _polygon_or_none(poly.vertices, poly.diagonal)
     for p in (poly, finished):
         assert np.abs(p.centroid - center).max() <= 1e-9 * radius
         assert abs(p.area - exact) <= 1e-9 * exact
@@ -816,11 +840,11 @@ def test_neighbors_tolerate_offset_collinear_edges():
 ], ids=["longer_later", "tie"])
 def test_neighbors_keep_the_first_longest_of_two_contacts(split, contact):
     # b's left edge is split at (1, split), so a and b touch along two segments
-    a = Cell("a", np.array([0.5, 0.5]), polygon=rect(0.0, 0.0, 1.0, 1.0))
-    b = Cell("b", np.array([1.5, 0.5]), polygon=ConvexPolygon(
-        np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, split]])))
     boundary = rect(0.0, 0.0, 2.0, 1.0)
-    d = geometry.Diagram(boundary=boundary, cells=[a, b], scale=boundary.diagonal)
+    d = geometry.Diagram(boundary=boundary, node_ids=["a", "b"], sites=np.array([[0.5, 0.5], [1.5, 0.5]]),
+                         weights=np.zeros(2), targets=np.full(2, 0.5), scale=boundary.diagonal)
+    d.rings, d.lengths = _stack([rect(0.0, 0.0, 1.0, 1.0).vertices,
+                                 np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, split]])])
     assert len(_dense_neighbors([d])[("a", "b")]) == 2
     p0, p1, length = _assert_same_neighbors([d])[("a", "b")]
     assert (tuple(p0), tuple(p1)) == contact
@@ -1060,7 +1084,7 @@ def test_recompute_in_place_identity():
 
 def _polygon_or_none(points, ref_diag):
     """Reference: one ring finished alone, with no other ring in the call."""
-    return _finish_rings(*geometry._flatten([points]), ref_diag)[0]
+    return _polygons(*_finish_rings(*_stack([points]), ref_diag))[0]
 
 
 def _measure_bytes(poly):
@@ -1104,13 +1128,17 @@ def _per_cell_polygons(diagram, all_pairs=False):
     return out
 
 
-def _assert_same_polygons(cells, reference):
-    """Each cell's polygon equals its reference polygon bit for bit, or both
-    are None; returns how many are None."""
-    for cell, ref in zip(cells, reference, strict=True):
+def _assert_same_polygons(diagram, reference):
+    """Each cell's polygon equals its reference polygon bit for bit, and its
+    row of the diagram's areas and centroids carries the reference's
+    measures, or both are None; returns how many are None."""
+    for cell, area, centroid, ref in zip(diagram.cells, diagram.areas, diagram.centroids, reference,
+                                         strict=True):
         assert (cell.polygon is None) == (ref is None), cell.node_id
         if ref is not None:
             assert _measure_bytes(cell.polygon) == _measure_bytes(ref), cell.node_id
+            assert area.tobytes() + centroid.tobytes() == (
+                np.float64(ref.area).tobytes() + ref.centroid.tobytes()), cell.node_id
     return sum(ref is None for ref in reference)
 
 
@@ -1123,7 +1151,7 @@ def _assert_recompute_matches_per_cell(diagram):
     """
     reference = _per_cell_polygons(diagram)
     recompute(diagram)
-    return _assert_same_polygons(diagram.cells, reference)
+    return _assert_same_polygons(diagram, reference)
 
 
 @pytest.fixture
@@ -1511,7 +1539,7 @@ def test_recompute_level_of_mixed_sizes_calls_for_lists_once(hull_calls):
     geometry.recompute_level(diagrams)
     assert hull_calls == [sizes]
     for d, reference in zip(diagrams, references):
-        _assert_same_polygons(d.cells, reference)
+        _assert_same_polygons(d, reference)
 
 
 def test_bisector_lists_leave_out_the_zero_length_diagonal_qhull_adds():
@@ -1556,9 +1584,9 @@ def test_lists_leave_out_only_the_diagonals_of_planar_faces(name):
     d = power_diagram(sites, boundary, weights=weights)
     _assert_matches_all_pairs(d)
     # the all-pairs cells of a diagonal's sites share no edge
-    reference = dataclasses.replace(d, cells=[dataclasses.replace(c) for c in d.cells])
-    for cell, polygon in zip(reference.cells, _per_cell_polygons(d, all_pairs=True)):
-        cell.polygon = polygon
+    reference = dataclasses.replace(d)
+    reference.rings, reference.lengths = _stack([None if p is None else p.vertices
+                                                 for p in _per_cell_polygons(d, all_pairs=True)])
     contacts = cell_neighbors([reference])
     for i, j in extra:
         assert tuple(sorted((d.cells[i].node_id, d.cells[j].node_id))) not in contacts
@@ -1611,8 +1639,7 @@ def test_recompute_level_equals_per_cell(monkeypatch, hull_calls):
     level = _mixed_level()
     references = [_per_cell_polygons(d) for d in level]
     for d in level:
-        for c in d.cells:
-            c.polygon = None
+        d.rings = d.lengths = d.areas = d.centroids = None
     hull_calls.clear()
     kernel_calls = []
     clip_rings = geometry._clip_rings
@@ -1625,7 +1652,7 @@ def test_recompute_level_equals_per_cell(monkeypatch, hull_calls):
     assert geometry.recompute_level(level) is level
     assert kernel_calls == [sum(len(d.cells) for d in level)]
     assert hull_calls == [[len(d.cells) for d in level if len(d.cells) >= BATCH_MIN_CELLS]]
-    empty = sum(_assert_same_polygons(d.cells, ref) for d, ref in zip(level, references))
+    empty = sum(_assert_same_polygons(d, ref) for d, ref in zip(level, references))
     assert level[-1].cells[0].polygon is None and empty >= 1
     for d in level:
         if len(d.cells) == 1:
@@ -1639,19 +1666,24 @@ def test_recompute_level_error_leaves_every_cell_unchanged():
     # the radical axis at y = 1 - 1e-13 leaves cell 1 a sliver of area 1e-13:
     # not None against a reference diagonal of 1e-3, degenerate for its own
     sliver.scale = 1e-3
-    sliver.cells[0].weight = 0.5 - 1e-13
-    before = [c.polygon for d in (healthy, sliver) for c in d.cells]
-    for c in healthy.cells:
-        c.site = c.site + 0.5
+    sliver.weights[0] = 0.5 - 1e-13
+    cells = [d.cells for d in (healthy, sliver)]
+
+    def state():
+        return [(d.rings, d.lengths, d.areas, d.centroids) for d in (healthy, sliver)]
+
+    before = state()
+    healthy.sites += 0.5
     with pytest.raises(GeometryError, match="degenerate"):
         geometry.recompute_level([healthy, sliver])
-    assert [c.polygon for d in (healthy, sliver) for c in d.cells] == before
+    assert all(a is b for now, then in zip(state(), before) for a, b in zip(now, then))
+    assert [d.cells for d in (healthy, sliver)] == cells
 
 
 def test_finish_rings_equals_per_ring_reference():
     """Each ring's polygon in a mixed stack is byte-equal to the ring's polygon
     finished alone, in either stack order, and carries the measures
-    ConvexPolygon takes of its vertices."""
+    ConvexPolygon takes of its vertices; the arrays are read-only."""
     scale = 10.0
     near = 1e-14 * scale                      # below the 1e-12 * scale dedupe gap
     rings = [
@@ -1671,14 +1703,13 @@ def test_finish_rings_equals_per_ring_reference():
     assert [p is None for p in expected] == [False, False, True, False, True, True,
                                              False, False, False, False, True]
     for order in (list(range(len(rings))), list(range(len(rings)))[::-1]):
-        got = _finish_rings(*geometry._flatten([rings[k] for k in order]), scale)
-        for k, p in zip(order, got):
+        finished = _finish_rings(*_stack([rings[k] for k in order]), scale)
+        assert not any(a.flags.writeable for a in finished)
+        for k, p in zip(order, _polygons(*finished)):
             ref = expected[k]
             assert (p is None) == (ref is None), k
             if ref is not None:
                 assert _measure_bytes(p) == _measure_bytes(ref), k
-                assert _measure_bytes(p) == _measure_bytes(ConvexPolygon(p.vertices)), k
-                assert not p.vertices.flags.writeable and not p.centroid.flags.writeable
     assert len(expected[1].vertices) == 4 and len(expected[7].vertices) == 4
     assert expected[3].vertices.tobytes() == rings[3][::-1].tobytes()
     for p in (expected[0], expected[3]):
@@ -1694,9 +1725,9 @@ def test_finish_rings_raises_on_sliver_above_none_threshold():
         _polygon_or_none(sliver, 1.0)
     fine = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(GeometryError):
-        _finish_rings(*geometry._flatten([fine, sliver]), 1.0)
+        _finish_rings(*_stack([fine, sliver]), 1.0)
     with pytest.raises(GeometryError):
-        _finish_rings(*geometry._flatten([sliver[::-1], fine]), 1.0)     # clockwise
+        _finish_rings(*_stack([sliver[::-1], fine]), 1.0)     # clockwise
 
 
 def test_clip_halfplane_equals_per_ring_reference():
@@ -1714,7 +1745,7 @@ def test_clip_halfplane_equals_per_ring_reference():
         if ring is poly.vertices:
             assert np.array_equal(flat, poly.vertices)    # the ring comes back unchanged
             continue
-        got, = _finish_rings(flat, lengths, poly.diagonal)
+        got, = _polygons(*_finish_rings(flat, lengths, poly.diagonal))
         assert (got is None) == (ref is None)
         if ref is not None:
             assert _measure_bytes(got) == _measure_bytes(ref)
@@ -1741,9 +1772,6 @@ def test_boundary_edge_frame_is_cached_and_read_only():
             a[0] = 1.0
 
 
-def test_cell_equiv_radius():
-    c = Cell(node_id="x", site=np.zeros(2), polygon=square(1.0))
-    assert c.equiv_radius == pytest.approx(math.sqrt(1.0 / math.pi))
-    empty = Cell(node_id="y", site=np.zeros(2))
-    assert empty.area == 0.0
-    assert empty.equiv_radius == 0.0
+def test_cell_area():
+    assert Cell(node_id="x", site=np.zeros(2), polygon=square(1.0)).area == 1.0
+    assert Cell(node_id="y", site=np.zeros(2)).area == 0.0

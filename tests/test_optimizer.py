@@ -1,4 +1,5 @@
 """Round-robin neighborhood-preserving optimization loop."""
+import gc
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from simmap.datasets import gen_synthetic
 from simmap.geometry import (
     Cell,
     ConvexPolygon,
-    Diagram,
     _clip_rings,
     _finish_rings,
     adapt_weights,
@@ -48,6 +48,16 @@ def constraint(a, b, s=0.9, level=1):
 def make_state(diagram_or_list, constraints):
     diagrams = diagram_or_list if isinstance(diagram_or_list, list) else [diagram_or_list]
     return LevelState.create(1, diagrams, constraints)
+
+
+def radius(area):
+    """The radius of a disc of the given area."""
+    return math.sqrt(area / math.pi)
+
+
+def band_floor(a, i, b, j):
+    """move_toward's floor for row i of diagram a and row j of diagram b."""
+    return optimizer.K_MIN * (radius(a.areas[i]) + radius(b.areas[j]))
 
 
 # ---------------------------------------------------------------- OptimizerConfig
@@ -92,29 +102,26 @@ def test_move_toward_advances_half_the_gap():
     # a long strip: the half gap is far above the band floor of the two cells
     boundary = ConvexPolygon(np.array([[0.0, 0.0], [1000.0, 0.0], [1000.0, 10.0], [0.0, 10.0]]))
     d = power_diagram([(100.0, 5.0), (900.0, 5.0)], boundary, node_ids=["a", "b"])
-    a, b = d.cells
-    assert 0.5 * 800.0 > optimizer.K_MIN * (a.equiv_radius + b.equiv_radius)
-    before = a.site.copy()
-    move_toward(a, b, 0.5, d)
-    assert a.site == pytest.approx(before + 0.5 * (b.site - before))
+    assert 0.5 * 800.0 > band_floor(d, 0, d, 1)
+    before = d.sites[0].copy()
+    move_toward(d, 0, d.sites[1], d.areas[1], 0.5)
+    assert d.sites[0] == pytest.approx(before + 0.5 * (d.sites[1] - before))
 
 
 def test_move_toward_band_floor_blocks_close_pair():
     boundary = square(100.0)
     d = power_diagram([(48.0, 50.0), (52.0, 50.0)], boundary, node_ids=["a", "b"])
-    a, b = d.cells              # equivalent radii are large here
-    before = a.site.copy()
-    move_toward(a, b, 0.5, d)
-    assert np.array_equal(a.site, before)
+    before = d.sites[0].copy()  # equivalent radii are large here
+    move_toward(d, 0, d.sites[1], d.areas[1], 0.5)
+    assert np.array_equal(d.sites[0], before)
 
 
 def test_move_toward_never_overshoots_below_floor():
     boundary = square(100.0)
     d = power_diagram([(10.0, 50.0), (90.0, 50.0)], boundary, node_ids=["a", "b"])
-    a, b = d.cells
-    floor = optimizer.K_MIN * (a.equiv_radius + b.equiv_radius)
-    move_toward(a, b, 0.99, d)
-    assert math.hypot(*(a.site - b.site)) >= floor - 1e-9
+    floor = band_floor(d, 0, d, 1)
+    move_toward(d, 0, d.sites[1], d.areas[1], 0.99)
+    assert math.hypot(*(d.sites[0] - d.sites[1])) >= floor - 1e-9
 
 
 def test_move_toward_clamped_at_inset_boundary():
@@ -123,13 +130,11 @@ def test_move_toward_clamped_at_inset_boundary():
     left = power_diagram([(50.0, 50.0)], square(100.0), node_ids=["a"])
     right = power_diagram([(390.0, 50.0)], square(100.0, origin=(300.0, 0.0)),
                           node_ids=["b"])
-    a = left.cells[0]
-    b = right.cells[0]
-    assert 390.0 - optimizer.K_MIN * (a.equiv_radius + b.equiv_radius) > 100.0
-    move_toward(a, b, 1.0, left)
+    assert 390.0 - band_floor(left, 0, right, 0) > 100.0
+    move_toward(left, 0, right.sites[0], right.areas[0], 1.0)
     margin = optimizer.BOUNDARY_MARGIN_FRACTION * left.scale
-    assert left.boundary.contains(a.site, -margin)
-    assert a.site[0] == pytest.approx(100.0 - margin, abs=1e-9 * left.scale)
+    assert left.boundary.contains(left.sites[0], -margin)
+    assert left.sites[0, 0] == pytest.approx(100.0 - margin, abs=1e-9 * left.scale)
 
 
 def test_clamped_moves_stop_on_the_inset_boundary():
@@ -138,14 +143,13 @@ def test_clamped_moves_stop_on_the_inset_boundary():
     # the target is so far that the band floor stops no move inside the parent
     d = power_diagram([(500.0, 500.0)], make_boundary("circle", 1000.0), node_ids=["a"])
     margin = optimizer.BOUNDARY_MARGIN_FRACTION * d.scale
-    a = d.cells[0]
     for angle in np.linspace(0.0, 2.0 * math.pi, 97):
-        a.site = np.array([500.0, 500.0])
+        d.sites[0] = [500.0, 500.0]
         for turn in (0.0, 0.3):
-            far = a.site + 2000.0 * np.array([math.cos(angle + turn), math.sin(angle + turn)])
-            move_toward(a, Cell("target", far), 1.0, d)
-            assert d.boundary.contains(a.site, -margin)
-            assert not d.boundary.contains(a.site, tol=-margin - 1e-9 * d.scale)
+            far = d.sites[0] + 2000.0 * np.array([math.cos(angle + turn), math.sin(angle + turn)])
+            move_toward(d, 0, far, 0.0, 1.0)
+            assert d.boundary.contains(d.sites[0], -margin)
+            assert not d.boundary.contains(d.sites[0], tol=-margin - 1e-9 * d.scale)
 
 
 def _reference_inset(polygon, margin):
@@ -156,7 +160,8 @@ def _reference_inset(polygon, margin):
     # round r keeps {x : normals[:, k_r] . x - offsets[k_r] >= margin * length[k_r]}
     flat, lengths = _clip_rings([polygon.vertices], [0], -normals.T[k][:, None],
                                 (-offsets[k] - margin * length[k])[:, None])
-    return _finish_rings(flat, lengths, polygon.diagonal)[0]
+    flat, lengths, _, _ = _finish_rings(flat, lengths, polygon.diagonal)
+    return ConvexPolygon(flat) if lengths[0] else None
 
 
 def _reference_clamp(old, new, inset):
@@ -198,7 +203,7 @@ def test_clamp_equals_the_reference_inset_clamp(seed, shape, far):
         "hexagon": lambda: regular_polygon(6, radius, center),
         "random": lambda: _convex_boundary(rng, center, radius),
     }[shape]()
-    diagram = Diagram(boundary=boundary, cells=[], scale=boundary.diagonal)
+    diagram = power_diagram([boundary.centroid], boundary)
     margin = optimizer.BOUNDARY_MARGIN_FRACTION * diagram.scale
     inset = _reference_inset(boundary, margin)
     normals, offsets, _, length = boundary._edge_frame
@@ -244,13 +249,12 @@ def test_parent_narrower_than_twice_the_margin_keeps_a_toward_move_site():
     left = power_diagram([(50.0, 50.0)], square(100.0), node_ids=["b"])
     small = power_diagram([(149.95, 50.0), (150.05, 50.0)], square(0.2, origin=(149.9, 49.9)),
                           node_ids=["a", "a2"], scale=left.scale)
-    a, b = small.cells[0], left.cells[0]
     margin = optimizer.BOUNDARY_MARGIN_FRACTION * small.scale
     assert 2.0 * margin > 0.2
-    assert math.hypot(*(b.site - a.site)) > optimizer.K_MIN * (a.equiv_radius + b.equiv_radius)
-    before = a.site.copy()
-    move_toward(a, b, 0.5, small)
-    assert np.array_equal(a.site, before)
+    assert math.hypot(*(left.sites[0] - small.sites[0])) > band_floor(small, 0, left, 0)
+    before = small.sites[0].copy()
+    move_toward(small, 0, left.sites[0], left.areas[0], 0.5)
+    assert np.array_equal(small.sites[0], before)
 
 
 # ----------------------------------------------------------------- move_orthogonal
@@ -258,21 +262,20 @@ def test_parent_narrower_than_twice_the_margin_keeps_a_toward_move_site():
 def test_move_orthogonal_reduces_along_edge_offset():
     boundary = square(100.0)
     d = power_diagram([(30.0, 20.0), (70.0, 80.0)], boundary, node_ids=["a", "b"])
-    a, b = d.cells
+    a, b = d.sites
     edge_dir = np.array([0.0, 1.0])  # slide vertically only
-    x_before = a.site[0]
-    off_before = abs(a.site[1] - b.site[1])
-    move_orthogonal(a, b, edge_dir, 0.5, d)
-    assert a.site[0] == pytest.approx(x_before)  # perpendicular part unchanged
-    assert abs(a.site[1] - b.site[1]) < off_before
+    x_before = a[0]
+    off_before = abs(a[1] - b[1])
+    move_orthogonal(d, 0, b, edge_dir, 0.5)
+    assert a[0] == pytest.approx(x_before)  # perpendicular part unchanged
+    assert abs(a[1] - b[1]) < off_before
 
 
 def test_aligned_predicate():
     d = power_diagram([(25.0, 50.0), (75.0, 50.0)], square(100.0),
                       node_ids=["a", "b"])
-    a, b = d.cells
     # both cells span the full y range -> fully aligned along a vertical edge
-    assert _aligned(a, b, np.array([0.0, 1.0]))
+    assert _aligned(d.ring(0), d.ring(1), np.array([0.0, 1.0]))
 
 
 # --------------------------------------------------------------- neighborhood_step
@@ -281,11 +284,10 @@ def test_fulfilled_constraint_falls_back_to_centroid():
     d = power_diagram([(30.0, 50.0), (70.0, 50.0)], square(100.0),
                       node_ids=["a", "b"])
     state = make_state(d, [constraint("a", "b")])
-    a = d.cells[0]
-    before = a.site.copy()
-    centroid = a.polygon.centroid
-    neighborhood_step(a, state, 0.5, state.saturated(OptimizerConfig().max_neighbor_count))
-    assert a.site == pytest.approx(before + 0.5 * (centroid - before))
+    before = d.sites[0].copy()
+    centroid = d.centroids[0]
+    neighborhood_step(d, 0, state, 0.5, state.saturated(OptimizerConfig().max_neighbor_count))
+    assert d.sites[0] == pytest.approx(before + 0.5 * (centroid - before))
 
 
 def test_unrealized_constraint_decreases_distance():
@@ -294,11 +296,9 @@ def test_unrealized_constraint_decreases_distance():
     nm = cell_neighbors([d])
     assert ("a", "b") not in nm  # middle cell separates them
     state = make_state(d, [constraint("a", "b")])
-    a = d.cells[0]
-    b = d.cells[2]
-    before = math.hypot(*(a.site - b.site))
-    neighborhood_step(a, state, 0.5, state.saturated(OptimizerConfig().max_neighbor_count))
-    assert math.hypot(*(a.site - b.site)) < before
+    before = math.hypot(*(d.sites[0] - d.sites[2]))
+    neighborhood_step(d, 0, state, 0.5, state.saturated(OptimizerConfig().max_neighbor_count))
+    assert math.hypot(*(d.sites[0] - d.sites[2])) < before
 
 
 def test_saturated_target_is_skipped():
@@ -317,17 +317,16 @@ def test_saturated_target_is_skipped():
     cons.append(constraint("center", "far"))
     assert len(center_neighbors) >= 6
     state = make_state(d, cons)
-    far = d.cells[-1]
-    before = far.site.copy()
-    centroid = far.polygon.centroid
+    before = d.sites[-1].copy()
+    centroid = d.centroids[-1]
     assert state.saturated(OptimizerConfig().max_neighbor_count) == {"center"}
-    neighborhood_step(far, state, 0.5, state.saturated(OptimizerConfig().max_neighbor_count))
+    neighborhood_step(d, len(ids) - 1, state, 0.5, state.saturated(OptimizerConfig().max_neighbor_count))
     # the saturation guard rejects the center target -> centroid fallback
-    assert far.site == pytest.approx(before + 0.5 * (centroid - before))
+    assert d.sites[-1] == pytest.approx(before + 0.5 * (centroid - before))
 
 
-def _pinned_site(cell, expected):
-    assert cell.site.tobytes() == np.asarray(expected, dtype=float).tobytes()
+def _pinned_site(site, expected):
+    assert site.tobytes() == np.asarray(expected, dtype=float).tobytes()
 
 
 def _nonneighbour_level():
@@ -339,14 +338,13 @@ def _nonneighbour_level():
 
 def test_step_toward_an_unsaturated_non_neighbour_is_pinned():
     d, state = _nonneighbour_level()
-    a, _, b = d.cells
     assert ("a", "b") not in state.neighbor_map and adjacency(state.neighbor_map)["b"]
-    s, t = a.site.copy(), b.site.copy()
-    floor = optimizer.K_MIN * (a.equiv_radius + b.equiv_radius)
+    s, t = d.sites[0].copy(), d.sites[2].copy()
+    floor = band_floor(d, 0, d, 2)
     d_ab = math.hypot(*(t - s))
     assert (1.0 - 0.5) * d_ab < floor < d_ab       # half the gap would cross the band floor
-    neighborhood_step(a, state, 0.5, state.saturated(6))
-    _pinned_site(a, t - (t - s) / d_ab * floor)
+    neighborhood_step(d, 0, state, 0.5, state.saturated(6))
+    _pinned_site(d.sites[0], t - (t - s) / d_ab * floor)
 
 
 def test_step_slides_a_misaligned_pair_across_a_parent_border():
@@ -356,22 +354,20 @@ def test_step_slides_a_misaligned_pair_across_a_parent_border():
     right = power_diagram([(150.0, 10.0), (150.0, 90.0)], square(100.0, origin=(100.0, 0.0)),
                           node_ids=["b2", "b"])
     state = make_state([left, right], [constraint("a", "b")])
-    a, b = left.cells[0], right.cells[1]
     p0, p1, length = state.neighbor_map[("a", "b")]
     edge_dir = (p1 - p0) / length
-    assert not _aligned(a, b, edge_dir)
-    s = a.site.copy()
-    neighborhood_step(a, state, 0.5, state.saturated(6))
-    _pinned_site(a, s + 0.5 * (float((b.site - s) @ edge_dir) * edge_dir))
-    assert a.site[0] == 50.0 and a.site[1] > 30.0
+    assert not _aligned(left.ring(0), right.ring(1), edge_dir)
+    s = left.sites[0].copy()
+    neighborhood_step(left, 0, state, 0.5, state.saturated(6))
+    _pinned_site(left.sites[0], s + 0.5 * (float((right.sites[1] - s) @ edge_dir) * edge_dir))
+    assert left.sites[0, 0] == 50.0 and left.sites[0, 1] > 30.0
 
 
 def test_step_past_a_saturated_target_moves_to_the_centroid():
     d, state = _nonneighbour_level()
-    a = d.cells[0]
-    s, c = a.site.copy(), a.polygon.centroid.copy()
-    neighborhood_step(a, state, 0.5, {"b"})
-    _pinned_site(a, s + 0.5 * (c - s))
+    s, c = d.sites[0].copy(), d.centroids[0].copy()
+    neighborhood_step(d, 0, state, 0.5, {"b"})
+    _pinned_site(d.sites[0], s + 0.5 * (c - s))
 
 
 def _isolated_level():
@@ -380,22 +376,22 @@ def _isolated_level():
     far = power_diagram([(350.0, 50.0)], square(100.0, origin=(300.0, 0.0)), node_ids=["lone"])
     state = make_state([near, far], [constraint("a", "lone")])
     assert "lone" not in adjacency(state.neighbor_map)
-    return near.cells[0], far.cells[0], state
+    return near, far, state
 
 
 def test_isolated_target_is_saturated_only_at_zero_max_neighbors():
-    a, _, state = _isolated_level()
-    s, c = a.site.copy(), a.polygon.centroid.copy()
+    near, _, state = _isolated_level()
+    s, c = near.sites[0].copy(), near.centroids[0].copy()
     assert state.saturated(0) == {"lone"}
-    neighborhood_step(a, state, 0.5, state.saturated(0))
-    _pinned_site(a, s + 0.5 * (c - s))
+    neighborhood_step(near, 0, state, 0.5, state.saturated(0))
+    _pinned_site(near.sites[0], s + 0.5 * (c - s))
 
-    a, lone, state = _isolated_level()
+    near, far, state = _isolated_level()
     assert state.saturated(1) == set()
-    s, t = a.site.copy(), lone.site.copy()
-    neighborhood_step(a, state, 0.5, state.saturated(1))
-    _pinned_site(a, optimizer._clamp_into(s, s + 0.5 * (t - s), state.diagram_of["a"]))
-    assert a.site[0] > 70.0
+    s, t = near.sites[0].copy(), far.sites[0].copy()
+    neighborhood_step(near, 0, state, 0.5, state.saturated(1))
+    _pinned_site(near.sites[0], optimizer._clamp_into(s, s + 0.5 * (t - s), near))
+    assert near.sites[0, 0] > 70.0
 
 
 # ----------------------------------------------------------------- optimize_level
@@ -559,42 +555,45 @@ def test_build_treemap_builds_one_map_per_level_and_iteration(monkeypatch, neigh
 
 # ------------------------------------------------- reference neighborhood step
 
-def _reference_move_toward(cell, target, f, diagram):
-    s = cell.site
-    t = target.site
-    dvec = t - s
+def _reference_move_toward(diagram, i, target, target_area, f):
+    s = diagram.sites[i].copy()
+    dvec = target - s
     d = math.hypot(dvec[0], dvec[1])
     if d == 0.0:
         return
-    floor = optimizer.K_MIN * (cell.equiv_radius + target.equiv_radius)
+    floor = optimizer.K_MIN * (radius(diagram.areas[i]) + radius(target_area))
     if d <= floor:
         return
     new = s + f * dvec
     nd = (1.0 - f) * d
     if nd < floor:
-        new = t - dvec / d * floor
-    cell.site = optimizer._clamp_into(s, new, diagram)
+        new = target - dvec / d * floor
+    diagram.sites[i] = optimizer._clamp_into(s, new, diagram)
 
 
-def _reference_neighborhood_step(cell, state, cfg, f, adjacency):
+def _reference_neighborhood_step(diagram, i, state, cfg, f, adjacency):
     """The per-cell step on numpy pairs, testing each visited target for
     saturation against the adjacency; returns the branch it took and the
     targets it passed over as saturated."""
-    cons = [con for con in state.constraints for node in (con.a, con.b) if node == cell.node_id]
+    node = diagram.node_ids[i]
+    rows = {other: (d, j) for d in state.diagrams for j, other in enumerate(d.node_ids)}
+    cons = [con for con in state.constraints for end in (con.a, con.b) if end == node]
     constraint_pairs = {tuple(sorted((con.a, con.b))) for con in state.constraints}
     skipped = []
     if cons:
         def sort_key(con):
-            other = con.b if con.a == cell.node_id else con.a
-            oc = state.cells_by_id.get(other)
-            dist = math.hypot(*(oc.site - cell.site)) if oc is not None else 0.0
+            other = con.b if con.a == node else con.a
+            dist = 0.0
+            if other in rows:
+                d, j = rows[other]
+                dist = math.hypot(*(d.sites[j] - diagram.sites[i]))
             return (-con.similarity, -dist, other)
 
         for con in sorted(cons, key=sort_key):
-            other_id = con.b if con.a == cell.node_id else con.a
-            target = state.cells_by_id.get(other_id)
-            if target is None:
+            other_id = con.b if con.a == node else con.a
+            if other_id not in rows:
                 continue
+            target, j = rows[other_id]
             t_neighbors = adjacency.get(other_id, set())
             constrained = {
                 n for n in t_neighbors
@@ -603,20 +602,19 @@ def _reference_neighborhood_step(cell, state, cfg, f, adjacency):
             if len(constrained) >= cfg.max_neighbor_count and constrained == t_neighbors:
                 skipped.append(other_id)
                 continue
-            pair = tuple(sorted((cell.node_id, other_id)))
+            pair = tuple(sorted((node, other_id)))
             contact = state.neighbor_map.get(pair)
-            diagram = state.diagram_of[cell.node_id]
             if contact is None:
-                _reference_move_toward(cell, target, f, diagram)
+                _reference_move_toward(diagram, i, target.sites[j], target.areas[j], f)
                 return "toward", skipped
-            if state.diagram_of[cell.node_id] is not state.diagram_of[other_id]:
+            if diagram is not target:
                 p0, p1, length = contact
                 edge_dir = (p1 - p0) / length
-                if not _aligned(cell, target, edge_dir):
-                    move_orthogonal(cell, target, edge_dir, f, diagram)
+                if not _aligned(diagram.ring(i), target.ring(j), edge_dir):
+                    move_orthogonal(diagram, i, target.sites[j], edge_dir, f)
                     return "orthogonal", skipped
-    if cell.polygon is not None:
-        cell.site = cell.site + f * (cell.polygon.centroid - cell.site)
+    if diagram.lengths[i]:
+        diagram.sites[i] = diagram.sites[i] + f * (diagram.centroids[i] - diagram.sites[i])
     return "centroid", skipped
 
 
@@ -626,11 +624,11 @@ def _use_reference_step(monkeypatch, cfg):
     branches = []
     seen = {}
 
-    def step(cell, state, f, saturated):
+    def step(diagram, i, state, f, saturated):
         if seen.get("map") is not state.neighbor_map:
             seen.update(map=state.neighbor_map, adjacency={
                 node: set(nbrs) for node, nbrs in adjacency(state.neighbor_map).items()})
-        branches.append(_reference_neighborhood_step(cell, state, cfg, f, seen["adjacency"]))
+        branches.append(_reference_neighborhood_step(diagram, i, state, cfg, f, seen["adjacency"]))
 
     monkeypatch.setattr(optimizer, "neighborhood_step", step)
     return branches
@@ -757,3 +755,31 @@ def test_optimize_level_recomputes_the_level_once_per_move_phase(monkeypatch):
     optimize_level(state, cfg, np.random.default_rng(0))
     assert len(calls) == cfg.max_iter
     assert all(diagrams is state.diagrams for diagrams in calls)
+
+
+def test_optimize_level_makes_no_cell_or_polygon(monkeypatch):
+    """The layout loop works on the diagrams' arrays: optimize_level, with
+    growth, on a generated 12-parent leaf level makes no Cell and no
+    ConvexPolygon, counted at their constructors and, for one made around
+    them, among the live objects afterwards."""
+    tree = prepared(gen_synthetic("two_level", {"leaves": 48, "parents": 12}, seed=0))
+    constraints = extract_level_constraints(tree, "cosine")
+    levels = build_treemap(tree, constraints, make_boundary("circle", 1000.0), "proj_scale",
+                           "cosine", 0, OptimizerConfig(), optimize=False)
+    state = LevelState.create(2, levels[2], constraints[2])
+    made = []
+    for cls, name in ((Cell, "__init__"), (ConvexPolygon, "__post_init__")):
+        def counting(self, *args, _original=getattr(cls, name), **kwargs):
+            made.append(type(self).__name__)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+
+    def records():
+        return [o for o in gc.get_objects() if isinstance(o, (Cell, ConvexPolygon))]
+
+    before = records()          # held, so that no new record takes an old one's id
+    known = {id(o) for o in before}
+    optimize_level(state, OptimizerConfig(max_iter=10), np.random.default_rng(0))   # 2 growth iterations
+    made += [type(o).__name__ for o in records() if id(o) not in known]
+    assert made == []
